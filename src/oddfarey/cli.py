@@ -3,8 +3,8 @@
 Subcommands: list, stats, rho, rho-table, compare, region, orbit, paths,
 lattice, verify, short-interval.  Rationals print as "p/q" plus a 12-digit
 decimal; CSV output is RFC 4180 (csv module); exit codes reflect verify
-outcomes.  Option precedence is flags > environment (FAREY_MAX_Q) > config
-file (--config, JSON).
+outcomes, and bad input prints "error: ..." and exits 2.  Option precedence
+is flags > environment (FAREY_MAX_Q) > config file (--config, JSON).
 """
 
 from __future__ import annotations
@@ -50,6 +50,20 @@ def _setting(args, name: str):
     if value is not None:
         return value
     return getattr(args, "_config", {}).get(name, _BUILTIN_DEFAULTS[name])
+
+
+def _enclosure_options(args) -> dict:
+    """The ``tol`` and ``k_max`` arguments of rho_odd, resolved and parsed."""
+    tol, k_max = _setting(args, "tol"), _setting(args, "k_max")
+    try:
+        tol = Fraction(tol)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SystemExit(f"error: bad tolerance {tol!r}, expected like '1/1000'") from exc
+    try:
+        k_max = int(k_max)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SystemExit(f"error: bad cutoff limit {k_max!r}, expected an integer") from exc
+    return {"tol": tol, "k_max": k_max}
 
 
 def _dec(x, digits: int = 12) -> str:
@@ -104,6 +118,14 @@ def _parse_point(text: str) -> TrianglePoint:
         return TrianglePoint(Fraction(parts[0]), Fraction(parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit(f"error: {exc}") from exc
+
+
+def _parse_quadrangle(text: str) -> tuple[int, int, int]:
+    try:
+        m, i, r = (int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise SystemExit(f"error: quadrangle must look like 'm,i,r', got {text!r}") from exc
+    return m, i, r
 
 
 def _csv_writer():
@@ -178,7 +200,7 @@ def _enclosure_row(deltas, enc) -> dict:
 
 def _cmd_rho(args) -> int:
     deltas = _parse_deltas(args.delta)
-    enc = rho_odd(deltas, tol=Fraction(_setting(args, "tol")), k_max=int(_setting(args, "k_max")))
+    enc = rho_odd(deltas, **_enclosure_options(args))
     row = _enclosure_row(deltas, enc)
     if args.format == "json":
         print(json.dumps(row))
@@ -200,7 +222,7 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_rho_table(args) -> int:
-    rows = rho_table(args.h, args.delta_max, tol=Fraction(_setting(args, "tol")), k_max=int(_setting(args, "k_max")))
+    rows = rho_table(args.h, args.delta_max, **_enclosure_options(args))
     payload = [_enclosure_row(r.deltas, r.enclosure) for r in rows]
     if args.format == "json":
         print(json.dumps(payload))
@@ -217,7 +239,7 @@ def _cmd_rho_table(args) -> int:
 def _cmd_compare(args) -> int:
     deltas = _parse_deltas(args.delta)
     interval = _parse_interval(args.interval)
-    enc = rho_odd(deltas, tol=Fraction(_setting(args, "tol")), k_max=int(_setting(args, "k_max")))
+    enc = rho_odd(deltas, **_enclosure_options(args))
     emp = empirical_rho(args.q, deltas, interval)
     dev = max(enc.lo - emp, emp - enc.hi, Fraction(0))
     scale = args.q / math.log(args.q) ** 2
@@ -252,8 +274,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_region(args) -> int:
     if args.quadrangle:
-        m, i, r = (int(p) for p in args.quadrangle.split(","))
-        region = stabilized_quadrangle(m, i, r)
+        region = stabilized_quadrangle(*_parse_quadrangle(args.quadrangle))
     else:
         region = cylinder(_parse_ks(args.ks))
     payload = region.to_json_dict()
@@ -341,7 +362,7 @@ def _cmd_short_interval(args) -> int:
     interval = _parse_interval(args.interval)
     if interval is None:
         raise SystemExit("error: --interval is required")
-    enc = rho_odd(deltas, tol=Fraction(_setting(args, "tol")), k_max=int(_setting(args, "k_max")))
+    enc = rho_odd(deltas, **_enclosure_options(args))
     emp = empirical_rho(args.q, deltas, interval)
     dev = max(enc.lo - emp, emp - enc.hi, Fraction(0))
     norm = float(dev) * math.sqrt(args.q) / math.log(args.q)
@@ -566,6 +587,8 @@ def _load_config(path: Optional[str]) -> dict:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: cannot read config {path!r}: {exc}")
+    if not isinstance(data, dict):
+        raise SystemExit(f"error: config {path!r} must be a JSON object")
     return {k.replace("-", "_"): v for k, v in data.items()}
 
 
@@ -573,12 +596,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     args = ap.parse_args(argv)
-    args._config = _load_config(args.config)
     try:
+        args._config = _load_config(args.config)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:
+        # bad input: the parsing helpers exit with an "error: ..." message;
+        # exit with argparse's status for bad usage
+        if isinstance(exc.code, str):
+            print(exc.code, file=sys.stderr)
+            raise SystemExit(2) from None
+        raise
 
 
 if __name__ == "__main__":

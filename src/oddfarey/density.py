@@ -21,6 +21,21 @@ Many families have certifiably finite sums: if a slot value m >= 4r + 2
 slot must equal 1 and all remaining labels must equal 2.  When the fixed
 labels and the other slots' parities contradict that pattern for every free
 slot, all terms beyond 4r + 1 vanish and the enclosure is exact (lo == hi).
+
+A family's sum is taken over a tree of label prefixes rather than cylinder
+by cylinder.  C(k1, ..., kj, k) is a subset of C(k1, ..., kj), so each node
+clips its parent's polygon by the one new cell (see geometry._index_cells),
+and both shortcuts below keep every sum exact:
+
+  * Pruning.  A prefix whose closure polygon is empty or has zero area is
+    not extended: every cylinder below it lies inside that null set and has
+    area 0.  Cells that the index range of a polygon's vertices rules out
+    are null in the same way.  The skipped terms are all zero.
+  * Incremental cutoffs.  The tuples with free values <= K_new are those
+    with free values <= K_old plus those with some free value in
+    (K_old, K_new], disjointly, so lo at K_new is lo at K_old plus the sum
+    over that new shell (family_sum_between).  Exact rational sums do not
+    depend on order, so lo equals the direct sum at K_new.
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .geometry import cylinder_area
+from .geometry import _TRIANGLE, _index_cells, _signed_area2
 from .paths import PathFamily, arrow_text, families
 
 __all__ = [
@@ -40,6 +55,7 @@ __all__ = [
     "parity_tail_after",
     "family_is_certified_finite",
     "family_sum_upto",
+    "family_sum_between",
     "rho_odd",
     "RhoRow",
     "rho_table",
@@ -127,29 +143,56 @@ def family_is_certified_finite(family: PathFamily) -> bool:
     return all(not _escape_pattern_consistent(family, s) for s in slots)
 
 
-def _slot_values(parity: str, k_cut: int) -> range:
-    if parity == "odd":
-        return range(1, k_cut + 1, 2)
-    if parity == "even":
-        return range(2, k_cut + 1, 2)
-    return range(1, k_cut + 1)
+def _slot_values(parity: str, k_cut: int, above: int = 0) -> range:
+    """The values in (above, k_cut] that a free slot of this parity admits."""
+    if parity == "any":
+        return range(above + 1, k_cut + 1)
+    first = above + 1
+    if first % 2 != (1 if parity == "odd" else 0):
+        first += 1
+    return range(first, k_cut + 1, 2)
+
+
+def _family_sum(family: PathFamily, k_cut: int, k_old: Optional[int]) -> Fraction:
+    """Sum of cylinder areas over the label tuples with free values <= k_cut
+    and, unless ``k_old`` is None, some free value > k_old.
+
+    Walks the label prefixes depth first, carrying each prefix's polygon;
+    a prefix whose polygon is null is not extended.
+    """
+    labels = family.path.labels[: family.arity]
+    last_free = max(family.free_slots, default=-1)
+    if k_old is not None and last_free < 0:
+        return Fraction(0)
+    floor = k_old or 0
+
+    def walk(pos: int, points, area2: Fraction, fresh: bool) -> Fraction:
+        if pos == len(labels):
+            return area2
+        lab = labels[pos]
+        if not lab.is_free:
+            ks = range(lab.value, lab.value + 1)
+        else:
+            # the last free slot must supply the new value if none came before
+            above = floor if not fresh and pos == last_free else 0
+            ks = _slot_values(lab.parity, k_cut, above)
+        total = Fraction(0)
+        for k, image, image_area2 in _index_cells(points, ks):
+            total += walk(pos + 1, image, image_area2, fresh or (lab.is_free and k > floor))
+        return total
+
+    return walk(0, _TRIANGLE, _signed_area2(_TRIANGLE), k_old is None) / 2
 
 
 def family_sum_upto(family: PathFamily, k_cut: int) -> Fraction:
     """Exact sum of cylinder areas over free-slot values <= k_cut."""
-    labels = family.path.labels
-    base = [labels[i].value for i in range(family.arity)]
-    slots = family.free_slots
-    if not slots:
-        return cylinder_area(tuple(base))
-    total = Fraction(0)
-    ranges = [_slot_values(labels[s].parity, k_cut) for s in slots]
-    for combo in product(*ranges):
-        ks = list(base)
-        for s, v in zip(slots, combo):
-            ks[s] = v
-        total += cylinder_area(tuple(ks))
-    return total
+    return _family_sum(family, k_cut, None)
+
+
+def family_sum_between(family: PathFamily, k_old: int, k_cut: int) -> Fraction:
+    """family_sum_upto(family, k_cut) - family_sum_upto(family, k_old), summing
+    only the label tuples with some free value in (k_old, k_cut]."""
+    return _family_sum(family, k_cut, k_old)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +233,9 @@ def rho_odd(
 
     n_slots = sum(len(f.free_slots) for f in open_fams)
     k_cut = _FIRST_CUTOFF
+    lo = exact_part + sum(family_sum_upto(f, k_cut) for f in open_fams)
     best_hi: Optional[Fraction] = None
     while True:
-        lo = exact_part + sum(family_sum_upto(f, k_cut) for f in open_fams)
         hi = lo + n_slots * parity_tail_after(k_cut)
         if best_hi is None or hi < best_hi:
             best_hi = hi
@@ -200,7 +243,8 @@ def rho_odd(
             return Enclosure(lo, best_hi, False, k_cut, True)
         if k_cut >= k_max:
             return Enclosure(lo, best_hi, False, k_cut, False)
-        k_cut = min(2 * k_cut, k_max)
+        k_old, k_cut = k_cut, min(2 * k_cut, k_max)
+        lo += sum(family_sum_between(f, k_old, k_cut) for f in open_fams)
 
 
 @dataclass(frozen=True)

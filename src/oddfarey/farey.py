@@ -51,14 +51,15 @@ _ENV_MAX_Q = "FAREY_MAX_Q"
 def max_order() -> int:
     """Maximum admissible Farey order, from ``FAREY_MAX_Q`` or the default."""
     raw = os.environ.get(_ENV_MAX_Q)
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{_ENV_MAX_Q} must be an integer, got {raw!r}") from exc
-        if cap >= 1:
-            return cap
-    return DEFAULT_MAX_Q
+    if not raw:
+        return DEFAULT_MAX_Q
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{_ENV_MAX_Q} must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise ValueError(f"{_ENV_MAX_Q} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _check_order(q_max: int) -> None:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Point",
@@ -183,7 +183,15 @@ def _clip(points: Sequence[Point], hp: HalfPlane) -> list[Point]:
         return []
     f, b = hp.form, hp.bound
     sign = -1 if hp.sense in (">=", ">") else 1
-    vals = [sign * (f.evaluate(x, y) - b) for x, y in points]  # keep vals <= 0
+    return _clip_values(points, [sign * (f.evaluate(x, y) - b) for x, y in points])
+
+
+def _clip_values(points: Sequence[Point], vals: Sequence[Fraction]) -> list[Point]:
+    """Keep the part of a convex polygon where an affine function is <= 0.
+
+    ``vals`` holds the function's value at each vertex; crossing points are
+    interpolated on the edges where it changes sign.
+    """
     out: list[Point] = []
     n = len(points)
     for i in range(n):
@@ -195,6 +203,51 @@ def _clip(points: Sequence[Point], hp: HalfPlane) -> list[Point]:
             t = sp / (sp - sq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
+
+
+def _index_cells(
+    points: Sequence[Point], ks: range
+) -> Iterator[tuple[int, list[Point], Fraction]]:
+    """Cut a polygon of positive area in the closed triangle by index cells.
+
+    Yields (k, image, area2) for each k in ``ks`` (a range with step >= 1)
+    whose closed cell k*y <= 1 + x <= (k+1)*y meets the polygon in positive
+    area: the piece mapped by (x, y) -> (y, k*y - x), and twice its area.
+    The cell's third wall k*y - x >= 0 holds on the whole triangle, where
+    y <= 1, so only two clips are needed.  The map has determinant 1, so the
+    image keeps the piece's area and orientation; clipping the image again
+    by the next label's cell is the next cylinder (see ``_TRIANGLE``).
+
+    The index (1 + x)/y is a ratio of affine functions, so over a convex
+    polygon of positive area its values in the interior fill the open
+    interval between its extremes at the vertices (+inf at a vertex with
+    y = 0); cells outside that interval meet the polygon in a null set and
+    are skipped without clipping.
+    """
+    ratios = [(1 + x) / y for x, y in points if y]
+    first = math.floor(min(ratios))
+    last = math.ceil(max(ratios)) - 1 if len(ratios) == len(points) else ks.stop
+    start = ks.start + max(0, -((ks.start - first) // ks.step)) * ks.step
+    for k in range(start, min(ks.stop, last + 1), ks.step):
+        piece = _clip_values(points, [k * y - x - 1 for x, y in points])
+        piece = _clip_values(piece, [1 + x - (k + 1) * y for x, y in piece])
+        if len(piece) < 3:
+            continue
+        image = [(y, k * y - x) for x, y in piece]
+        area2 = _signed_area2(image)
+        if area2 > 0:
+            yield k, image, area2
+
+
+# The closed triangle 1 >= x, y >= 0, x + y >= 1 (the closure of
+# cylinder(()), counter-clockwise).  After labels k1..kj, the image of the
+# closed cylinder under the j-th iterate is a polygon in the coordinates
+# (L_j, L_{j+1}); _index_cells on it adds the constraints on L_{j+2}.
+_TRIANGLE: tuple[Point, ...] = (
+    (Fraction(1), Fraction(0)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(0), Fraction(1)),
+)
 
 
 _UNIT_SQUARE: tuple[Point, ...] = (

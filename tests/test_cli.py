@@ -148,3 +148,59 @@ def test_bad_arguments(capsys):
     with pytest.raises(SystemExit):
         main(["lattice", "--ks", "2", "--q", "10", "--parity", "odd"])
     assert main(["list", "--q", "0"]) == 2  # ValueError path
+
+
+def _bad_input(capsys, *argv):
+    """Run a command that must fail on its input: exit 2, one error line."""
+    with pytest.raises(SystemExit) as exc:
+        raise SystemExit(main(list(argv)))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho", "--delta", "1", "--tol", "1/0"],
+        ["rho-table", "--h", "1", "--tol", "1/0"],
+        ["compare", "--delta", "1", "--q", "10", "--tol", "1/0"],
+        ["short-interval", "--q", "10", "--delta", "1", "--interval", "0,1/2", "--tol", "1/0"],
+        ["rho", "--delta", "1", "--tol", "abc"],
+    ],
+)
+def test_bad_tolerance(capsys, argv):
+    assert "bad tolerance" in _bad_input(capsys, *argv)
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", "3", '"tol"'])
+def test_config_must_be_an_object(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(payload)
+    err = _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1")
+    assert "must be a JSON object" in err
+
+
+def test_bad_config_values(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": "1/0"}))
+    assert "bad tolerance" in _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1")
+    cfg.write_text(json.dumps({"k_max": [1]}))
+    assert "bad cutoff" in _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1")
+
+
+@pytest.mark.parametrize("text", ["1,2", "1,2,3,4", "6,x,1"])
+def test_bad_quadrangle(capsys, text):
+    assert "quadrangle must look like 'm,i,r'" in _bad_input(capsys, "region", "--quadrangle", text)
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nonpositive_order_cap(monkeypatch, capsys, cap):
+    monkeypatch.setenv("FAREY_MAX_Q", cap)
+    assert "FAREY_MAX_Q" in _bad_input(capsys, "stats", "--q", "10")
+
+
+def test_argument_errors_exit_two(capsys):
+    assert "bad gap tuple" in _bad_input(capsys, "rho", "--delta", "x")
+    _bad_input(capsys, "short-interval", "--q", "10", "--delta", "1", "--interval", "1/2,1/4")

@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cached_gap_histogram
 
 from oddfarey.density import (
     Enclosure,
     family_is_certified_finite,
+    family_sum_between,
     family_sum_upto,
     gap_density,
     parity_tail_after,
@@ -17,7 +20,24 @@ from oddfarey.density import (
     tail_after,
 )
 from oddfarey.geometry import cylinder_area
-from oddfarey.paths import families
+from oddfarey.paths import families, instantiate
+
+SMALL_TUPLES = [
+    ds for h in (1, 2, 3) for ds in itertools.product((1, 2, 3), repeat=h)
+]
+SMALL_FAMILIES = [f for ds in SMALL_TUPLES for f in families(ds)]
+
+
+def _brute_family_sum(family, k_cut):
+    """The direct sum: one clipped cylinder per label tuple."""
+    labels = family.path.labels
+    ranges = [
+        [v for v in range(1, k_cut + 1) if labels[s].admits(v)] for s in family.free_slots
+    ]
+    return sum(
+        (cylinder_area(instantiate(family, combo)) for combo in itertools.product(*ranges)),
+        Fraction(0),
+    )
 
 
 def test_gap_density_values():
@@ -151,3 +171,36 @@ def test_enclosure_type():
     assert Fraction(2, 5) in e and Fraction(3, 5) not in e
     with pytest.raises(ValueError):
         rho_odd((2,), tol=Fraction(0))
+
+
+@pytest.mark.parametrize("deltas", SMALL_TUPLES, ids=lambda ds: ",".join(map(str, ds)))
+@settings(max_examples=2, deadline=None)
+@given(k_cut=st.integers(1, 40))
+def test_pruned_walk_matches_brute_sum(deltas, k_cut):
+    for fam in families(deltas):
+        assert family_sum_upto(fam, k_cut) == _brute_family_sum(fam, k_cut)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fam=st.sampled_from(SMALL_FAMILIES),
+    k1=st.integers(0, 80),
+    extra=st.integers(0, 80),
+)
+def test_sum_between_is_the_increment(fam, k1, extra):
+    k2 = k1 + extra
+    assert family_sum_upto(fam, k1) + family_sum_between(fam, k1, k2) == family_sum_upto(fam, k2)
+
+
+def test_benchmark_enclosures_are_pinned():
+    """The enclosures the enclose workload computes, as the direct
+    cylinder-by-cylinder sums gave them."""
+    enc = rho_odd((1, 1), Fraction(1, 10**6))
+    assert (enc.lo, enc.hi, enc.cutoff) == (
+        Fraction(2893217, 6676670), Fraction(17385381053, 40120110030), 2000,
+    )
+    assert enc.converged and not enc.exact
+    for deltas in [(1, 1, 2), (2, 1, 1)]:
+        enc = rho_odd(deltas, Fraction(1, 100))
+        assert (enc.lo, enc.hi, enc.cutoff) == (Fraction(271, 4572), Fraction(2551, 42672), 125)
+        assert enc.converged and not enc.exact

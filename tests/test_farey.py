@@ -5,6 +5,7 @@ import pytest
 
 from conftest import F8, F8_ODD, brute_farey, brute_gaps, brute_odd_farey, brute_window_counts
 from oddfarey.farey import (
+    DEFAULT_MAX_Q,
     FareyCursor,
     UnitInterval,
     count_delta_tuples,
@@ -15,6 +16,7 @@ from oddfarey.farey import (
     farey_index,
     farey_next,
     gap_histogram,
+    max_order,
     odd_farey_count,
     odd_farey_fractions,
     totients,
@@ -214,3 +216,11 @@ def test_order_cap_enforced(monkeypatch):
         list(farey_fractions(10**9))
     with pytest.raises(ValueError):
         list(farey_fractions(0))
+    for raw in ("0", "-5"):  # a cap below 1 is an error, not the default
+        monkeypatch.setenv("FAREY_MAX_Q", raw)
+        with pytest.raises(ValueError, match="positive"):
+            max_order()
+        with pytest.raises(ValueError):
+            list(farey_fractions(3))
+    monkeypatch.setenv("FAREY_MAX_Q", "")
+    assert max_order() == DEFAULT_MAX_Q

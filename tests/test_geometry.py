@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddfarey.dynamics import TrianglePoint, orbit_kappas
 from oddfarey.geometry import (
@@ -18,6 +20,7 @@ from oddfarey.geometry import (
     stabilized_quadrangle,
     unimodular_image,
 )
+from oddfarey.geometry import _TRIANGLE, _canonicalize, _index_cells
 
 
 def F(*t):
@@ -255,3 +258,24 @@ def test_linear_form_validation():
         HalfPlane(LinearForm(1, 0), "==", F(1))
     with pytest.raises(ValueError):
         cylinder((0,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=5))
+def test_index_cells_chain_is_the_forward_image_of_the_cylinder(ks):
+    """Cutting cell by cell from the triangle gives the cylinder's image
+    under the r-th iterate: the closure polygon of cylinder(ks) in the
+    coordinates (L_r, L_{r+1}), with the same area."""
+    points, area2 = _TRIANGLE, F(1)
+    for k in ks:
+        cells = list(_index_cells(points, range(k, k + 1)))
+        if not cells:
+            assert cylinder_area(tuple(ks)) == 0
+            return
+        [(label, points, area2)] = cells
+        assert label == k
+    region = cylinder(ks)
+    assert area2 / 2 == region.area() > 0
+    a, b = cylinder_forms(ks)[-2:]
+    image = [(a.evaluate(x, y), b.evaluate(x, y)) for x, y in region.vertices]
+    assert _canonicalize(points) == _canonicalize(image)
