@@ -29,7 +29,6 @@ from .lattice import (
     asymptotic_report,
     count_lattice,
     count_lattice_interval,
-    verify_interval_identity,
     verify_parity_swap,
     verify_tuple_identity,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "asymptotic_report",
     "count_lattice",
     "count_lattice_interval",
-    "verify_interval_identity",
     "verify_parity_swap",
     "verify_tuple_identity",
     "PathFamily",

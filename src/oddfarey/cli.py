@@ -22,13 +22,10 @@ from .density import gap_density, rho_odd, rho_table
 from .dynamics import TrianglePoint, next_pair, orbit_kappas
 from .farey import (
     UnitInterval,
-    count_delta_tuples,
     empirical_rho,
     farey_fractions,
     gap_histogram,
-    odd_farey_count,
     odd_farey_fractions,
-    window_count,
 )
 from .geometry import cylinder, cylinder_area, stabilized_quadrangle
 from .lattice import (
@@ -273,7 +270,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    if args.quadrangle:
+    if args.quadrangle is not None:
         region = stabilized_quadrangle(*_parse_quadrangle(args.quadrangle))
     else:
         region = cylinder(_parse_ks(args.ks))
@@ -363,15 +360,20 @@ def _cmd_short_interval(args) -> int:
     if interval is None:
         raise SystemExit("error: --interval is required")
     enc = rho_odd(deltas, **_enclosure_options(args))
-    emp = empirical_rho(args.q, deltas, interval)
+    hist, windows = gap_histogram(args.q, len(deltas), interval)
+    if not windows:
+        raise ValueError(
+            f"no length-{len(deltas) + 1} windows in the odd subsequence of F({args.q})"
+        )
+    emp = Fraction(hist[deltas], windows)
     dev = max(enc.lo - emp, emp - enc.hi, Fraction(0))
     norm = float(dev) * math.sqrt(args.q) / math.log(args.q)
     row = {
         "deltas": ",".join(map(str, deltas)),
         "q": args.q,
         "interval": str(interval),
-        "windows": window_count(args.q, len(deltas), interval),
-        "count": count_delta_tuples(args.q, deltas, interval),
+        "windows": windows,
+        "count": hist[deltas],
         "empirical": _rat(emp),
         "empirical_decimal": _dec(emp),
         "lo": _rat(enc.lo),

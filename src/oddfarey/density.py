@@ -212,11 +212,14 @@ def rho_odd(
     Families whose free sums are certified finite contribute exactly; the
     remaining families are summed over free values up to a growing cutoff K
     with a per-slot parity tail bound.  K grows (doubling) until the width
-    is at most ``tol`` or K exceeds ``k_max`` (then ``converged`` is False).
+    is at most ``tol`` or K reaches ``k_max`` (then ``converged`` is False);
+    K never exceeds ``k_max``.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if k_max < 1:
+        raise ValueError(f"cutoff limit k_max must be >= 1, got {k_max}")
     fams = families(deltas)
     exact_part = Fraction(0)
     open_fams: list[PathFamily] = []
@@ -232,7 +235,7 @@ def rho_odd(
         return Enclosure(exact_part, exact_part, True, max_cut, True)
 
     n_slots = sum(len(f.free_slots) for f in open_fams)
-    k_cut = _FIRST_CUTOFF
+    k_cut = min(_FIRST_CUTOFF, k_max)
     lo = exact_part + sum(family_sum_upto(f, k_cut) for f in open_fams)
     best_hi: Optional[Fraction] = None
     while True:

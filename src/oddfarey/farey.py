@@ -12,15 +12,35 @@ the streaming loops run on plain integers via the neighbour recurrence
 
     a'' = k*a' - a,   q'' = k*q' - q,   k = (Q + q) // q',
 
-seeded by the first two terms 1/Q and 1/(Q-1).  A full pass over F(Q) costs
+seeded by 0/1 and 1/Q, the first term.  A full pass over F(Q) costs
 Theta(Q^2) steps, so the order is capped by configuration (default 10^5,
 override with the ``FAREY_MAX_Q`` environment variable).
+
+Every window statistic comes from one pass, ``_gap_pass``, which steps from
+each odd-denominator element straight to the next.  Two even denominators
+are never adjacent in F(Q), so the successor q' of an odd q is either odd
+(one recurrence step: gap 1, step type 'OO') or even and followed by an odd
+one (two steps: gap k = (Q + q) // q', step type 'OEO').  Only denominators
+are needed for that.  A step is coded as ``2*gap + (1 if 'OEO' else 0)``;
+gaps are at most 2Q, so every code c has 2 <= c < m = 4Q + 2, and a window
+is the integer whose base-m digits are its last h codes.  The first h - 1
+steps leave partial windows of j < h codes, whose keys are below m**j; a
+full window's leading digit is at least 2, so its key is at least
+2*m**(h-1).  Dropping the keys below 2*m**(h-1) therefore removes exactly
+the partial windows, and the loop needs no test for them.
+
+The pass has two loops.  Restricting windows to an interval needs each
+window's first fraction, so that loop also carries numerators and a bit
+per recent element that says whether it lies in the interval; run over
+all of [0, 1], that loop takes about twice as long as the unrestricted one,
+which reads denominators only.  ``gap_histogram`` decodes the keys into gap tuples or
+``(gaps, steps)`` pairs; the other window counters each make one call to it.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -28,8 +48,6 @@ from typing import Iterator, Optional, Sequence
 __all__ = [
     "DEFAULT_MAX_Q",
     "max_order",
-    "FareyCursor",
-    "farey_next",
     "farey_fractions",
     "odd_farey_fractions",
     "delta",
@@ -73,6 +91,12 @@ def _check_order(q_max: int) -> None:
         )
 
 
+def _check_window(q_max: int, h: int) -> None:
+    _check_order(q_max)
+    if h < 1:
+        raise ValueError("window length h must be >= 1")
+
+
 # ---------------------------------------------------------------------------
 # element-level streaming
 # ---------------------------------------------------------------------------
@@ -80,50 +104,13 @@ def _check_order(q_max: int) -> None:
 
 def _element_stream(q_max: int) -> Iterator[tuple[int, int]]:
     """Yield (numerator, denominator) over F(q_max) in increasing order."""
-    if q_max == 1:
-        yield 1, 1
-        return
-    a, q = 1, q_max
-    a2, q2 = 1, q_max - 1
-    yield a, q
+    a, q, a2, q2 = 0, 1, 1, q_max  # 0/1 is the predecessor of 1/Q
     while True:
         yield a2, q2
         if q2 == 1:
             return
         k = (q_max + q) // q2
         a, q, a2, q2 = a2, q2, k * a2 - a, k * q2 - q
-
-
-@dataclass
-class FareyCursor:
-    """A pair of consecutive F(Q) elements, advanced by the neighbour recurrence."""
-
-    order: int
-    prev: Fraction
-    curr: Fraction
-
-    @classmethod
-    def start(cls, q_max: int) -> "FareyCursor":
-        _check_order(q_max)
-        if q_max < 2:
-            raise ValueError("a cursor needs two elements; F(1) has only 1/1")
-        return cls(q_max, Fraction(1, q_max), Fraction(1, q_max - 1))
-
-
-def farey_next(cursor: FareyCursor) -> Fraction:
-    """Advance the cursor and return the successor of ``cursor.curr`` in F(Q).
-
-    Raises StopIteration once the current element is 1/1, the last term.
-    """
-    if cursor.curr == 1:
-        raise StopIteration("1/1 is the last element of the Farey sequence")
-    q_max = cursor.order
-    a, q = cursor.prev.numerator, cursor.prev.denominator
-    a2, q2 = cursor.curr.numerator, cursor.curr.denominator
-    k = (q_max + q) // q2
-    nxt = Fraction(k * a2 - a, k * q2 - q)
-    cursor.prev, cursor.curr = cursor.curr, nxt
-    return nxt
 
 
 def farey_fractions(q_max: int) -> Iterator[Fraction]:
@@ -245,67 +232,54 @@ class UnitInterval:
 # ---------------------------------------------------------------------------
 
 
-def _odd_walk(q_max: int) -> Iterator[tuple[int, int, Optional[int], Optional[str]]]:
-    """Yield (a, q, gap, step) per odd-denominator element, in order.
+def _gap_pass(q_max: int, h: int, interval: Optional[UnitInterval]) -> dict[int, int]:
+    """Window keys of the odd subsequence of F(q_max), with their counts.
 
-    ``gap`` is the determinant against the previous odd element (None for the
-    first); ``step`` is 'OO' when the two odd elements are F(Q)-neighbours and
-    'OEO' when exactly one even-denominator fraction sits between them.
+    One step goes from an odd-denominator element to the next one; the key
+    of the window ending there holds its last h codes in base 4Q + 2 (see
+    the module docstring).  With ``interval`` only windows whose first
+    fraction lies in it are counted, which needs the numerators too.
     """
-    prev: Optional[tuple[int, int]] = None
-    direct = True
-    for a, q in _element_stream(q_max):
-        if q & 1:
-            if prev is None:
-                yield a, q, None, None
-            else:
-                pa, pq = prev
-                yield a, q, a * pq - pa * q, ("OO" if direct else "OEO")
-            prev = (a, q)
-            direct = True
-        else:
-            direct = False
-
-
-def _hist_h1_plain(q_max: int) -> tuple[Counter, int]:
-    hist: Counter = Counter()
-    if q_max == 1:
-        return hist, 0
-    q, q2 = q_max, q_max - 1
-    while True:
-        if q & 1:
+    m = 4 * q_max + 2
+    head = m ** (h - 1)
+    keys: dict[int, int] = {}  # a plain dict: CPython specializes its item access
+    get = keys.get
+    key = 0
+    a, q, a2, q2 = 1, q_max, 1, q_max - 1  # at Q = 1 the loops never run
+    if not q & 1:  # 1/Q is even; start from its odd successor
+        k = (q_max + q) // q2
+        a, q, a2, q2 = a2, q2, k * a2 - a, k * q2 - q
+    if interval is None:
+        while q != 1:
+            k = (q_max + q) // q2
             if q2 & 1:
-                g = 1
+                key = key % head * m + 2
+                q, q2 = q2, k * q2 - q
             else:
-                g = (q_max + q) // q2
-            hist[g] += 1
-        if q2 == 1:
-            break
-        q, q2 = q2, ((q_max + q) // q2) * q2 - q
-    return Counter({(g,): c for g, c in hist.items()}), sum(hist.values())
-
-
-def _hist_h2_plain(q_max: int) -> tuple[Counter, int]:
-    hist: Counter = Counter()
-    windows = 0
-    if q_max == 1:
-        return hist, 0
-    q, q2 = q_max, q_max - 1
-    prev_gap = 0  # 0 = no gap seen yet
-    while True:
-        if q & 1:
+                key = key % head * m + 2 * k + 1
+                q3 = k * q2 - q
+                q, q2 = q3, (q_max + q2) // q3 * q3 - q2
+            keys[key] = get(key, 0) + 1
+    else:
+        lo_n, lo_d = interval.lo.numerator, interval.lo.denominator
+        hi_n, hi_d = interval.hi.numerator, interval.hi.denominator
+        top = 1 << (h - 1)
+        flags = 0  # bit j: the element j odd steps back lies in the interval
+        while q != 1:
+            flags = flags % top * 2 + (lo_n * q <= a * lo_d and a * hi_d <= hi_n * q)
+            k = (q_max + q) // q2
             if q2 & 1:
-                g = 1
+                key = key % head * m + 2
+                a, q, a2, q2 = a2, q2, k * a2 - a, k * q2 - q
             else:
-                g = (q_max + q) // q2
-            if prev_gap:
-                hist[(prev_gap, g)] += 1
-                windows += 1
-            prev_gap = g
-        if q2 == 1:
-            break
-        q, q2 = q2, ((q_max + q) // q2) * q2 - q
-    return hist, windows
+                key = key % head * m + 2 * k + 1
+                a3, q3 = k * a2 - a, k * q2 - q
+                k = (q_max + q2) // q3
+                a, q, a2, q2 = a3, q3, k * a3 - a2, k * q3 - q2
+            if flags >= top:
+                keys[key] = get(key, 0) + 1
+    partial = 2 * head
+    return {k: c for k, c in keys.items() if k >= partial}
 
 
 def gap_histogram(
@@ -322,40 +296,32 @@ def gap_histogram(
     interval).  Keys are gap tuples, or ``(gaps, steps)`` pairs when
     ``with_steps`` is set.  Windows never wrap past 1/1.
     """
-    _check_order(q_max)
-    if h < 1:
-        raise ValueError("window length h must be >= 1")
+    _check_window(q_max, h)
     if interval is not None and interval.is_full:
         interval = None
-    if interval is None and not with_steps:
-        if h == 1:
-            return _hist_h1_plain(q_max)
-        if h == 2:
-            return _hist_h2_plain(q_max)
-
+    m = 4 * q_max + 2
     hist: Counter = Counter()
     windows = 0
-    fracs: deque = deque()
-    gaps: deque = deque()
-    steps: deque = deque()
-    if interval is not None:
-        lo_n, lo_d = interval.lo.numerator, interval.lo.denominator
-        hi_n, hi_d = interval.hi.numerator, interval.hi.denominator
-    for a, q, gap, step in _odd_walk(q_max):
-        if gap is not None:
-            gaps.append(gap)
-            steps.append(step)
-        fracs.append((a, q))
-        if len(gaps) == h:
-            a0, q0 = fracs[0]
-            if interval is None or (lo_n * q0 <= a0 * lo_d and a0 * hi_d <= hi_n * q0):
-                windows += 1
-                key = (tuple(gaps), tuple(steps)) if with_steps else tuple(gaps)
-                hist[key] += 1
-            fracs.popleft()
-            gaps.popleft()
-            steps.popleft()
+    for key, count in _gap_pass(q_max, h, interval).items():
+        codes = []
+        for _ in range(h):
+            key, code = divmod(key, m)
+            codes.append(code)
+        codes.reverse()
+        gaps = tuple(c >> 1 for c in codes)
+        if with_steps:
+            hist[gaps, tuple("OEO" if c & 1 else "OO" for c in codes)] += count
+        else:
+            hist[gaps] += count
+        windows += count
     return hist, windows
+
+
+def _gap_tuple(deltas: Sequence[int]) -> tuple[int, ...]:
+    target = tuple(int(d) for d in deltas)
+    if not target or any(d < 1 for d in target):
+        raise ValueError(f"gap tuple must be nonempty positive integers, got {deltas}")
+    return target
 
 
 def count_delta_tuples(
@@ -365,44 +331,18 @@ def count_delta_tuples(
 ) -> int:
     """Count windows of h+1 consecutive odd-denominator fractions whose gap
     tuple equals ``deltas`` (first fraction in ``interval`` when given, closed
-    membership).  Single streaming pass, O(h) memory.
+    membership).  One pass of ``gap_histogram``.
     """
-    _check_order(q_max)
-    target = tuple(int(d) for d in deltas)
-    if not target or any(d < 1 for d in target):
-        raise ValueError(f"gap tuple must be nonempty positive integers, got {deltas}")
-    h = len(target)
-    if interval is not None and interval.is_full:
-        interval = None
-    count = 0
-    fracs: deque = deque()
-    gaps: deque = deque()
-    if interval is not None:
-        lo_n, lo_d = interval.lo.numerator, interval.lo.denominator
-        hi_n, hi_d = interval.hi.numerator, interval.hi.denominator
-    for a, q, gap, _step in _odd_walk(q_max):
-        if gap is not None:
-            gaps.append(gap)
-        fracs.append((a, q))
-        if len(gaps) == h:
-            if tuple(gaps) == target:
-                a0, q0 = fracs[0]
-                if interval is None or (
-                    lo_n * q0 <= a0 * lo_d and a0 * hi_d <= hi_n * q0
-                ):
-                    count += 1
-            fracs.popleft()
-            gaps.popleft()
-    return count
+    target = _gap_tuple(deltas)
+    hist, _ = gap_histogram(q_max, len(target), interval)
+    return hist[target]
 
 
 def window_count(
     q_max: int, h: int, interval: Optional[UnitInterval] = None
 ) -> int:
     """Number of length-(h+1) windows with first fraction in ``interval``."""
-    _check_order(q_max)
-    if h < 1:
-        raise ValueError("window length h must be >= 1")
+    _check_window(q_max, h)
     if interval is None or interval.is_full:
         return max(odd_farey_count(q_max) - h, 0)
     _, windows = gap_histogram(q_max, h, interval=interval)
@@ -417,10 +357,13 @@ def empirical_rho(
     """Exact ratio (matching windows) / (all windows) for the gap tuple.
 
     The denominator is the number of length-(h+1) windows, h = len(deltas),
-    with the first fraction in ``interval`` when one is given.
+    with the first fraction in ``interval`` when one is given.  One pass of
+    ``gap_histogram`` gives both.
     """
-    h = len(tuple(deltas))
-    total = window_count(q_max, h, interval)
-    if total == 0:
-        raise ValueError(f"no length-{h + 1} windows in the odd subsequence of F({q_max})")
-    return Fraction(count_delta_tuples(q_max, deltas, interval), total)
+    target = _gap_tuple(deltas)
+    hist, windows = gap_histogram(q_max, len(target), interval)
+    if windows == 0:
+        raise ValueError(
+            f"no length-{len(target) + 1} windows in the odd subsequence of F({q_max})"
+        )
+    return Fraction(hist[target], windows)

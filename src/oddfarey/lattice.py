@@ -4,7 +4,11 @@ For a region R inside the (unit-scaled) Farey triangle and an order Q, the
 counters here enumerate integer points (a, b) with (a/Q, b/Q) satisfying
 every region constraint at its exact strictness, optionally filtered by
 coordinate parities, primitivity gcd(a, b) = 1, and the short-interval rule
-below.  Sweeps go column by column with exact integer bounds per column.
+below.  Sweeps go column by column with exact integer bounds per column:
+``_columns`` is the one place that turns the region's constraints into each
+column's b-range, skips columns of the wrong x-parity and aligns the range
+to the y-parity.  Each counter keeps its per-point loop inline, since a call
+per point would cost more than the point's own test.
 
 Windows vs points.  Each primitive point (a, b) in Q*T with a odd is the
 denominator pair of an odd-denominator fraction and its Farey successor, and
@@ -14,7 +18,9 @@ one caveat: the decoded walk continues past 1/1 into the periodic
 continuation of the sequence, while the streaming side stops there.  The
 identity checkers therefore subtract the (at most h) boundary windows that
 start inside F(Q) but end past 1/1; with that correction the equality is an
-exact integer identity at every order.
+exact integer identity at every order.  Those windows need only the last
+few elements of F(Q), and F(Q) minus 1/1 is symmetric under a/q -> (q-a)/q,
+so they are built from the mirrored first few elements, not from a pass.
 
 Short intervals.  A point (a, b) with gcd(a, b) = 1 has a unique inverse
 b_bar in {1, ..., a-1} with b*b_bar = 1 mod a (b_bar = 0 when a = 1); it
@@ -28,15 +34,15 @@ which the verifiers flag.)
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, log, pi
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .farey import UnitInterval, _check_order, _element_stream, gap_histogram
-from .geometry import ConvexRegion, cylinder, refine, unimodular_image
+from .farey import UnitInterval, _check_order, _check_window, farey_fractions, gap_histogram
+from .geometry import ConvexRegion, cylinder, farey_triangle, refine, unimodular_image
 from .paths import PathFamily, arrow_text, families
 
 __all__ = [
@@ -51,7 +57,6 @@ __all__ = [
     "FamilyCheck",
     "VerifyResult",
     "verify_tuple_identity",
-    "verify_interval_identity",
     "verify_parity_swap",
     "AsymptoticRow",
     "asymptotic_report",
@@ -59,6 +64,11 @@ __all__ = [
 ]
 
 _PARITIES = ("odd", "even", "any")
+
+
+def _fits(n: int, parity: str) -> bool:
+    """Whether n has the given parity ('odd' / 'even' / 'any')."""
+    return parity == "any" or n % 2 == (parity == "odd")
 
 
 @dataclass(frozen=True)
@@ -73,15 +83,7 @@ class PairParity:
             raise ValueError(f"parities must be in {_PARITIES}")
 
     def matches(self, a: int, b: int) -> bool:
-        if self.x == "odd" and a % 2 == 0:
-            return False
-        if self.x == "even" and a % 2 == 1:
-            return False
-        if self.y == "odd" and b % 2 == 0:
-            return False
-        if self.y == "even" and b % 2 == 1:
-            return False
-        return True
+        return _fits(a, self.x) and _fits(b, self.y)
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"
@@ -146,21 +148,32 @@ def _column_range(
     return lo, hi
 
 
-def _ceil_scaled(fr: Fraction, q_max: int) -> int:
-    n = q_max * fr.numerator
-    return -((-n) // fr.denominator)
+def _align(lo: int, parity: str) -> int:
+    """The least integer >= lo of the given parity."""
+    return lo if _fits(lo, parity) else lo + 1
 
 
-def _floor_scaled(fr: Fraction, q_max: int) -> int:
-    return q_max * fr.numerator // fr.denominator
+def _columns(
+    region: ConvexRegion, q_max: int, parity: PairParity
+) -> Iterator[tuple[int, range]]:
+    """Yield (a, b-range) for every nonempty column of the scaled region.
 
-
-def _column_span(region: ConvexRegion, q_max: int) -> range:
+    Columns of the wrong x-parity are skipped; each b-range starts at the
+    first b of the right y-parity and strides by 2 when y-parity is fixed.
+    """
     bounds = region.bounds()
-    if bounds is None:
-        return range(0)
+    if bounds is None:  # empty region
+        return
+    cons = _scaled_constraints(region, q_max)
     xmin, xmax, _, _ = bounds
-    return range(max(_ceil_scaled(xmin, q_max), 1), _floor_scaled(xmax, q_max) + 1)
+    xlo = _align(max(-(-q_max * xmin.numerator // xmin.denominator), 1), parity.x)
+    xhi = q_max * xmax.numerator // xmax.denominator
+    xstep = 1 if parity.x == "any" else 2
+    ystep = 1 if parity.y == "any" else 2
+    for a in range(xlo, xhi + 1, xstep):
+        rng = _column_range(cons, a)
+        if rng is not None:
+            yield a, range(_align(rng[0], parity.y), rng[1] + 1, ystep)
 
 
 def count_lattice(
@@ -176,29 +189,13 @@ def count_lattice(
     """
     _check_order(q_max)
     count = 0
-    if not region.is_empty:
-        cons = _scaled_constraints(region, q_max)
-        ystep = 1 if parity.y == "any" else 2
-        for a in _column_span(region, q_max):
-            if parity.x == "odd" and a % 2 == 0:
-                continue
-            if parity.x == "even" and a % 2 == 1:
-                continue
-            rng = _column_range(cons, a)
-            if rng is None:
-                continue
-            blo, bhi = rng
-            if parity.y == "odd" and blo % 2 == 0:
-                blo += 1
-            elif parity.y == "even" and blo % 2 == 1:
-                blo += 1
-            if primitive:
-                for b in range(blo, bhi + 1, ystep):
-                    if gcd(a, b) == 1:
-                        count += 1
-            else:
-                if blo <= bhi:
-                    count += (bhi - blo) // ystep + 1
+    for a, bs in _columns(region, q_max, parity):
+        if primitive:
+            for b in bs:
+                if gcd(a, b) == 1:
+                    count += 1
+        else:
+            count += len(bs)
     return CountReport(count, region, q_max, parity, primitive)
 
 
@@ -219,32 +216,17 @@ def count_lattice_interval(
     hn, hd = interval.hi.numerator, interval.hi.denominator
     count = 0
     hits = 0
-    if not region.is_empty:
-        cons = _scaled_constraints(region, q_max)
-        ystep = 1 if parity.y == "any" else 2
-        for a in _column_span(region, q_max):
-            if parity.x == "odd" and a % 2 == 0:
+    for a, bs in _columns(region, q_max, parity):
+        lo_wall = a * (hd - hn)  # b_bar * hd >= this
+        hi_wall = a * (ld - ln)  # b_bar * ld < this
+        for b in bs:
+            if gcd(a, b) != 1:
                 continue
-            if parity.x == "even" and a % 2 == 1:
-                continue
-            rng = _column_range(cons, a)
-            if rng is None:
-                continue
-            blo, bhi = rng
-            if parity.y == "odd" and blo % 2 == 0:
-                blo += 1
-            elif parity.y == "even" and blo % 2 == 1:
-                blo += 1
-            lo_wall = a * (hd - hn)  # b_bar * hd >= this
-            hi_wall = a * (ld - ln)  # b_bar * ld < this
-            for b in range(blo, bhi + 1, ystep):
-                if gcd(a, b) != 1:
-                    continue
-                bbar = 0 if a == 1 else pow(b, -1, a)
-                if bbar * hd == lo_wall or bbar * ld == hi_wall:
-                    hits += 1
-                if bbar * hd >= lo_wall and bbar * ld < hi_wall:
-                    count += 1
+            bbar = 0 if a == 1 else pow(b, -1, a)
+            if bbar * hd == lo_wall or bbar * ld == hi_wall:
+                hits += 1
+            if bbar * hd >= lo_wall and bbar * ld < hi_wall:
+                count += 1
     return CountReport(count, region, q_max, parity, True, interval, hits)
 
 
@@ -256,16 +238,9 @@ def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], in
     """
     _check_order(q_max)
     out = {("odd", "odd"): 0, ("odd", "even"): 0, ("even", "odd"): 0}
-    if region.is_empty:
-        return out
-    cons = _scaled_constraints(region, q_max)
-    for a in _column_span(region, q_max):
-        rng = _column_range(cons, a)
-        if rng is None:
-            continue
-        blo, bhi = rng
+    for a, bs in _columns(region, q_max, PairParity()):
         xk = "odd" if a % 2 else "even"
-        for b in range(blo, bhi + 1):
+        for b in bs:
             if gcd(a, b) == 1:
                 out[(xk, "odd" if b % 2 else "even")] += 1
     return out
@@ -288,9 +263,8 @@ def _decode_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Coun
     if interval is not None:
         ln, ld = interval.lo.numerator, interval.lo.denominator
         hn, hd = interval.hi.numerator, interval.hi.denominator
-    for a in range(1, q_max + 1, 2):
-        b_first = max(q_max - a + 1, 1)
-        for b in range(b_first, q_max + 1):
+    for a, bs in _columns(farey_triangle(), q_max, PairParity("odd", "any")):
+        for b in bs:
             if gcd(a, b) != 1:
                 continue
             if interval is not None:
@@ -324,9 +298,7 @@ def decode_histogram(
     the *periodic* odd subsequence; free index labels never exceed 2Q, so the
     per-family sums below are finite by construction.
     """
-    _check_order(q_max)
-    if h < 1:
-        raise ValueError("window length h must be >= 1")
+    _check_window(q_max, h)
     return _decode_cached(q_max, h, _interval_key(interval))
 
 
@@ -335,43 +307,30 @@ def _boundary_cached(
     q_max: int, h: int, interval: Optional[UnitInterval]
 ) -> Counter:
     n0 = 2 * h + 4
-    head: list[tuple[int, int]] = []
-    tail: deque = deque(maxlen=n0)
-    for a, q in _element_stream(q_max):
-        if len(head) < n0:
-            head.append((a, q))
-        tail.append((a, q))
-    base = list(tail)  # ends at (1, 1)
-    ext = list(base)
-    target_len = len(base) + n0
-    shift = 1
-    while len(ext) < target_len:
-        for a, q in head:
-            ext.append((a + shift * q, q))
-            if len(ext) >= target_len:
-                break
-        shift += 1
+    head = [(f.numerator, f.denominator) for f in islice(farey_fractions(q_max), n0)]
+    if head[-1] == (1, 1):
+        base = head  # F(Q) has at most n0 elements
+    else:
+        # the last n0 elements: F(Q) minus 1/1 is symmetric under a/q -> (q-a)/q
+        base = [(q - a, q) for a, q in reversed(head[: n0 - 1])] + [(1, 1)]
+    # then n0 elements of the continuation past 1/1: F(Q) shifted by 1, 2, ...
+    ext = base + [(a + s * q, q) for s in range(1, n0 + 1) for a, q in head][:n0]
     one_idx = len(base) - 1
     odds = [j for j, (_, q) in enumerate(ext) if q & 1]
     ctr: Counter = Counter()
+    # no two even denominators are adjacent, so the n0 continuation elements
+    # hold at least h + 2 odd ones: every window below is complete
     for s0, j in enumerate(odds):
-        if j > one_idx:
-            break
-        if s0 + h >= len(odds):
-            break
-        if odds[s0 + h] <= one_idx:
-            continue  # window closes inside the finite sequence
-        win = [ext[odds[s0 + t]] for t in range(h + 1)]
-        if interval is not None:
-            a0, q0 = win[0]
-            if not (interval.lo * q0 < a0 <= interval.hi * q0):
-                continue
+        idx = odds[s0 : s0 + h + 1]
+        if j > one_idx or idx[-1] <= one_idx:
+            continue  # the window starts past 1/1 or closes before it
+        a0, q0 = ext[j]
+        if interval is not None and not (interval.lo * q0 < a0 <= interval.hi * q0):
+            continue
         gaps = tuple(
-            win[t + 1][0] * win[t][1] - win[t][0] * win[t + 1][1] for t in range(h)
+            ext[k][0] * ext[i][1] - ext[i][0] * ext[k][1] for i, k in zip(idx, idx[1:])
         )
-        steps = tuple(
-            "OO" if odds[s0 + t] + 1 == odds[s0 + t + 1] else "OEO" for t in range(h)
-        )
+        steps = tuple("OO" if k == i + 1 else "OEO" for i, k in zip(idx, idx[1:]))
         ctr[(gaps, steps)] += 1
     return ctr
 
@@ -380,9 +339,7 @@ def boundary_window_histogram(
     q_max: int, h: int, interval: Optional[UnitInterval] = None
 ) -> Counter:
     """The decoded windows that start in F(Q) but end past 1/1 (at most h)."""
-    _check_order(q_max)
-    if h < 1:
-        raise ValueError("window length h must be >= 1")
+    _check_window(q_max, h)
     return _boundary_cached(q_max, h, _interval_key(interval))
 
 
@@ -475,13 +432,6 @@ def verify_tuple_identity(
     lhs = sum(fc.stream for fc in checks)
     rhs = sum(fc.lattice - fc.boundary for fc in checks)
     return VerifyResult(all(fc.ok for fc in checks), lhs, rhs, tuple(checks), tuple(notes))
-
-
-def verify_interval_identity(
-    q_max: int, deltas: Sequence[int], interval: UnitInterval
-) -> VerifyResult:
-    """Interval-restricted form of the window identity."""
-    return verify_tuple_identity(q_max, deltas, interval)
 
 
 _SWAP_EVEN = (

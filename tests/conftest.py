@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import strategies as st
 
 
 @lru_cache(maxsize=None)
@@ -50,6 +51,42 @@ def brute_window_counts(q_max: int, h: int) -> dict[tuple[int, ...], int]:
     out: dict[tuple[int, ...], int] = {}
     for i in range(len(gaps) - h + 1):
         key = tuple(gaps[i : i + h])
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _unit_interval(ends):
+    from oddfarey.farey import UnitInterval
+
+    return UnitInterval(min(ends), max(ends))
+
+
+# Hypothesis strategy: closed subintervals of [0, 1] with endpoint
+# denominators <= 9, so endpoints are often odd-denominator elements of F(Q).
+_small_fractions = st.builds(
+    lambda d, n: Fraction(min(n, d), d), st.integers(1, 9), st.integers(0, 9)
+)
+small_intervals = st.tuples(_small_fractions, _small_fractions).map(_unit_interval)
+
+
+def brute_windows(q_max: int, h: int, interval=None, with_steps: bool = False) -> dict:
+    """Histogram of windows of h+1 consecutive odd-denominator fractions.
+
+    ``interval`` is None or a pair (lo, hi); a window counts when its first
+    fraction f has lo <= f <= hi.  With ``with_steps`` the keys are
+    (gaps, steps) pairs, where a step is 'OO' when no even-denominator
+    fraction sits between its two odd ones and 'OEO' otherwise.
+    """
+    seq = brute_farey(q_max)
+    odd_pos = [i for i, f in enumerate(seq) if f.denominator % 2 == 1]
+    out: dict = {}
+    for s in range(len(odd_pos) - h):
+        idx = odd_pos[s : s + h + 1]
+        if interval is not None and not (interval[0] <= seq[idx[0]] <= interval[1]):
+            continue
+        key = tuple(brute_gaps([seq[i] for i in idx]))
+        if with_steps:
+            key = (key, tuple("OO" if j == i + 1 else "OEO" for i, j in zip(idx, idx[1:])))
         out[key] = out.get(key, 0) + 1
     return out
 

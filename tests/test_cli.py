@@ -190,7 +190,7 @@ def test_bad_config_values(tmp_path, capsys):
     assert "bad cutoff" in _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1")
 
 
-@pytest.mark.parametrize("text", ["1,2", "1,2,3,4", "6,x,1"])
+@pytest.mark.parametrize("text", ["1,2", "1,2,3,4", "6,x,1", ""])
 def test_bad_quadrangle(capsys, text):
     assert "quadrangle must look like 'm,i,r'" in _bad_input(capsys, "region", "--quadrangle", text)
 
@@ -204,3 +204,16 @@ def test_nonpositive_order_cap(monkeypatch, capsys, cap):
 def test_argument_errors_exit_two(capsys):
     assert "bad gap tuple" in _bad_input(capsys, "rho", "--delta", "x")
     _bad_input(capsys, "short-interval", "--q", "10", "--delta", "1", "--interval", "1/2,1/4")
+
+
+def test_small_cutoff_limit(capsys):
+    code, out = run(capsys, "rho", "--delta", "1,1", "--tol", "1/1000000000", "--k-max", "100")
+    assert code == 1
+    assert "cutoff 100," in out and "converged=False" in out
+    assert "k_max must be >= 1" in _bad_input(capsys, "rho", "--delta", "1,1", "--k-max", "0")
+
+
+def test_short_interval_without_windows(capsys):
+    # no odd-denominator fraction equals 1/2, so no window starts in [1/2, 1/2]
+    err = _bad_input(capsys, "short-interval", "--q", "10", "--delta", "1", "--interval", "1/2,1/2")
+    assert "no length-2 windows" in err

@@ -119,6 +119,19 @@ def test_unconverged_is_flagged():
     assert enc.lo < enc.hi
 
 
+@pytest.mark.parametrize("k_max", [1, 50, 100, 124, 125])
+def test_cutoff_never_exceeds_a_small_limit(k_max):
+    enc = rho_odd((1, 1), tol=Fraction(1, 10**9), k_max=k_max)
+    assert enc.cutoff == k_max and not enc.converged
+    assert enc.lo == sum(family_sum_upto(f, k_max) for f in families((1, 1)))
+
+
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_cutoff_limit_must_be_positive(k_max):
+    with pytest.raises(ValueError, match="k_max"):
+        rho_odd((1, 1), k_max=k_max)
+
+
 def test_rho_table_shape():
     rows = rho_table(1, 6, tol=Fraction(1, 1000))
     assert [r.deltas for r in rows] == [(k,) for k in range(1, 7)]

@@ -2,11 +2,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import F8, F8_ODD, brute_farey, brute_gaps, brute_odd_farey, brute_window_counts
+from conftest import (
+    F8,
+    F8_ODD,
+    brute_farey,
+    brute_gaps,
+    brute_odd_farey,
+    brute_window_counts,
+    brute_windows,
+    small_intervals,
+)
 from oddfarey.farey import (
     DEFAULT_MAX_Q,
-    FareyCursor,
     UnitInterval,
     count_delta_tuples,
     delta,
@@ -14,7 +24,6 @@ from oddfarey.farey import (
     farey_count,
     farey_fractions,
     farey_index,
-    farey_next,
     gap_histogram,
     max_order,
     odd_farey_count,
@@ -42,33 +51,6 @@ def test_small_counts():
     assert odd_farey_count(8) == 13
     # the expected size is ~ 2 Q^2 / pi^2
     assert abs(odd_farey_count(8) - 2 * 64 / math.pi**2) < 1
-
-
-def test_farey_next_examples():
-    cur = FareyCursor(8, Fraction(1, 8), Fraction(1, 7))
-    assert farey_next(cur) == Fraction(1, 6)
-    assert (cur.prev, cur.curr) == (Fraction(1, 7), Fraction(1, 6))
-    cur = FareyCursor(8, Fraction(3, 7), Fraction(1, 2))
-    assert farey_next(cur) == Fraction(4, 7)
-    cur = FareyCursor(2, Fraction(1, 2), Fraction(1, 1))
-    with pytest.raises(StopIteration):
-        farey_next(cur)
-
-
-def test_cursor_needs_two_elements():
-    with pytest.raises(ValueError):
-        FareyCursor.start(1)
-
-
-def test_cursor_walks_the_whole_sequence():
-    cur = FareyCursor.start(12)
-    seen = [cur.prev, cur.curr]
-    while True:
-        try:
-            seen.append(farey_next(cur))
-        except StopIteration:
-            break
-    assert seen == brute_farey(12)
 
 
 def test_delta_examples():
@@ -145,7 +127,7 @@ def test_gap_histogram_matches_brute_force(q_max, h):
     expected = brute_window_counts(q_max, h)
     assert dict(hist) == expected
     assert windows == sum(expected.values())
-    # the specialized denominator-only loops agree with the generic walk
+    # keyed by (gaps, steps), the same windows merge back to the gap keys
     hist_steps, windows_steps = gap_histogram(q_max, h, with_steps=True)
     merged = {}
     for (gaps, _steps), c in hist_steps.items():
@@ -224,3 +206,44 @@ def test_order_cap_enforced(monkeypatch):
             list(farey_fractions(3))
     monkeypatch.setenv("FAREY_MAX_Q", "")
     assert max_order() == DEFAULT_MAX_Q
+
+
+_intervals = st.none() | small_intervals
+
+
+def _ends(interval):
+    return None if interval is None else (interval.lo, interval.hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(1, 200),
+    h=st.integers(1, 3),
+    interval=_intervals,
+    with_steps=st.booleans(),
+)
+def test_gap_histogram_matches_oracle(q, h, interval, with_steps):
+    hist, windows = gap_histogram(q, h, interval, with_steps)
+    expected = brute_windows(q, h, _ends(interval), with_steps)
+    assert dict(hist) == expected
+    assert windows == sum(expected.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(1, 120),
+    deltas=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+    interval=_intervals,
+)
+def test_window_counters_agree_with_histogram(q, deltas, interval):
+    h = len(deltas)
+    hist, windows = gap_histogram(q, h, interval)
+    assert window_count(q, h, interval) == windows
+    targets = [deltas] + [key for key, _ in hist.most_common(1)]
+    for target in targets:
+        assert count_delta_tuples(q, target, interval) == hist[target]
+        if windows:
+            assert empirical_rho(q, target, interval) == Fraction(hist[target], windows)
+        else:
+            with pytest.raises(ValueError, match="no length"):
+                empirical_rho(q, target, interval)

@@ -1,10 +1,13 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd, log, pi
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import F8_ODD, brute_farey
+from conftest import F8_ODD, brute_farey, small_intervals
 from oddfarey.farey import UnitInterval, gap_histogram
 from oddfarey.geometry import cylinder, farey_triangle
 from oddfarey.lattice import (
@@ -16,7 +19,6 @@ from oddfarey.lattice import (
     decode_histogram,
     family_lattice_count,
     parity_profile,
-    verify_interval_identity,
     verify_parity_swap,
     verify_tuple_identity,
 )
@@ -138,7 +140,7 @@ def test_tuple_identity_examples():
     assert res.first_mismatch() is None
 
 
-@pytest.mark.parametrize("q", [2, 3, 8, 21, 30])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 21, 30])
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_identity_full_histogram(q, h):
     """Every observed pattern satisfies the corrected identity, not just a few."""
@@ -158,7 +160,7 @@ def test_identity_at_tiny_orders():
 
 def test_interval_identity():
     for interval in (UnitInterval(0, Fraction(1, 2)), UnitInterval(Fraction(1, 4), Fraction(3, 4))):
-        for q in (8, 30, 50):
+        for q in (1, 2, 3, 4, 8, 30, 50):  # F(Q) has at most 2h + 4 elements for Q <= 4
             for h in (1, 2):
                 stream, _ = gap_histogram(q, h, interval=interval, with_steps=True)
                 dec = decode_histogram(q, h, interval)
@@ -166,7 +168,7 @@ def test_interval_identity():
                 keys = set(stream) | set(dec) | set(bnd)
                 for key in keys:
                     assert stream[key] == dec[key] - bnd[key], (q, h, key)
-        res = verify_interval_identity(50, (1, 1), interval)
+        res = verify_tuple_identity(50, (1, 1), interval)
         assert res.ok and not res.notes
 
 
@@ -319,3 +321,46 @@ def test_sweep_matches_naive_membership(rng):
                             expected += 1
                 got = count_lattice(region, q, parity, primitive).count
                 assert got == expected, (region.constraints, q, parity, primitive)
+
+
+_PARITY_NAMES = ("odd", "even", "any")
+
+
+def _parity_class(n: int) -> str:
+    return "odd" if n % 2 else "even"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ks=st.lists(st.integers(1, 8), max_size=2),
+    q=st.integers(1, 60),
+    interval=small_intervals,
+)
+def test_column_sweep_matches_double_loop(ks, q, interval):
+    """Every sweep counter agrees with a membership test of every grid point."""
+    region = cylinder(tuple(ks))
+    inside = [
+        (a, b)
+        for a in range(1, q + 1)
+        for b in range(1, q + 1)
+        if region.contains(Fraction(a, q), Fraction(b, q))
+    ]
+    primitive = [(a, b) for a, b in inside if gcd(a, b) == 1]
+
+    def first_fraction(a, b):  # gamma0 = 1 - b_bar / a
+        return 1 - Fraction(0 if a == 1 else pow(b, -1, a), a)
+
+    for px, py in itertools.product(_PARITY_NAMES, repeat=2):
+        parity = PairParity(px, py)
+        pts = [p for p in inside if parity.matches(*p)]
+        prim = [p for p in primitive if parity.matches(*p)]
+        assert count_lattice(region, q, parity, primitive=False).count == len(pts)
+        assert count_lattice(region, q, parity).count == len(prim)
+        rep = count_lattice_interval(region, q, parity, interval)
+        firsts = [first_fraction(a, b) for a, b in prim]
+        assert rep.count == sum(interval.lo < f <= interval.hi for f in firsts)
+        assert rep.boundary_hits == sum(f in (interval.lo, interval.hi) for f in firsts)
+    expected = Counter((_parity_class(a), _parity_class(b)) for a, b in primitive)
+    profile = parity_profile(region, q)
+    assert sum(profile.values()) == len(primitive)
+    assert all(profile[key] == expected[key] for key in profile)
