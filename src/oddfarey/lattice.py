@@ -41,7 +41,7 @@ from itertools import islice
 from math import gcd, log, pi
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .farey import UnitInterval, _check_order, _check_window, farey_fractions, gap_histogram
+from .farey import UnitInterval, _check_order, _check_window, _stream_histogram, farey_fractions
 from .geometry import ConvexRegion, cylinder, farey_triangle, refine, unimodular_image
 from .paths import PathFamily, arrow_text, families
 
@@ -335,6 +335,13 @@ def _boundary_cached(
     return ctr
 
 
+@lru_cache(maxsize=64)
+def _stream_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
+    # the streaming pass at every h, so the identity at h = 1 still checks the
+    # recurrence (gap_histogram counts h = 1 from the lattice points instead)
+    return _stream_histogram(q_max, h, interval, with_steps=True)[0]
+
+
 def boundary_window_histogram(
     q_max: int, h: int, interval: Optional[UnitInterval] = None
 ) -> Counter:
@@ -411,7 +418,7 @@ def verify_tuple_identity(
     target = tuple(int(d) for d in deltas)
     h = len(target)
     ikey = _interval_key(interval)
-    stream_hist, _ = gap_histogram(q_max, h, interval=ikey, with_steps=True)
+    stream_hist = _stream_cached(q_max, h, ikey)
     dec = decode_histogram(q_max, h, ikey)
     bound = boundary_window_histogram(q_max, h, ikey)
     checks = []

@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,6 +19,7 @@ from conftest import (
 from oddfarey.farey import (
     DEFAULT_MAX_Q,
     UnitInterval,
+    _stream_histogram,
     count_delta_tuples,
     delta,
     empirical_rho,
@@ -140,6 +142,44 @@ def test_gap_histogram_matches_brute_force(q_max, h):
 def test_gap_counts_total_to_window_count(q_max):
     hist, windows = gap_histogram(q_max, 1)
     assert sum(hist.values()) == windows == odd_farey_count(q_max) - 1
+
+
+def _assert_single_gap_count_is_stream(q):
+    stream, windows = _stream_histogram(q, 1, with_steps=True)
+    gaps_only = Counter()
+    for (gaps, _steps), c in stream.items():
+        gaps_only[gaps] += c
+    assert gap_histogram(q, 1, with_steps=True) == (stream, windows), q
+    assert gap_histogram(q, 1) == (gaps_only, windows), q
+
+
+def test_single_gap_count_matches_stream():
+    """Whole-sequence single gaps are counted from lattice rows, not streamed."""
+    for q in range(1, 401):
+        _assert_single_gap_count_is_stream(q)
+
+
+@seed(20020)
+@settings(max_examples=25, deadline=None)
+@given(q=st.integers(401, 3000))
+def test_single_gap_count_matches_stream_at_random_orders(q):
+    _assert_single_gap_count_is_stream(q)
+
+
+def test_single_gap_boundary_window_closed_form():
+    """The count subtracts one window at 1/1: gap 1, 'OO' iff Q is odd."""
+    from oddfarey.lattice import boundary_window_histogram
+
+    for q in range(1, 601):
+        step = "OO" if q % 2 else "OEO"
+        assert boundary_window_histogram(q, 1) == {((1,), (step,)): 1}, q
+
+
+def test_single_gap_count_at_the_default_cap():
+    q = 10**5  # far beyond a streaming pass in a test: no oracle, only the total
+    hist, windows = gap_histogram(q, 1)
+    assert sum(hist.values()) == windows == odd_farey_count(q) - 1
+    assert min(hist.values()) > 0
 
 
 def test_count_delta_tuples_and_empirical_rho():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import F8_ODD, brute_farey, small_intervals
-from oddfarey.farey import UnitInterval, gap_histogram
+from oddfarey.farey import UnitInterval, _stream_histogram, gap_histogram
 from oddfarey.geometry import cylinder, farey_triangle
 from oddfarey.lattice import (
     PairParity,
@@ -144,12 +144,36 @@ def test_tuple_identity_examples():
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_identity_full_histogram(q, h):
     """Every observed pattern satisfies the corrected identity, not just a few."""
-    stream, _ = gap_histogram(q, h, with_steps=True)
+    stream, _ = _stream_histogram(q, h, with_steps=True)  # not the h = 1 count
     dec = decode_histogram(q, h)
     bnd = boundary_window_histogram(q, h)
     keys = set(stream) | set(dec) | set(bnd)
     for key in keys:
         assert stream[key] == dec[key] - bnd[key], (q, h, key)
+
+
+def test_verify_streams_once_per_key(monkeypatch):
+    """The identity's stream side is one pass per (Q, h, interval), and a
+    streaming pass even at h = 1."""
+    import oddfarey.farey as farey
+    from oddfarey.lattice import _stream_cached
+
+    passes = []
+    gap_pass = farey._gap_pass
+
+    def counted_pass(*key):
+        passes.append(key)
+        return gap_pass(*key)
+
+    monkeypatch.setattr(farey, "_gap_pass", counted_pass)
+    _stream_cached.cache_clear()
+    half = UnitInterval(0, Fraction(1, 2))
+    for deltas in [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2)]:
+        assert verify_tuple_identity(33, deltas).ok
+    for deltas in [(1,), (2,), (1, 1)]:
+        assert verify_tuple_identity(33, deltas, half).ok
+    _stream_cached.cache_clear()
+    assert passes == [(33, 1, None), (33, 2, None), (33, 1, half), (33, 2, half)]
 
 
 def test_identity_at_tiny_orders():
