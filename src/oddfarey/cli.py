@@ -2,9 +2,11 @@
 
 Subcommands: list, stats, rho, rho-table, compare, region, orbit, paths,
 lattice, verify, short-interval.  Rationals print as "p/q" plus a 12-digit
-decimal; CSV output is RFC 4180 (csv module); exit codes reflect verify
-outcomes, and bad input prints "error: ..." and exits 2.  Option precedence
-is flags > environment (FAREY_MAX_Q) > config file (--config, JSON).
+decimal.  Every command but verify builds a record (dict) or a table (list
+of dicts) and prints it through ``_emit``, as JSON, as RFC 4180 CSV (csv
+module) or as the command's text form.  Exit codes reflect verify outcomes,
+and bad input prints "error: ..." and exits 2.  Option precedence is flags >
+environment (FAREY_MAX_Q) > config file (--config, JSON).
 """
 
 from __future__ import annotations
@@ -38,29 +40,25 @@ from .lattice import (
 from .paths import arrow_text, families
 
 
-_BUILTIN_DEFAULTS = {"tol": "1/1000000", "k_max": 8000}
-
-
-def _setting(args, name: str):
-    """Resolve an option: explicit flag > config file > built-in default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return getattr(args, "_config", {}).get(name, _BUILTIN_DEFAULTS[name])
+_ENCLOSURE_OPTIONS = {  # rho_odd argument: (built-in default, parser, bad-value message)
+    "tol": ("1/1000000", Fraction, "bad tolerance {!r}, expected like '1/1000'"),
+    "k_max": (8000, int, "bad cutoff limit {!r}, expected an integer"),
+}
 
 
 def _enclosure_options(args) -> dict:
-    """The ``tol`` and ``k_max`` arguments of rho_odd, resolved and parsed."""
-    tol, k_max = _setting(args, "tol"), _setting(args, "k_max")
-    try:
-        tol = Fraction(tol)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise SystemExit(f"error: bad tolerance {tol!r}, expected like '1/1000'") from exc
-    try:
-        k_max = int(k_max)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SystemExit(f"error: bad cutoff limit {k_max!r}, expected an integer") from exc
-    return {"tol": tol, "k_max": k_max}
+    """The ``tol`` and ``k_max`` arguments of rho_odd, parsed; each comes from
+    its flag, else the config file, else the built-in default."""
+    out = {}
+    for name, (default, parse, bad) in _ENCLOSURE_OPTIONS.items():
+        value = getattr(args, name)
+        if value is None:
+            value = args._config.get(name, default)
+        try:
+            out[name] = parse(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise SystemExit("error: " + bad.format(value)) from exc
+    return out
 
 
 def _dec(x, digits: int = 12) -> str:
@@ -82,10 +80,7 @@ def _parse_deltas(text: str) -> tuple[int, ...]:
 
 
 def _parse_ks(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return _parse_deltas(text)
+    return _parse_deltas(text.strip()) if text.strip() else ()
 
 
 def _parse_interval(text: Optional[str]) -> Optional[UnitInterval]:
@@ -125,8 +120,23 @@ def _parse_quadrangle(text: str) -> tuple[int, int, int]:
     return m, i, r
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(fmt: str, data, columns: Optional[list] = None, text=None) -> None:
+    """Print a record (a dict) or a table (a list of dicts) in one format.
+
+    json dumps ``data``; csv writes a header (``columns``, else the first
+    row's keys) and one line per row; text prints ``text(data)``, or falls
+    back to csv when the command has no text renderer.
+    """
+    if fmt == "json":
+        print(json.dumps(data))
+    elif fmt == "text" and text is not None:
+        print(text(data))
+    else:
+        rows = [data] if isinstance(data, dict) else data
+        header = list(rows[0]) if columns is None else columns
+        w = csv.DictWriter(sys.stdout, header, lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -135,51 +145,32 @@ def _csv_writer():
 
 
 def _cmd_list(args) -> int:
-    seq = odd_farey_fractions(args.q) if args.odd else farey_fractions(args.q)
-    if args.format == "json":
-        print(json.dumps([_rat(f) for f in seq]))
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["index", "fraction", "decimal"])
-        for i, f in enumerate(seq, 1):
-            w.writerow([i, _rat(f), _dec(f)])
-    else:
-        print(", ".join(_rat(f) for f in seq))
+    seq = list(odd_farey_fractions(args.q) if args.odd else farey_fractions(args.q))
+    if args.format == "json":  # a plain list of fractions, not records
+        _emit("json", [_rat(f) for f in seq])
+        return 0
+    rows = [{"index": i, "fraction": _rat(f), "decimal": _dec(f)} for i, f in enumerate(seq, 1)]
+    _emit(args.format, rows, text=lambda rows: ", ".join(r["fraction"] for r in rows))
     return 0
 
 
 def _cmd_stats(args) -> int:
-    interval = _parse_interval(args.interval)
-    hist, windows = gap_histogram(args.q, args.h, interval=interval)
-    rows = []
-    for gaps in sorted(hist):
-        if args.delta_max and max(gaps) > args.delta_max:
-            continue
-        count = hist[gaps]
-        ratio = Fraction(count, windows) if windows else Fraction(0)
-        rows.append((args.q, args.h, ",".join(map(str, gaps)), count, windows, ratio))
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "q": q,
-                        "h": h,
-                        "deltas": d,
-                        "count": c,
-                        "windows": t,
-                        "ratio": _rat(r),
-                        "ratio_decimal": _dec(r),
-                    }
-                    for q, h, d, c, t, r in rows
-                ]
-            )
-        )
-    else:
-        w = _csv_writer()
-        w.writerow(["q", "h", "deltas", "count", "windows", "ratio", "ratio_decimal"])
-        for q, h, d, c, t, r in rows:
-            w.writerow([q, h, d, c, t, _rat(r), _dec(r)])
+    hist, windows = gap_histogram(args.q, args.h, interval=_parse_interval(args.interval))
+    rows = [
+        {
+            "q": args.q,
+            "h": args.h,
+            "deltas": ",".join(map(str, gaps)),
+            "count": count,
+            "windows": windows,
+            "ratio": _rat(Fraction(count, windows)),
+            "ratio_decimal": _dec(count / windows),
+        }
+        for gaps, count in sorted(hist.items())
+        if not args.delta_max or max(gaps) <= args.delta_max
+    ]
+    columns = ["q", "h", "deltas", "count", "windows", "ratio", "ratio_decimal"]
+    _emit(args.format, rows, columns)  # columns: --delta-max may drop every row
     return 0
 
 
@@ -198,38 +189,22 @@ def _enclosure_row(deltas, enc) -> dict:
 def _cmd_rho(args) -> int:
     deltas = _parse_deltas(args.delta)
     enc = rho_odd(deltas, **_enclosure_options(args))
-    row = _enclosure_row(deltas, enc)
-    if args.format == "json":
-        print(json.dumps(row))
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(list(row))
-        w.writerow(list(row.values()))
-    else:
+
+    def text(row):
         if enc.exact:
-            print(f"rho({row['deltas']}) = {row['lo']} = {row['midpoint_decimal']} (exact)")
-        else:
-            print(
-                f"rho({row['deltas']}) in [{row['lo']}, {row['hi']}]"
-                f" ~ {row['midpoint_decimal']}"
-                f" (width {_dec(enc.width)}, cutoff {enc.cutoff},"
-                f" converged={enc.converged})"
-            )
+            return f"rho({row['deltas']}) = {row['lo']} = {row['midpoint_decimal']} (exact)"
+        return (
+            f"rho({row['deltas']}) in [{row['lo']}, {row['hi']}] ~ {row['midpoint_decimal']}"
+            f" (width {_dec(enc.width)}, cutoff {enc.cutoff}, converged={enc.converged})"
+        )
+
+    _emit(args.format, _enclosure_row(deltas, enc), text=text)
     return 0 if enc.converged else 1
 
 
 def _cmd_rho_table(args) -> int:
     rows = rho_table(args.h, args.delta_max, **_enclosure_options(args))
-    payload = [_enclosure_row(r.deltas, r.enclosure) for r in rows]
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        w = _csv_writer()
-        w.writerow(
-            ["deltas", "lo", "hi", "midpoint_decimal", "cutoff", "exact", "converged"]
-        )
-        for p in payload:
-            w.writerow(list(p.values()))
+    _emit(args.format, [_enclosure_row(r.deltas, r.enclosure) for r in rows])
     return 0 if all(r.enclosure.converged for r in rows) else 1
 
 
@@ -250,22 +225,15 @@ def _cmd_compare(args) -> int:
         "deviation": _dec(dev),
         "deviation_times_q_over_log2q": _dec(float(dev) * scale),
     }
-    if args.format == "json":
-        print(json.dumps(row))
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(list(row))
-        w.writerow(list(row.values()))
-    else:
-        print(
-            f"rho_Q({row['deltas']}) = {row['empirical']} = {row['empirical_decimal']}"
-            f" at Q={args.q}"
-        )
-        print(f"limit enclosure [{row['lo']}, {row['hi']}]")
-        print(
-            f"deviation {row['deviation']}"
-            f" (x Q/log^2 Q = {row['deviation_times_q_over_log2q']})"
-        )
+    _emit(
+        args.format,
+        row,
+        text=lambda r: (
+            f"rho_Q({r['deltas']}) = {r['empirical']} = {r['empirical_decimal']} at Q={r['q']}\n"
+            f"limit enclosure [{r['lo']}, {r['hi']}]\n"
+            f"deviation {r['deviation']} (x Q/log^2 Q = {r['deviation_times_q_over_log2q']})"
+        ),
+    )
     return 0
 
 
@@ -275,53 +243,50 @@ def _cmd_region(args) -> int:
     else:
         region = cylinder(_parse_ks(args.ks))
     payload = region.to_json_dict()
-    if args.format in ("json", "text"):
-        print(json.dumps(payload, indent=None if args.format == "json" else 2))
+    if args.format == "csv":  # the vertex table; the record nests lists
+        _emit("csv", payload["vertices"], ["x", "y"])
     else:
-        w = _csv_writer()
-        w.writerow(["x", "y"])
-        for v in payload["vertices"]:
-            w.writerow([v["x"], v["y"]])
+        _emit(args.format, payload, text=lambda d: json.dumps(d, indent=2))
     return 0
 
 
 def _cmd_orbit(args) -> int:
     p = _parse_point(args.point)
-    ks = orbit_kappas(p, args.steps)
     trace = []
-    cur = p
-    for k in ks:
-        trace.append({"x": _rat(cur.x), "y": _rat(cur.y), "kappa": k})
-        cur = next_pair(cur)
-    trace.append({"x": _rat(cur.x), "y": _rat(cur.y)})
-    print(json.dumps(trace))
+    for k in orbit_kappas(p, args.steps):
+        trace.append({"x": _rat(p.x), "y": _rat(p.y), "kappa": k})
+        p = next_pair(p)
+    trace.append({"x": _rat(p.x), "y": _rat(p.y)})
+    _emit("json", trace)
     return 0
 
 
 def _cmd_paths(args) -> int:
-    deltas = _parse_deltas(args.delta)
-    fams = families(deltas)
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "walk": arrow_text(f),
-                        "arity": f.arity,
-                        "first_vertex": f.first_vertex,
-                        "free_slots": list(f.free_slots),
-                    }
-                    for f in fams
-                ]
-            )
-        )
-    else:
-        for f in fams:
-            print(
-                f"{arrow_text(f)}   [arity {f.arity},"
-                f" first vertex {f.first_vertex}, free slots {list(f.free_slots)}]"
-            )
+    rows = [
+        {
+            "walk": arrow_text(f),
+            "arity": f.arity,
+            "first_vertex": f.first_vertex,
+            "free_slots": list(f.free_slots),
+        }
+        for f in families(_parse_deltas(args.delta))
+    ]
+    _emit(
+        args.format,
+        rows,
+        text=lambda rows: "\n".join(
+            f"{r['walk']}   [arity {r['arity']},"
+            f" first vertex {r['first_vertex']}, free slots {r['free_slots']}]"
+            for r in rows
+        ),
+    )
     return 0
+
+
+def _lattice_text(row: dict) -> str:
+    if row["boundary_hits"]:
+        print(f"note: {row['boundary_hits']} inverse(s) on an interval wall", file=sys.stderr)
+    return str(row["count"])
 
 
 def _cmd_lattice(args) -> int:
@@ -341,24 +306,13 @@ def _cmd_lattice(args) -> int:
         "count": rep.count,
         "boundary_hits": rep.boundary_hits,
     }
-    if args.format == "json":
-        print(json.dumps(row))
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(list(row))
-        w.writerow(list(row.values()))
-    else:
-        print(row["count"])
-        if rep.boundary_hits:
-            print(f"note: {rep.boundary_hits} inverse(s) on an interval wall", file=sys.stderr)
+    _emit(args.format, row, text=_lattice_text)
     return 0
 
 
 def _cmd_short_interval(args) -> int:
     deltas = _parse_deltas(args.delta)
-    interval = _parse_interval(args.interval)
-    if interval is None:
-        raise SystemExit("error: --interval is required")
+    interval = _parse_interval(args.interval)  # a required option
     enc = rho_odd(deltas, **_enclosure_options(args))
     hist, windows = gap_histogram(args.q, len(deltas), interval)
     if not windows:
@@ -381,50 +335,40 @@ def _cmd_short_interval(args) -> int:
         "deviation": _dec(dev),
         "deviation_times_sqrtq_over_logq": _dec(norm),
     }
-    if args.format == "json":
-        print(json.dumps(row))
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(list(row))
-        w.writerow(list(row.values()))
-    else:
-        for k, v in row.items():
-            print(f"{k}: {v}")
+    _emit(args.format, row, text=lambda r: "\n".join(f"{k}: {v}" for k, v in r.items()))
     return 0
 
 
-def _print_check(name: str, ok: bool) -> None:
-    print(f"{'PASS' if ok else 'FAIL'}  {name}")
-
-
 def _cmd_verify(args) -> int:
+    for flag in ("q", "k"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise SystemExit(f"error: --{flag} must be >= 1, got {value}")
+    given = None if args.delta is None else [_parse_deltas(args.delta)]
     failures = 0
 
     def run(name: str, ok: bool) -> None:
         nonlocal failures
-        _print_check(name, ok)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
         if not ok:
             failures += 1
 
+    def setting(value, default):
+        return default if value is None else value
+
     suite = args.suite
     if suite in ("tuple-identity", "all"):
-        q = args.q or 50
-        patterns = (
-            [_parse_deltas(args.delta)]
-            if args.delta
-            else [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2)]
-        )
-        for ds in patterns:
+        q = setting(args.q, 50)
+        for ds in setting(given, [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2)]):
             res = verify_tuple_identity(q, ds)
             run(f"tuple-identity Q={q} deltas={ds}: {res.lhs} == {res.rhs}", res.ok)
             if not res.ok and res.first_mismatch():
                 fc = res.first_mismatch()
                 print(f"      first mismatch: {fc.text}: {fc.stream} vs {fc.lattice - fc.boundary}")
     if suite in ("interval-identity", "all"):
-        q = args.q or 50
-        interval = _parse_interval(args.interval) or UnitInterval(Fraction(0), Fraction(1, 2))
-        patterns = [_parse_deltas(args.delta)] if args.delta else [(1,), (2,), (1, 1)]
-        for ds in patterns:
+        q = setting(args.q, 50)
+        interval = setting(_parse_interval(args.interval), UnitInterval(0, Fraction(1, 2)))
+        for ds in setting(given, [(1,), (2,), (1, 1)]):
             res = verify_tuple_identity(q, ds, interval)
             run(
                 f"interval-identity Q={q} deltas={ds} I={interval}: {res.lhs} == {res.rhs}",
@@ -433,21 +377,20 @@ def _cmd_verify(args) -> int:
             for note in res.notes:
                 print(f"      note: {note}")
     if suite in ("parity-swap", "all"):
-        q = args.q or 60
-        ks = [int(args.k)] if args.k else [1, 2, 3, 4, 5]
+        q = setting(args.q, 60)
         domains = {"T": None, "T1": cylinder((1,)), "T2": cylinder((2,))}
-        for k in ks:
+        for k in [1, 2, 3, 4, 5] if args.k is None else [args.k]:
             for name, dom in domains.items():
                 res = verify_parity_swap(q, k, dom)
                 run(f"parity-swap Q={q} k={k} domain={name}", res.ok)
     if suite in ("areas", "all"):
-        kmax = args.k or 60
+        kmax = setting(args.k, 60)
         ok = all(
             cylinder_area((k,)) == gap_density(k) for k in range(2, kmax + 1)
         ) and cylinder_area((1,)) == Fraction(1, 6)
         run(f"areas: cylinder areas match 4/(k(k+1)(k+2)) for k <= {kmax}", ok)
     if suite in ("completeness", "all"):
-        kmax = args.k or 100
+        kmax = setting(args.k, 100)
         total = Fraction(0)
         ok = True
         for k in range(1, kmax + 1):
@@ -473,10 +416,6 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_format(p, default="text") -> None:
-    p.add_argument("--format", choices=("text", "csv", "json"), default=default)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="farey",
@@ -485,71 +424,69 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     ap.add_argument("--config", help="JSON file with default option values")
     sub = ap.add_subparsers(dest="command", required=True)
+    enclosure = argparse.ArgumentParser(add_help=False)  # rho_odd's tol and k_max
+    enclosure.add_argument("--tol")
+    enclosure.add_argument("--k-max", type=int)
 
-    p = sub.add_parser("list", help="print F(Q) or its odd-denominator subsequence")
+    def command(name, func, help, fmt="text", parents=()):
+        """A subcommand running ``func``, with ``--format`` defaulting to ``fmt``."""
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        if fmt is not None:
+            p.add_argument("--format", choices=("text", "csv", "json"), default=fmt)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("list", _cmd_list, "print F(Q) or its odd-denominator subsequence")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--odd", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=_cmd_list)
 
-    p = sub.add_parser("stats", help="gap-tuple histogram of the odd subsequence")
+    p = command("stats", _cmd_stats, "gap-tuple histogram of the odd subsequence", "csv")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--h", type=int, default=1)
     p.add_argument("--delta-max", type=int, default=0, help="drop tuples with larger entries")
     p.add_argument("--interval", help="restrict window starts, e.g. '0,1/2'")
-    _add_format(p, default="csv")
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("rho", help="certified enclosure of a limiting gap density")
+    p = command(
+        "rho", _cmd_rho, "certified enclosure of a limiting gap density", parents=[enclosure]
+    )
     p.add_argument("--delta", required=True, help="gap tuple, e.g. '1,2'")
-    p.add_argument("--tol")
-    p.add_argument("--k-max", type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_rho)
 
-    p = sub.add_parser("rho-table", help="enclosure table over {1..delta_max}^h")
+    p = command(
+        "rho-table",
+        _cmd_rho_table,
+        "enclosure table over {1..delta_max}^h",
+        "csv",
+        parents=[enclosure],
+    )
     p.add_argument("--h", type=int, default=2)
     p.add_argument("--delta-max", type=int, default=3)
-    p.add_argument("--tol")
-    p.add_argument("--k-max", type=int)
-    _add_format(p, default="csv")
-    p.set_defaults(func=_cmd_rho_table)
 
-    p = sub.add_parser("compare", help="empirical ratio at order Q vs the enclosure")
+    p = command(
+        "compare", _cmd_compare, "empirical ratio at order Q vs the enclosure", parents=[enclosure]
+    )
     p.add_argument("--delta", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--tol")
-    p.add_argument("--k-max", type=int)
     p.add_argument("--interval")
-    _add_format(p)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("region", help="dump a cylinder region as JSON")
+    p = command("region", _cmd_region, "dump a cylinder region as JSON", "json")
     p.add_argument("--ks", default="", help="index labels, e.g. '2,1,3' (empty = triangle)")
     p.add_argument("--quadrangle", help="m,i,r for the stabilized backward image")
-    _add_format(p, default="json")
-    p.set_defaults(func=_cmd_region)
 
-    p = sub.add_parser("orbit", help="JSON orbit trace of a triangle point")
+    p = command("orbit", _cmd_orbit, "JSON orbit trace of a triangle point", None)
     p.add_argument("--point", required=True, help="x,y as rationals, e.g. '3/4,1/2'")
     p.add_argument("--steps", type=int, default=5)
-    p.set_defaults(func=_cmd_orbit)
 
-    p = sub.add_parser("paths", help="walk families for a gap tuple")
+    p = command("paths", _cmd_paths, "walk families for a gap tuple")
     p.add_argument("--delta", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_paths)
 
-    p = sub.add_parser("lattice", help="exact lattice count of a scaled cylinder")
+    p = command("lattice", _cmd_lattice, "exact lattice count of a scaled cylinder")
     p.add_argument("--ks", default="")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--parity", default="any,any")
     p.add_argument("--interval")
     p.add_argument("--all-points", action="store_true", help="count without the gcd filter")
-    _add_format(p)
-    p.set_defaults(func=_cmd_lattice)
 
-    p = sub.add_parser("verify", help="run a named identity suite (exit 1 on failure)")
+    p = command("verify", _cmd_verify, "run a named identity suite (exit 1 on failure)", None)
     p.add_argument(
         "suite",
         choices=(
@@ -566,22 +503,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta")
     p.add_argument("--k", type=int)
     p.add_argument("--interval")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("short-interval", help="interval-restricted ratio vs the limit")
+    p = command(
+        "short-interval",
+        _cmd_short_interval,
+        "interval-restricted ratio vs the limit",
+        parents=[enclosure],
+    )
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--interval", required=True)
-    p.add_argument("--tol")
-    p.add_argument("--k-max", type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_short_interval)
 
     return ap
 
 
 def _load_config(path: Optional[str]) -> dict:
-    """Option values from a JSON file (flags still win; see _setting)."""
+    """Option values from a JSON file (flags still win; see _enclosure_options)."""
     if not path:
         return {}
     try:

@@ -251,6 +251,11 @@ class UnitInterval:
 # ---------------------------------------------------------------------------
 
 
+def _key_base(q_max: int) -> int:
+    """Base of the integer window keys: every step code c has 2 <= c < 4Q + 2."""
+    return 4 * q_max + 2
+
+
 def _gap_pass(q_max: int, h: int, interval: Optional[UnitInterval]) -> dict[int, int]:
     """Window keys of the odd subsequence of F(q_max), with their counts.
 
@@ -259,7 +264,7 @@ def _gap_pass(q_max: int, h: int, interval: Optional[UnitInterval]) -> dict[int,
     the module docstring).  With ``interval`` only windows whose first
     fraction lies in it are counted, which needs the numerators too.
     """
-    m = 4 * q_max + 2
+    m = _key_base(q_max)
     head = m ** (h - 1)
     keys: dict[int, int] = {}  # a plain dict: CPython specializes its item access
     get = keys.get
@@ -349,7 +354,7 @@ def _histogram(
     keys: dict[int, int], q_max: int, h: int, with_steps: bool
 ) -> tuple[Counter, int]:
     """Decode window keys into gap tuples or (gaps, steps) pairs, and total them."""
-    m = 4 * q_max + 2
+    m = _key_base(q_max)
     hist: Counter = Counter()
     windows = 0
     for key, count in keys.items():
@@ -370,7 +375,9 @@ def _histogram(
 def _restriction(
     q_max: int, h: int, interval: Optional[UnitInterval]
 ) -> Optional[UnitInterval]:
-    """Check the order and h; None stands for no interval or all of [0, 1]."""
+    """Check the order and h, and settle the interval: None stands for no
+    interval or all of [0, 1].  The streaming and the lattice side both ask
+    this one function whether a window count is restricted."""
     _check_window(q_max, h)
     return None if interval is None or interval.is_full else interval
 

@@ -21,6 +21,8 @@ start inside F(Q) but end past 1/1; with that correction the equality is an
 exact integer identity at every order.  Those windows need only the last
 few elements of F(Q), and F(Q) minus 1/1 is symmetric under a/q -> (q-a)/q,
 so they are built from the mirrored first few elements, not from a pass.
+Both sides code each window as farey's integer window key (base 4Q + 2) and
+let ``farey._histogram`` decode the keys, so the key format lives in farey.
 
 Short intervals.  A point (a, b) with gcd(a, b) = 1 has a unique inverse
 b_bar in {1, ..., a-1} with b*b_bar = 1 mod a (b_bar = 0 when a = 1); it
@@ -41,7 +43,15 @@ from itertools import islice
 from math import gcd, log, pi
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .farey import UnitInterval, _check_order, _check_window, _stream_histogram, farey_fractions
+from .farey import (
+    UnitInterval,
+    _check_order,
+    _histogram,
+    _key_base,
+    _restriction,
+    _stream_histogram,
+    farey_fractions,
+)
 from .geometry import ConvexRegion, cylinder, farey_triangle, refine, unimodular_image
 from .paths import PathFamily, arrow_text, families
 
@@ -251,15 +261,13 @@ def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], in
 # ---------------------------------------------------------------------------
 
 
-def _interval_key(interval: Optional[UnitInterval]) -> Optional[UnitInterval]:
-    if interval is None or interval.is_full:
-        return None
-    return interval
-
-
 @lru_cache(maxsize=64)
 def _decode_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
-    ctr: Counter = Counter()
+    # each point's h odd-to-odd steps, coded into farey's integer window key
+    # as farey._gap_pass codes them, and decoded by farey
+    m = _key_base(q_max)
+    keys: dict[int, int] = {}
+    get = keys.get
     if interval is not None:
         ln, ld = interval.lo.numerator, interval.lo.denominator
         hn, hd = interval.hi.numerator, interval.hi.denominator
@@ -271,22 +279,18 @@ def _decode_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Coun
                 bbar = 0 if a == 1 else pow(b, -1, a)
                 if not (bbar * hd >= a * (hd - hn) and bbar * ld < a * (ld - ln)):
                     continue
-            x, y = a, b
-            gaps = []
-            steps = []
+            q, q2, key = a, b, 0
             for _ in range(h):
-                if y & 1:
-                    gaps.append(1)
-                    steps.append("OO")
-                    x, y = y, ((q_max + x) // y) * y - x
+                k = (q_max + q) // q2
+                if q2 & 1:
+                    key = key * m + 2
+                    q, q2 = q2, k * q2 - q
                 else:
-                    k = (q_max + x) // y
-                    gaps.append(k)
-                    steps.append("OEO")
-                    x, y = y, k * y - x
-                    x, y = y, ((q_max + x) // y) * y - x
-            ctr[(tuple(gaps), tuple(steps))] += 1
-    return ctr
+                    key = key * m + 2 * k + 1
+                    q3 = k * q2 - q
+                    q, q2 = q3, (q_max + q2) // q3 * q3 - q2
+            keys[key] = get(key, 0) + 1
+    return _histogram(keys, q_max, h, with_steps=True)[0]
 
 
 def decode_histogram(
@@ -298,8 +302,7 @@ def decode_histogram(
     the *periodic* odd subsequence; free index labels never exceed 2Q, so the
     per-family sums below are finite by construction.
     """
-    _check_window(q_max, h)
-    return _decode_cached(q_max, h, _interval_key(interval))
+    return _decode_cached(q_max, h, _restriction(q_max, h, interval))
 
 
 @lru_cache(maxsize=64)
@@ -317,7 +320,8 @@ def _boundary_cached(
     ext = base + [(a + s * q, q) for s in range(1, n0 + 1) for a, q in head][:n0]
     one_idx = len(base) - 1
     odds = [j for j, (_, q) in enumerate(ext) if q & 1]
-    ctr: Counter = Counter()
+    m = _key_base(q_max)
+    keys: dict[int, int] = {}
     # no two even denominators are adjacent, so the n0 continuation elements
     # hold at least h + 2 odd ones: every window below is complete
     for s0, j in enumerate(odds):
@@ -327,12 +331,11 @@ def _boundary_cached(
         a0, q0 = ext[j]
         if interval is not None and not (interval.lo * q0 < a0 <= interval.hi * q0):
             continue
-        gaps = tuple(
-            ext[k][0] * ext[i][1] - ext[i][0] * ext[k][1] for i, k in zip(idx, idx[1:])
-        )
-        steps = tuple("OO" if k == i + 1 else "OEO" for i, k in zip(idx, idx[1:]))
-        ctr[(gaps, steps)] += 1
-    return ctr
+        key = 0
+        for i, k in zip(idx, idx[1:]):  # code 2 * gap + 1 when an even element sits between
+            key = key * m + 2 * (ext[k][0] * ext[i][1] - ext[i][0] * ext[k][1]) + (k > i + 1)
+        keys[key] = keys.get(key, 0) + 1
+    return _histogram(keys, q_max, h, with_steps=True)[0]
 
 
 @lru_cache(maxsize=64)
@@ -346,8 +349,7 @@ def boundary_window_histogram(
     q_max: int, h: int, interval: Optional[UnitInterval] = None
 ) -> Counter:
     """The decoded windows that start in F(Q) but end past 1/1 (at most h)."""
-    _check_window(q_max, h)
-    return _boundary_cached(q_max, h, _interval_key(interval))
+    return _boundary_cached(q_max, h, _restriction(q_max, h, interval))
 
 
 def family_lattice_count(
@@ -417,7 +419,7 @@ def verify_tuple_identity(
     """
     target = tuple(int(d) for d in deltas)
     h = len(target)
-    ikey = _interval_key(interval)
+    ikey = _restriction(q_max, h, interval)
     stream_hist = _stream_cached(q_max, h, ikey)
     dec = decode_histogram(q_max, h, ikey)
     bound = boundary_window_histogram(q_max, h, ikey)

@@ -63,10 +63,10 @@ def _unit_interval(ends):
 
 # Hypothesis strategy: closed subintervals of [0, 1] with endpoint
 # denominators <= 9, so endpoints are often odd-denominator elements of F(Q).
-_small_fractions = st.builds(
+small_fractions = st.builds(
     lambda d, n: Fraction(min(n, d), d), st.integers(1, 9), st.integers(0, 9)
 )
-small_intervals = st.tuples(_small_fractions, _small_fractions).map(_unit_interval)
+small_intervals = st.tuples(small_fractions, small_fractions).map(_unit_interval)
 
 
 def brute_windows(q_max: int, h: int, interval=None, with_steps: bool = False) -> dict:

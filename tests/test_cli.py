@@ -91,6 +91,10 @@ def test_paths(capsys):
     fams = json.loads(out)
     assert len(fams) == 4
     assert {f["arity"] for f in fams} == {1, 2, 3}
+    code, out = run(capsys, "paths", "--delta", "1,1", "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["walk"] for r in rows] == [f["walk"] for f in fams]
+    assert [int(r["arity"]) for r in rows] == [f["arity"] for f in fams]
 
 
 def test_lattice(capsys):
@@ -211,6 +215,22 @@ def test_small_cutoff_limit(capsys):
     assert code == 1
     assert "cutoff 100," in out and "converged=False" in out
     assert "k_max must be >= 1" in _bad_input(capsys, "rho", "--delta", "1,1", "--k-max", "0")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["tuple-identity", "--q", "0"], "--q must be >= 1"),
+        (["parity-swap", "--q", "-3"], "--q must be >= 1"),
+        (["parity-swap", "--k", "0"], "--k must be >= 1"),
+        (["areas", "--k", "-5"], "--k must be >= 1"),
+        (["completeness", "--k", "0"], "--k must be >= 1"),
+        (["tuple-identity", "--delta", ""], "bad gap tuple ''"),
+        (["interval-identity", "--delta", ""], "bad gap tuple ''"),
+    ],
+)
+def test_verify_rejects_empty_and_nonpositive_settings(capsys, argv, message):
+    assert message in _bad_input(capsys, "verify", *argv)
 
 
 def test_short_interval_without_windows(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import F8_ODD, brute_farey, small_intervals
+from conftest import F8_ODD, brute_farey, small_fractions, small_intervals
 from oddfarey.farey import UnitInterval, _stream_histogram, gap_histogram
 from oddfarey.geometry import cylinder, farey_triangle
 from oddfarey.lattice import (
@@ -200,6 +200,22 @@ def test_interval_convention_note():
     # 1/3 is an odd-denominator element, so closed vs half-open may differ
     res = verify_tuple_identity(30, (1,), UnitInterval(Fraction(1, 3), 1))
     assert res.notes
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    q=st.integers(1, 150),
+    h=st.integers(1, 3),
+    cuts=st.lists(small_fractions, max_size=4),
+)
+def test_decode_adds_up_over_interval_partitions(q, h, cuts):
+    """Under the half-open rule lo < f <= hi, the decoded windows of the cells
+    of any partition of [0, 1] add up to the unrestricted decode, key by key."""
+    ends = sorted({Fraction(0), Fraction(1), *cuts})
+    total = Counter()
+    for lo, hi in zip(ends, ends[1:]):
+        total.update(decode_histogram(q, h, UnitInterval(lo, hi)))
+    assert total == decode_histogram(q, h)
 
 
 def test_full_interval_equals_unrestricted():
