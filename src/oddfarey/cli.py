@@ -378,8 +378,9 @@ def _cmd_verify(args) -> int:
                 print(f"      note: {note}")
     if suite in ("parity-swap", "all"):
         q = setting(args.q, 60)
-        domains = {"T": None, "T1": cylinder((1,)), "T2": cylinder((2,))}
         for k in [1, 2, 3, 4, 5] if args.k is None else [args.k]:
+            # the parts of cell k that the map sends into T1 and into T2
+            domains = {"T": None, "T1": cylinder((k, 1)), "T2": cylinder((k, 2))}
             for name, dom in domains.items():
                 res = verify_parity_swap(q, k, dom)
                 run(f"parity-swap Q={q} k={k} domain={name}", res.ok)
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: Optional[str]) -> dict:
     """Option values from a JSON file (flags still win; see _enclosure_options)."""
-    if not path:
+    if path is None:
         return {}
     try:
         with open(path) as fh:

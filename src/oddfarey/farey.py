@@ -30,12 +30,15 @@ full window's leading digit is at least 2, so its key is at least
 2*m**(h-1).  Dropping the keys below 2*m**(h-1) therefore removes exactly
 the partial windows, and the loop needs no test for them.
 
-The pass has two loops.  Restricting windows to an interval needs each
-window's first fraction, so that loop also carries numerators and a bit
-per recent element that says whether it lies in the interval; run over
-all of [0, 1], that loop takes about twice as long as the unrestricted one,
-which reads denominators only.  ``gap_histogram`` decodes the keys into gap tuples or
-``(gaps, steps)`` pairs; the other window counters each make one call to it.
+A window counts when its first fraction f has lo <= f <= hi; F(Q) is
+ascending, so these windows start at the odd elements from the first one
+>= lo to the last one <= hi.  The one loop starts at the first element
+>= lo (one more step if it is even; 1/Q without an interval) with an empty
+key, so its partial windows are dropped as above.  It stops at the h-th odd
+element at or after the first element > hi, where the last such window
+closes, or at 1/1 if it would run past.  A restricted pass thus costs in
+proportion to the interval's share of F(Q).  ``gap_histogram`` decodes the
+keys; the other window counters each make one call to it.
 
 Single gaps of the whole sequence are counted, not streamed.  Each
 odd-denominator element a/q other than 1/1, with its F(Q)-successor of
@@ -108,12 +111,6 @@ def _check_order(q_max: int) -> None:
             f"Farey order {q_max} exceeds the configured cap {cap}; "
             f"a full pass costs Theta(Q^2) steps (raise {_ENV_MAX_Q} to override)"
         )
-
-
-def _check_window(q_max: int, h: int) -> None:
-    _check_order(q_max)
-    if h < 1:
-        raise ValueError("window length h must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -256,52 +253,53 @@ def _key_base(q_max: int) -> int:
     return 4 * q_max + 2
 
 
+def _pair_at(q_max: int, x, strict: bool) -> tuple[int, int]:
+    """Denominators (q, q') of the first a/q in F(q_max) that is >= x (> x if
+    ``strict``) and of its successor, or (1, Q) if none: a/q is the least
+    ceil(x*b)/b (floor(x*b) + 1 if strict) over b <= Q, at the least b, and
+    q' is the largest q' <= Q with a*q' = -1 (mod q)."""
+    n, d = x.numerator, x.denominator
+    a, q = 1, 1
+    for b in range(2, q_max + 1):
+        c = max((n * b - (not strict)) // d + 1, 1)
+        if c * q < a * b:
+            a, q = c, b
+    return q, q_max - (q_max + pow(a, -1, q)) % q
+
+
 def _gap_pass(q_max: int, h: int, interval: Optional[UnitInterval]) -> dict[int, int]:
     """Window keys of the odd subsequence of F(q_max), with their counts.
 
     One step goes from an odd-denominator element to the next one; the key
     of the window ending there holds its last h codes in base 4Q + 2 (see
-    the module docstring).  With ``interval`` only windows whose first
-    fraction lies in it are counted, which needs the numerators too.
+    the module docstring).  It walks only the stretch of F(Q) that holds the
+    windows whose first fraction lies in ``interval`` (closed membership).
     """
     m = _key_base(q_max)
     head = m ** (h - 1)
+    lo, hi = (0, 1) if interval is None else (interval.lo, interval.hi)
+    q, q2 = _pair_at(q_max, hi, strict=True)
+    left = h - (q & 1)  # the stop is the h-th odd element from here on
+    while left and q != 1:
+        q, q2 = q2, (q_max + q) // q2 * q2 - q
+        left -= q & 1
+    stop, stop2 = q, q2
+    q, q2 = _pair_at(q_max, lo, strict=False)
+    if not q & 1:  # two even denominators are never adjacent
+        q, q2 = q2, (q_max + q) // q2 * q2 - q
     keys: dict[int, int] = {}  # a plain dict: CPython specializes its item access
     get = keys.get
     key = 0
-    a, q, a2, q2 = 1, q_max, 1, q_max - 1  # at Q = 1 the loops never run
-    if not q & 1:  # 1/Q is even; start from its odd successor
+    while q != stop or q2 != stop2:
         k = (q_max + q) // q2
-        a, q, a2, q2 = a2, q2, k * a2 - a, k * q2 - q
-    if interval is None:
-        while q != 1:
-            k = (q_max + q) // q2
-            if q2 & 1:
-                key = key % head * m + 2
-                q, q2 = q2, k * q2 - q
-            else:
-                key = key % head * m + 2 * k + 1
-                q3 = k * q2 - q
-                q, q2 = q3, (q_max + q2) // q3 * q3 - q2
-            keys[key] = get(key, 0) + 1
-    else:
-        lo_n, lo_d = interval.lo.numerator, interval.lo.denominator
-        hi_n, hi_d = interval.hi.numerator, interval.hi.denominator
-        top = 1 << (h - 1)
-        flags = 0  # bit j: the element j odd steps back lies in the interval
-        while q != 1:
-            flags = flags % top * 2 + (lo_n * q <= a * lo_d and a * hi_d <= hi_n * q)
-            k = (q_max + q) // q2
-            if q2 & 1:
-                key = key % head * m + 2
-                a, q, a2, q2 = a2, q2, k * a2 - a, k * q2 - q
-            else:
-                key = key % head * m + 2 * k + 1
-                a3, q3 = k * a2 - a, k * q2 - q
-                k = (q_max + q2) // q3
-                a, q, a2, q2 = a3, q3, k * a3 - a2, k * q3 - q2
-            if flags >= top:
-                keys[key] = get(key, 0) + 1
+        if q2 & 1:
+            key = key % head * m + 2
+            q, q2 = q2, k * q2 - q
+        else:
+            key = key % head * m + 2 * k + 1
+            q3 = k * q2 - q
+            q, q2 = q3, (q_max + q2) // q3 * q3 - q2
+        keys[key] = get(key, 0) + 1
     partial = 2 * head
     return {k: c for k, c in keys.items() if k >= partial}
 
@@ -378,7 +376,9 @@ def _restriction(
     """Check the order and h, and settle the interval: None stands for no
     interval or all of [0, 1].  The streaming and the lattice side both ask
     this one function whether a window count is restricted."""
-    _check_window(q_max, h)
+    _check_order(q_max)
+    if h < 1:
+        raise ValueError("window length h must be >= 1")
     return None if interval is None or interval.is_full else interval
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "LinearForm",
     "HalfPlane",
     "ConvexRegion",
-    "from_constraints",
     "cylinder",
     "cylinder_forms",
     "cylinder_constraints",
@@ -40,7 +39,6 @@ __all__ = [
     "unimodular_image",
     "stabilized_quadrangle",
     "halfplanes_from_polygon",
-    "perimeter",
 ]
 
 Point = tuple[Fraction, Fraction]
@@ -312,20 +310,6 @@ class ConvexRegion:
         }
 
 
-def from_constraints(
-    constraints: Iterable[HalfPlane],
-    seed: Sequence[Point] = _UNIT_SQUARE,
-) -> ConvexRegion:
-    """Clip the seed polygon by the closures of all constraints."""
-    cons = tuple(constraints)
-    pts: Sequence[Point] = list(seed)
-    for hp in cons:
-        pts = _clip(pts, hp)
-        if not pts:
-            break
-    return ConvexRegion(cons, _canonicalize(pts))
-
-
 # ---------------------------------------------------------------------------
 # cylinders
 # ---------------------------------------------------------------------------
@@ -364,12 +348,13 @@ def cylinder(ks: Sequence[int]) -> ConvexRegion:
     ks = tuple(int(k) for k in ks)
     if any(k < 1 for k in ks):
         raise ValueError(f"labels must be positive integers, got {ks}")
-    return from_constraints(cylinder_constraints(ks))
+    return refine(ConvexRegion((), _UNIT_SQUARE), cylinder_constraints(ks))
 
 
 @lru_cache(maxsize=None)
 def cylinder_area(ks: tuple[int, ...]) -> Fraction:
-    """Exact area of cylinder(ks); memoized (areas dominate density sums)."""
+    """Exact area of cylinder(ks), memoized.  The density sums do not use it:
+    they walk the cells with ``_index_cells`` (see density.py)."""
     return cylinder(ks).area()
 
 
@@ -472,15 +457,3 @@ def stabilized_quadrangle(m: int, i: int, r: int) -> ConvexRegion:
     hull = convex_hull(pts)
     return ConvexRegion(halfplanes_from_polygon(hull), hull)
 
-
-def perimeter(region: ConvexRegion) -> float:
-    """Euclidean boundary length of the closure polygon (float; bound checks)."""
-    if not region.vertices:
-        return 0.0
-    total = 0.0
-    n = len(region.vertices)
-    for j in range(n):
-        x1, y1 = region.vertices[j]
-        x2, y2 = region.vertices[(j + 1) % n]
-        total += math.hypot(float(x2 - x1), float(y2 - y1))
-    return total

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import F8, F8_ODD
+from oddfarey import cli
 from oddfarey.cli import main
 
 
@@ -186,6 +187,10 @@ def test_config_must_be_an_object(tmp_path, capsys, payload):
     assert "must be a JSON object" in err
 
 
+def test_empty_config_path_is_an_error(capsys):
+    assert "cannot read config ''" in _bad_input(capsys, "--config", "", "rho", "--delta", "2")
+
+
 def test_bad_config_values(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tol": "1/0"}))
@@ -231,6 +236,20 @@ def test_small_cutoff_limit(capsys):
 )
 def test_verify_rejects_empty_and_nonpositive_settings(capsys, argv, message):
     assert message in _bad_input(capsys, "verify", *argv)
+
+
+def test_parity_swap_domains_are_not_empty(monkeypatch, capsys):
+    # T1 and T2 stand for the parts of cell k that the map sends into them
+    real, results = cli.verify_parity_swap, []
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "verify_parity_swap", recording)
+    code, out = run(capsys, "verify", "parity-swap", "--q", "30")
+    assert code == 0 and out.count("PASS") == 15
+    assert sum(res.lhs > 0 for res in results) == 13
 
 
 def test_short_interval_without_windows(capsys):

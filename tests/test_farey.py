@@ -287,3 +287,72 @@ def test_window_counters_agree_with_histogram(q, deltas, interval):
         else:
             with pytest.raises(ValueError, match="no length"):
                 empirical_rho(q, target, interval)
+
+
+# Interval passes walk only their stretch of F(Q): they start at the first
+# element >= lo (stepping past it when its denominator is even) and stop
+# where the window of the last odd element <= hi closes.  The cases below
+# put the endpoints on odd elements, on even ones, and between elements.
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_interval_passes_at_the_smallest_orders(q):
+    ends = sorted({Fraction(n, d) for d in range(1, 5) for n in range(d + 1)})
+    for h in (1, 2, 3):
+        for lo in ends:
+            for hi in (f for f in ends if f >= lo):
+                hist, windows = gap_histogram(q, h, UnitInterval(lo, hi), with_steps=True)
+                expected = brute_windows(q, h, (lo, hi), with_steps=True)
+                assert dict(hist) == expected, (q, h, lo, hi)
+                assert windows == sum(expected.values())
+
+
+@pytest.mark.parametrize("q", [29, 30])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize(
+    "ends",
+    [
+        (Fraction(1, 3), Fraction(1, 3)),  # an odd element
+        (Fraction(3, 8), Fraction(3, 8)),  # an even element
+        (Fraction(1, 2), Fraction(1, 2)),  # an even element between two odd ones
+        (Fraction(17, 40), Fraction(17, 40)),  # not in F(Q)
+        (Fraction(0), Fraction(2, 7)),
+        (Fraction(0), Fraction(3, 8)),
+        (Fraction(5, 8), Fraction(1)),
+        (Fraction(4, 7), Fraction(1)),
+        (Fraction(27, 28), Fraction(1)),  # its odd elements are 28/29 and 1/1
+        (Fraction(1), Fraction(1)),
+    ],
+)
+def test_interval_pass_endpoints(q, h, ends):
+    hist, windows = gap_histogram(q, h, UnitInterval(*ends), with_steps=True)
+    expected = brute_windows(q, h, ends, with_steps=True)
+    assert dict(hist) == expected
+    assert windows == sum(expected.values())
+
+
+_twelfths = st.builds(
+    lambda d, n: Fraction(min(n, d), d), st.integers(1, 12), st.integers(0, 12)
+)
+
+
+@seed(20021)
+@settings(max_examples=25, deadline=None)
+@given(
+    q=st.integers(201, 3000),
+    h=st.integers(1, 3),
+    cuts=st.lists(_twelfths, min_size=3, max_size=3).map(sorted),
+)
+def test_interval_passes_add_up_at_a_cut(q, h, cuts):
+    """[lo, c] and [c, hi] count the windows of [lo, hi], those that start
+    at c twice: closed membership on both halves."""
+    lo, c, hi = cuts
+    left, wl = gap_histogram(q, h, UnitInterval(lo, c), with_steps=True)
+    right, wr = gap_histogram(q, h, UnitInterval(c, hi), with_steps=True)
+    at_c, wc = gap_histogram(q, h, UnitInterval(c, c), with_steps=True)
+    whole, ww = gap_histogram(q, h, UnitInterval(lo, hi), with_steps=True)
+    for key in set(left) | set(right) | set(at_c) | set(whole):
+        assert left[key] + right[key] - at_c[key] == whole[key], key
+    assert wl + wr - wc == ww
+    # one window starts at c exactly when c is an odd element of F(Q) below 1
+    assert wc == (c.denominator % 2 == 1 and 0 < c < 1)

@@ -15,7 +15,6 @@ from oddfarey.geometry import (
     cylinder_forms,
     farey_triangle,
     halfplanes_from_polygon,
-    perimeter,
     refine,
     stabilized_quadrangle,
     unimodular_image,
@@ -146,23 +145,6 @@ def _tuples(r, hi):
     import itertools
 
     return itertools.product(range(1, hi + 1), repeat=r)
-
-
-def test_boundary_length_bound(rng):
-    """Pushed-forward cylinders stay shorter than the single cell's boundary."""
-    for r in (1, 2, 3):
-        c_r = 4 * r + 2
-        for _ in range(20):
-            j = rng.randint(1, r)
-            ks = [rng.randint(1, 5) for _ in range(r)]
-            ks[j - 1] = rng.randint(c_r + 1, 25)
-            region = cylinder(tuple(ks))
-            if region.is_empty:
-                continue
-            for step in range(j - 1):
-                region = unimodular_image(region, ks[step])
-            assert perimeter(region) <= perimeter(cylinder((ks[j - 1],))) + 1e-12
-            assert perimeter(cylinder((ks[j - 1],))) <= 20 / ks[j - 1]
 
 
 def test_unimodular_image_preserves_area():

@@ -265,7 +265,7 @@ def test_parity_swap_examples():
 @pytest.mark.parametrize("k", range(1, 6))
 @pytest.mark.parametrize("q", [30, 60])
 def test_parity_swap_battery(k, q):
-    for domain in (None, cylinder((1,)), cylinder((3,))):
+    for domain in (None, cylinder((k, 1)), cylinder((k, 2))):
         assert verify_parity_swap(q, k, domain).ok
 
 
