@@ -5,7 +5,8 @@ lattice, verify, short-interval.  Rationals print as "p/q" plus a 12-digit
 decimal.  Every command but verify builds a record (dict) or a table (list
 of dicts) and prints it through ``_emit``, as JSON, as RFC 4180 CSV (csv
 module) or as the command's text form.  Exit codes reflect verify outcomes,
-and bad input prints "error: ..." and exits 2.  Option precedence is flags >
+bad input prints "error: ..." and exits 2, and a reader that closes the pipe
+early ends the command quietly with status 141.  Option precedence is flags >
 environment (FAREY_MAX_Q) > config file (--config, JSON).
 """
 
@@ -15,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -532,13 +534,26 @@ def _load_config(path: Optional[str]) -> dict:
     return {k.replace("-", "_"): v for k, v in data.items()}
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         args._config = _load_config(args.config)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (``farey list | head``): point stdout at
+        # devnull so that the flush at exit cannot raise again, and exit with
+        # the status a shell gives a process that SIGPIPE ended (128 + 13)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,10 +16,10 @@ seeded by 0/1 and 1/Q, the first term.  A full pass over F(Q) costs
 Theta(Q^2) steps, so the order is capped by configuration (default 10^5,
 override with the ``FAREY_MAX_Q`` environment variable).
 
-Every window statistic but the single gaps of the whole sequence (counted
-without a pass, see below) comes from one pass, ``_gap_pass``, which steps
-from each odd-denominator element straight to the next.  Two even denominators
-are never adjacent in F(Q), so the successor q' of an odd q is either odd
+Windows in an interval come from one pass, ``_gap_pass``, which steps
+from each odd-denominator element straight to the next; over the whole
+sequence it is the oracle of the count below.  Two even denominators are
+never adjacent in F(Q), so the successor q' of an odd q is either odd
 (one recurrence step: gap 1, step type 'OO') or even and followed by an odd
 one (two steps: gap k = (Q + q) // q', step type 'OEO').  Only denominators
 are needed for that.  A step is coded as ``2*gap + (1 if 'OEO' else 0)``;
@@ -40,22 +40,44 @@ closes, or at 1/1 if it would run past.  A restricted pass thus costs in
 proportion to the interval's share of F(Q).  ``gap_histogram`` decodes the
 keys; the other window counters each make one call to it.
 
-Single gaps of the whole sequence are counted, not streamed.  Each
+Windows of the whole sequence are counted, not streamed, at every h.  Each
 odd-denominator element a/q other than 1/1, with its F(Q)-successor of
 denominator b, is a primitive point (q, b) with q odd, q, b <= Q and
 q + b > Q; conversely every such point is one consecutive pair, and the
-point (1, Q) is the pair 1/1, (Q + 1)/Q of the periodic continuation.  So
-the h = 1 windows are these points, row by row over b with q in (Q - b, Q],
-minus the one window that starts at 1/1 (gap 1; step 'OO' if Q is odd,
-'OEO' if Q is even).  An odd b gives gap 1 and step 'OO', and the row
-counts the odd q coprime to b.  An even b forces q odd, gives step 'OEO'
-and gap (Q + q) // b; as Q + q runs over b consecutive integers that gap
-takes at most two values, so the row splits into at most two blocks of q.
-Each block counts the q coprime to 2b, i.e. odd and coprime to b, by
-inclusion-exclusion over the squarefree divisors of 2b, built from one
-smallest-prime-factor sieve: Q rows of at most 2**(omega(b) + 1) terms,
-about Q log Q in all instead of Theta(Q^2) steps.  ``_single_gap_keys``
-returns the same keys as ``_gap_pass(Q, 1, None)``, which stays the oracle.
+point (1, Q) is the pair 1/1, (Q + 1)/Q of the periodic continuation.  The
+recurrence runs on past 1/1 through the shifted copies of F(Q), so every
+point starts one window of h steps of the periodic odd subsequence.  These
+are the windows of F(Q) plus the ones that run past 1/1: those that start
+at the last h odd elements, or at all of them when there are at most h.
+``_tail_keys`` finds them by walking the recurrence back from the last
+pair (Q, 1) (the denominators of (Q - 1)/Q and 1/1), and ``_counted_keys``
+takes them away.
+
+The points are counted row by row.  Row b holds the points (q, b) with odd
+q in (Q - b, Q] coprime to b.  Along a row every later denominator is a
+linear function of q, u0 + u1*q, as long as the indices so far are fixed,
+carried by the recurrence w = k*v - u.  The lemma that makes this work: on
+such a run the index k = (Q + u) // v never decreases as q grows.  The
+recurrence maps (u, v) and its slope (u1, v1) by the same matrix of
+determinant 1, so u1*v - u*v1 keeps its value at the start of the row,
+where (u, v) = (q, b) and (u1, v1) = (1, 0): it is b > 0.  As u, v > 0
+(every real point of Q*T maps into Q*T), v1/v < u1/u.  Each step makes the
+old v1 the new u1, so after the first step u1 = 0 and v1 < 0, and from then
+on both are negative: v1 <= 0 throughout, and the slope of (Q + u) / v has
+the sign of u1*v - v1*(Q + u) = b - v1*Q > 0.  So each level set of the
+index is an interval of q, which ends where the linear inequality Q + u >=
+(k + 1)*v starts to hold, and splitting by the index at each step cuts a
+row into blocks on which all indices are fixed.  The parity of v = v0 +
+v1*q is that of v0 + v1 for every odd q, so on a block each step is fixed
+to be 'OO' or 'OEO', and so is each window key.  Two rules keep the blocks
+few: the last step is not split when it is 'OO' (its code is 2 whatever its
+index), and when it is 'OEO' it is split by its gap only, not by the index
+after the even denominator.  At Q = 4003 that makes about 6,000, 42,000 and
+98,000 blocks for h = 1, 2 and 3, against about Q**2 / 4 points.  Each
+block counts the q coprime to 2b, i.e. odd and coprime to b, by
+inclusion-exclusion over the odd squarefree divisors of b, built from one
+smallest-prime-factor sieve.  ``_counted_keys`` returns the same keys as
+``_gap_pass(Q, h, None)``, which stays the oracle.
 """
 
 from __future__ import annotations
@@ -315,36 +337,108 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def _single_gap_keys(q_max: int) -> dict[int, int]:
-    """``_gap_pass(q_max, 1, None)`` by counting lattice points row by row.
+def _index_runs(
+    x: int, y: int, n0: int, n1: int, d0: int, d1: int
+) -> list[tuple[int, int, int]]:
+    """Split the q in (x, y] into runs (x', y', k) on which the index
+    k = (n0 + n1*q) // (d0 + d1*q) is constant.
 
-    Row b holds the points (q, b) with odd q in (Q - b, Q] coprime to b;
-    see the module docstring for why they are the h = 1 windows plus the
-    one at 1/1.
+    Along a row the index never decreases in q (see the module docstring),
+    so the run of k ends at the last q below the first with index k + 1,
+    where n0 + n1*q >= (k + 1)*(d0 + d1*q) starts to hold.
     """
+    k = (n0 + n1 * (x + 1)) // (d0 + d1 * (x + 1))
+    end = (n0 + n1 * y) // (d0 + d1 * y)
+    runs = []
+    for j in range(k + 1, end + 1):
+        cut = (j * d0 - n0 - 1) // (n1 - j * d1)  # the index is >= j for q > cut
+        if x < cut:
+            runs.append((x, cut, j - 1))
+            x = cut
+    runs.append((x, y, end))
+    return runs
+
+
+def _tail_keys(q_max: int, h: int) -> dict[int, int]:
+    """Keys of the windows of the periodic odd subsequence that start in
+    F(q_max) but run past 1/1: those of the last h odd elements, or of all
+    of them when there are at most h.  They are found by walking the
+    recurrence back from (Q - 1)/Q, 1/1 until 0/1."""
+    m = _key_base(q_max)
+    q, q2 = q_max, 1
+    starts = [(1, q_max)]  # 1/1 is followed by (Q + 1)/Q
+    while len(starts) < h and q != 1:
+        if q & 1:
+            starts.append((q, q2))
+        q, q2 = (q_max + q2) // q * q - q2, q
+    keys: dict[int, int] = {}
+    for q, q2 in starts:
+        key = 0
+        for _ in range(h):
+            k = (q_max + q) // q2
+            if q2 & 1:
+                key = key * m + 2
+                q, q2 = q2, k * q2 - q
+            else:
+                key = key * m + 2 * k + 1
+                q3 = k * q2 - q
+                q, q2 = q3, (q_max + q2) // q3 * q3 - q2
+        keys[key] = keys.get(key, 0) + 1
+    return keys
+
+
+def _counted_keys(q_max: int, h: int) -> dict[int, int]:
+    """``_gap_pass(q_max, h, None)`` by counting lattice points in row blocks.
+
+    Row b holds the points (q, b) with odd q in (Q - b, Q] coprime to b; a
+    block is a run of q on which every step of the window is fixed, its
+    denominators being linear in q (see the module docstring).
+    """
+    m = _key_base(q_max)
     spf = _smallest_prime_factors(q_max)
     keys: dict[int, int] = {}
     get = keys.get
     for b in range(1, q_max + 1):
-        # (d, mu(d)) for the squarefree d | 2b: q is coprime to 2b iff odd and coprime to b
-        divs = [(1, 1), (2, -1)]
+        # (d, mu(d)) for the squarefree d | b, d odd: q is coprime to 2b iff
+        # odd and coprime to b, and (n // d + 1) // 2 odd multiples of d are <= n
+        divs = [(1, 1)]
         n = b // (b & -b)
         while n > 1:
             p = spf[n]
             divs += [(p * d, -mu) for d, mu in divs]
             while n % p == 0:
                 n //= p
-        lo = q_max - b
-        if b & 1:
-            blocks = ((lo, q_max, 2),)
-        else:
-            gap = 2 * q_max // b  # for q > cut; the rest of the row has gap - 1
-            cut = max(gap * b - q_max - 1, lo)
-            blocks = ((cut, q_max, 2 * gap + 1), (lo, cut, 2 * gap - 1))
-        for x, y, key in blocks:  # q in (x, y]
-            if x < y:
-                keys[key] = get(key, 0) + sum(mu * (y // d - x // d) for d, mu in divs)
-    keys[3 - (q_max & 1)] -= 1  # the window at 1/1: gap 1, 'OO' iff Q is odd
+        # (x, y, steps left, u0, u1, v0, v1, key): the window has reached the
+        # odd denominator u0 + u1*q, followed by v0 + v1*q, for q in (x, y]
+        todo = [(q_max - b, q_max, h, 0, 1, b, 0, 0)]
+        while todo:
+            x, y, left, u0, u1, v0, v1, key = todo.pop()
+            left -= 1
+            if (v0 + v1) & 1:  # 'OO' for every odd q
+                key = key * m + 2
+                if left:
+                    for x2, y2, k in _index_runs(x, y, q_max + u0, u1, v0, v1):
+                        todo.append((x2, y2, left, v0, v1, k * v0 - u0, k * v1 - u1, key))
+                    continue
+                blocks = ((x, y, key),)
+            else:  # 'OEO': the gap is the index at the even denominator
+                blocks = []
+                for x2, y2, k in _index_runs(x, y, q_max + u0, u1, v0, v1):
+                    key2 = key * m + 2 * k + 1
+                    if not left:
+                        blocks.append((x2, y2, key2))
+                        continue
+                    w0, w1 = k * v0 - u0, k * v1 - u1
+                    for x3, y3, k2 in _index_runs(x2, y2, q_max + v0, v1, w0, w1):
+                        todo.append((x3, y3, left, w0, w1, k2 * w0 - v0, k2 * w1 - v1, key2))
+            for x, y, key in blocks:
+                count = 0
+                for d, mu in divs:
+                    count += mu * (((y // d + 1) >> 1) - ((x // d + 1) >> 1))
+                if count:
+                    keys[key] = get(key, 0) + count
+    for key, count in _tail_keys(q_max, h).items():
+        keys[key] -= count
     return {k: c for k, c in keys.items() if c}
 
 
@@ -394,13 +488,13 @@ def gap_histogram(
     window of consecutive odd-denominator fractions (restricted, when
     ``interval`` is given, to windows whose first fraction lies in the closed
     interval).  Keys are gap tuples, or ``(gaps, steps)`` pairs when
-    ``with_steps`` is set.  Windows never wrap past 1/1.  Single gaps of
-    the whole sequence are counted by rows of lattice points; every other
-    case is one streaming pass.
+    ``with_steps`` is set.  Windows never wrap past 1/1.  Windows of the
+    whole sequence are counted by row blocks of lattice points; windows in
+    an interval come from one streaming pass over its stretch of F(Q).
     """
     interval = _restriction(q_max, h, interval)
-    if h == 1 and interval is None:
-        keys = _single_gap_keys(q_max)
+    if interval is None:
+        keys = _counted_keys(q_max, h)
     else:
         keys = _gap_pass(q_max, h, interval)
     return _histogram(keys, q_max, h, with_steps)
@@ -415,7 +509,7 @@ def _stream_histogram(
     """``gap_histogram`` from the streaming pass at every h and interval.
 
     The streaming side of the lattice window identity, and the oracle of
-    the single-gap count.
+    the counted windows.
     """
     keys = _gap_pass(q_max, h, _restriction(q_max, h, interval))
     return _histogram(keys, q_max, h, with_steps)

@@ -340,8 +340,8 @@ def _boundary_cached(
 
 @lru_cache(maxsize=64)
 def _stream_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
-    # the streaming pass at every h, so the identity at h = 1 still checks the
-    # recurrence (gap_histogram counts h = 1 from the lattice points instead)
+    # the streaming pass, so the identity still checks the recurrence
+    # (gap_histogram counts whole-sequence windows from lattice row blocks)
     return _stream_histogram(q_max, h, interval, with_steps=True)[0]
 
 

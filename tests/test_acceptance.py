@@ -68,7 +68,7 @@ def test_criterion_04_window_identity():
     ok = True
     for q in (8, 50, 100, 200):
         for h in (1, 2, 3):
-            stream, _ = _stream_histogram(q, h)  # at h = 1 too, not the lattice count
+            stream, _ = _stream_histogram(q, h)  # the pass, not the lattice count
             dec: Counter = Counter()
             for (gaps, _sig), c in decode_histogram(q, h).items():
                 dec[gaps] += c

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,23 @@ def test_list_csv_and_json(capsys):
     assert json.loads(out) == [
         "1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "2/3", "3/4", "4/5", "1/1",
     ]
+
+
+def test_closed_pipe_ends_quietly():
+    """``farey list --q 300 --format csv | head -1``: the reader closes the
+    pipe after one line, and the command exits 141 with nothing on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oddfarey.cli", "list", "--q", "300", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"index,fraction,decimal\n"
+    proc.stdout.close()  # about 1 MB of rows is still to come
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
 
 
 def test_stats(capsys):

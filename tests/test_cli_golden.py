@@ -11,6 +11,9 @@ table.  `verify all` at Q = 40 exits 1 on purpose: 1/3 is an
 odd-denominator fraction, so the closed (streaming) and half-open (lattice)
 interval rules count one h = 1 window differently, and the check says so.
 `stats --delta-max -1` drops every row, so csv prints the header only.
+The last two digests, of whole-sequence pair and triple histograms, were
+recorded from the streaming pass before such windows were counted from
+lattice row blocks instead.
 """
 
 import hashlib
@@ -107,6 +110,10 @@ GOLDEN = [
      "647f0a9a14c273cb5baf482622e3e70fcb74d766b7a3b5ce4bc64b40133794c6"),
     (["stats", "--q", "20", "--delta-max", "-1", "--format", "json"], 0,
      "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    (["stats", "--q", "1000", "--h", "2", "--format", "csv"], 0,
+     "7192c92f5b28997305bfcf6fd54ffacef45686803b94ebd80ecc6a8d0df55a7d"),
+    (["stats", "--q", "1000", "--h", "3", "--format", "csv"], 0,
+     "407f124e631714791ed54049b3676e5b27c9f2bab3a43c269febeef2f6c71115"),
 ]
 
 

@@ -19,7 +19,9 @@ from conftest import (
 from oddfarey.farey import (
     DEFAULT_MAX_Q,
     UnitInterval,
+    _histogram,
     _stream_histogram,
+    _tail_keys,
     count_delta_tuples,
     delta,
     empirical_rho,
@@ -144,26 +146,62 @@ def test_gap_counts_total_to_window_count(q_max):
     assert sum(hist.values()) == windows == odd_farey_count(q_max) - 1
 
 
-def _assert_single_gap_count_is_stream(q):
-    stream, windows = _stream_histogram(q, 1, with_steps=True)
+def _assert_count_is_stream(q, h):
+    stream, windows = _stream_histogram(q, h, with_steps=True)
     gaps_only = Counter()
     for (gaps, _steps), c in stream.items():
         gaps_only[gaps] += c
-    assert gap_histogram(q, 1, with_steps=True) == (stream, windows), q
-    assert gap_histogram(q, 1) == (gaps_only, windows), q
+    assert gap_histogram(q, h, with_steps=True) == (stream, windows), (q, h)
+    assert gap_histogram(q, h) == (gaps_only, windows), (q, h)
 
 
-def test_single_gap_count_matches_stream():
-    """Whole-sequence single gaps are counted from lattice rows, not streamed."""
+def test_counted_windows_match_stream():
+    """Whole-sequence windows are counted from lattice row blocks, not streamed."""
     for q in range(1, 401):
-        _assert_single_gap_count_is_stream(q)
+        _assert_count_is_stream(q, 1)
+    for h in (2, 3):
+        for q in range(1, 301):
+            _assert_count_is_stream(q, h)
 
 
 @seed(20020)
 @settings(max_examples=25, deadline=None)
-@given(q=st.integers(401, 3000))
-def test_single_gap_count_matches_stream_at_random_orders(q):
-    _assert_single_gap_count_is_stream(q)
+@given(q=st.integers(301, 3000))
+def test_counted_windows_match_stream_at_random_orders(q):
+    for h in (1, 2, 3):
+        _assert_count_is_stream(q, h)
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_counted_windows_at_the_smallest_orders(q):
+    """Orders whose odd subsequence has at most h + 1 elements, down to none
+    with a window: F(1) and F(2) have one odd element, F(3) and F(4) three."""
+    for h in range(1, 5):
+        hist, windows = gap_histogram(q, h, with_steps=True)
+        expected = brute_windows(q, h, with_steps=True)
+        assert dict(hist) == expected, (q, h)
+        assert windows == sum(expected.values()) == max(odd_farey_count(q) - h, 0)
+        assert gap_histogram(q, h)[1] == windows
+
+
+def test_counted_windows_of_order_4():
+    # the odd elements 1/3, 2/3, 1/1 of F(4): gaps 3 (over 1/2) and 1 (over 3/4)
+    assert gap_histogram(4, 1, with_steps=True) == (
+        Counter({((3,), ("OEO",)): 1, ((1,), ("OEO",)): 1}), 2)
+    assert gap_histogram(4, 2, with_steps=True) == (
+        Counter({((3, 1), ("OEO", "OEO")): 1}), 1)
+    assert gap_histogram(4, 3) == gap_histogram(2, 1) == (Counter(), 0)
+
+
+def test_tail_windows_are_the_boundary_windows():
+    """The counted windows that run past 1/1, found by walking back from
+    the last pair, are the lattice decoder's boundary windows."""
+    from oddfarey.lattice import boundary_window_histogram
+
+    for h in (1, 2, 3, 4):
+        for q in range(1, 151):
+            tail = _histogram(_tail_keys(q, h), q, h, with_steps=True)[0]
+            assert tail == boundary_window_histogram(q, h), (q, h)
 
 
 def test_single_gap_boundary_window_closed_form():
@@ -179,6 +217,13 @@ def test_single_gap_count_at_the_default_cap():
     q = 10**5  # far beyond a streaming pass in a test: no oracle, only the total
     hist, windows = gap_histogram(q, 1)
     assert sum(hist.values()) == windows == odd_farey_count(q) - 1
+    assert min(hist.values()) > 0
+
+
+def test_gap_pair_count_at_the_default_cap():
+    q = 10**5  # a few seconds counted; a pass would take about 20 minutes
+    hist, windows = gap_histogram(q, 2)
+    assert sum(hist.values()) == windows == odd_farey_count(q) - 2
     assert min(hist.values()) > 0
 
 

@@ -144,7 +144,7 @@ def test_tuple_identity_examples():
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_identity_full_histogram(q, h):
     """Every observed pattern satisfies the corrected identity, not just a few."""
-    stream, _ = _stream_histogram(q, h, with_steps=True)  # not the h = 1 count
+    stream, _ = _stream_histogram(q, h, with_steps=True)  # the pass, not the count
     dec = decode_histogram(q, h)
     bnd = boundary_window_histogram(q, h)
     keys = set(stream) | set(dec) | set(bnd)
