@@ -123,16 +123,20 @@ def _parse_quadrangle(text: str) -> tuple[int, int, int]:
 
 
 def _emit(fmt: str, data, columns: Optional[list] = None, text=None) -> None:
-    """Print a record (a dict) or a table (a list of dicts) in one format.
+    """Print a record (a dict) or a table (an iterable of dicts) in one format.
 
     json dumps ``data``; csv writes a header (``columns``, else the first
-    row's keys) and one line per row; text prints ``text(data)``, or falls
-    back to csv when the command has no text renderer.
+    row's keys) and one line per row; text prints ``text(data)``, a string
+    or an iterable of strings, or falls back to csv when the command has no
+    text renderer.  csv and text write rows as they come, so a table may be
+    a generator when ``columns`` is given.
     """
     if fmt == "json":
         print(json.dumps(data))
     elif fmt == "text" and text is not None:
-        print(text(data))
+        out = text(data)
+        sys.stdout.writelines([out] if isinstance(out, str) else out)
+        print()
     else:
         rows = [data] if isinstance(data, dict) else data
         header = list(rows[0]) if columns is None else columns
@@ -147,12 +151,17 @@ def _emit(fmt: str, data, columns: Optional[list] = None, text=None) -> None:
 
 
 def _cmd_list(args) -> int:
-    seq = list(odd_farey_fractions(args.q) if args.odd else farey_fractions(args.q))
+    seq = odd_farey_fractions(args.q) if args.odd else farey_fractions(args.q)
     if args.format == "json":  # a plain list of fractions, not records
         _emit("json", [_rat(f) for f in seq])
         return 0
-    rows = [{"index": i, "fraction": _rat(f), "decimal": _dec(f)} for i, f in enumerate(seq, 1)]
-    _emit(args.format, rows, text=lambda rows: ", ".join(r["fraction"] for r in rows))
+    rows = ({"index": i, "fraction": _rat(f), "decimal": _dec(f)} for i, f in enumerate(seq, 1))
+    _emit(
+        args.format,
+        rows,
+        ["index", "fraction", "decimal"],
+        text=lambda rows: ((", " if r["index"] > 1 else "") + r["fraction"] for r in rows),
+    )
     return 0
 
 

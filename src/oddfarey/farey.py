@@ -49,9 +49,11 @@ recurrence runs on past 1/1 through the shifted copies of F(Q), so every
 point starts one window of h steps of the periodic odd subsequence.  These
 are the windows of F(Q) plus the ones that run past 1/1: those that start
 at the last h odd elements, or at all of them when there are at most h.
-``_tail_keys`` finds them by walking the recurrence back from the last
-pair (Q, 1) (the denominators of (Q - 1)/Q and 1/1), and ``_counted_keys``
-takes them away.
+``_tail_starts`` finds their start pairs by walking the recurrence back
+from the last pair (Q, 1) (the denominators of (Q - 1)/Q and 1/1), and
+``_counted_keys`` takes their keys away.  ``_window_keys`` codes the window
+of each start pair; it is the one window coder, shared by the count's tail
+and the lattice decoder, whose boundary windows are these tail windows.
 
 The points are counted row by row.  Row b holds the points (q, b) with odd
 q in (Q - b, Q] coprime to b.  Along a row every later denominator is a
@@ -87,7 +89,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "DEFAULT_MAX_Q",
@@ -152,18 +154,16 @@ def _element_stream(q_max: int) -> Iterator[tuple[int, int]]:
 
 
 def farey_fractions(q_max: int) -> Iterator[Fraction]:
-    """Yield F(q_max) in increasing order, from 1/q_max up to 1/1."""
+    """F(q_max) in increasing order, from 1/q_max up to 1/1; the order is
+    checked at the call, before the first element."""
     _check_order(q_max)
-    for a, q in _element_stream(q_max):
-        yield Fraction(a, q)
+    return (Fraction(a, q) for a, q in _element_stream(q_max))
 
 
 def odd_farey_fractions(q_max: int) -> Iterator[Fraction]:
-    """Yield the odd-denominator subsequence of F(q_max), in increasing order."""
+    """The odd-denominator subsequence of F(q_max), in increasing order."""
     _check_order(q_max)
-    for a, q in _element_stream(q_max):
-        if q & 1:
-            yield Fraction(a, q)
+    return (Fraction(a, q) for a, q in _element_stream(q_max) if q & 1)
 
 
 def delta(g: Fraction, g2: Fraction) -> int:
@@ -256,10 +256,6 @@ class UnitInterval:
     def contains(self, f: Fraction) -> bool:
         """Closed membership lo <= f <= hi."""
         return self.lo <= f <= self.hi
-
-    def contains_half_open(self, f: Fraction) -> bool:
-        """Half-open membership lo < f <= hi."""
-        return self.lo < f <= self.hi
 
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi}]"
@@ -359,19 +355,18 @@ def _index_runs(
     return runs
 
 
-def _tail_keys(q_max: int, h: int) -> dict[int, int]:
-    """Keys of the windows of the periodic odd subsequence that start in
-    F(q_max) but run past 1/1: those of the last h odd elements, or of all
-    of them when there are at most h.  They are found by walking the
-    recurrence back from (Q - 1)/Q, 1/1 until 0/1."""
+def _window_keys(q_max: int, h: int, starts: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Keys of the h-step windows of the periodic odd subsequence that start
+    at the pairs of ``starts``, with their counts.
+
+    A pair (q, q') holds an odd denominator and the next denominator of the
+    periodic sequence: a primitive point of Q*T with q odd.  The codes are
+    those of ``_gap_pass``; the count's tail and the lattice decoder both
+    code their windows here.
+    """
     m = _key_base(q_max)
-    q, q2 = q_max, 1
-    starts = [(1, q_max)]  # 1/1 is followed by (Q + 1)/Q
-    while len(starts) < h and q != 1:
-        if q & 1:
-            starts.append((q, q2))
-        q, q2 = (q_max + q2) // q * q - q2, q
     keys: dict[int, int] = {}
+    get = keys.get
     for q, q2 in starts:
         key = 0
         for _ in range(h):
@@ -383,8 +378,22 @@ def _tail_keys(q_max: int, h: int) -> dict[int, int]:
                 key = key * m + 2 * k + 1
                 q3 = k * q2 - q
                 q, q2 = q3, (q_max + q2) // q3 * q3 - q2
-        keys[key] = keys.get(key, 0) + 1
+        keys[key] = get(key, 0) + 1
     return keys
+
+
+def _tail_starts(q_max: int, h: int) -> list[tuple[int, int]]:
+    """Start pairs of the windows of the periodic odd subsequence that start
+    in F(q_max) but run past 1/1: those of the last h odd elements, or of
+    all of them when there are at most h.  They are found by walking the
+    recurrence back from (Q - 1)/Q, 1/1 until 0/1."""
+    q, q2 = q_max, 1
+    starts = [(1, q_max)]  # 1/1 is followed by (Q + 1)/Q
+    while len(starts) < h and q != 1:
+        if q & 1:
+            starts.append((q, q2))
+        q, q2 = (q_max + q2) // q * q - q2, q
+    return starts
 
 
 def _counted_keys(q_max: int, h: int) -> dict[int, int]:
@@ -437,7 +446,7 @@ def _counted_keys(q_max: int, h: int) -> dict[int, int]:
                     count += mu * (((y // d + 1) >> 1) - ((x // d + 1) >> 1))
                 if count:
                     keys[key] = get(key, 0) + count
-    for key, count in _tail_keys(q_max, h).items():
+    for key, count in _window_keys(q_max, h, _tail_starts(q_max, h)).items():
         keys[key] -= count
     return {k: c for k, c in keys.items() if c}
 

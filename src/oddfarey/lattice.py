@@ -18,11 +18,11 @@ one caveat: the decoded walk continues past 1/1 into the periodic
 continuation of the sequence, while the streaming side stops there.  The
 identity checkers therefore subtract the (at most h) boundary windows that
 start inside F(Q) but end past 1/1; with that correction the equality is an
-exact integer identity at every order.  Those windows need only the last
-few elements of F(Q), and F(Q) minus 1/1 is symmetric under a/q -> (q-a)/q,
-so they are built from the mirrored first few elements, not from a pass.
-Both sides code each window as farey's integer window key (base 4Q + 2) and
-let ``farey._histogram`` decode the keys, so the key format lives in farey.
+exact integer identity at every order.  Those boundary windows are farey's
+tail windows (``farey._tail_starts``), kept by the half-open rule below when
+there is an interval.  Each window, decoded or boundary, is coded by
+``farey._window_keys`` and decoded by ``farey._histogram``, so the
+recurrence and the key format live only in farey.
 
 Short intervals.  A point (a, b) with gcd(a, b) = 1 has a unique inverse
 b_bar in {1, ..., a-1} with b*b_bar = 1 mod a (b_bar = 0 when a = 1); it
@@ -39,7 +39,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from math import gcd, log, pi
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -47,13 +46,13 @@ from .farey import (
     UnitInterval,
     _check_order,
     _histogram,
-    _key_base,
     _restriction,
     _stream_histogram,
-    farey_fractions,
+    _tail_starts,
+    _window_keys,
 )
 from .geometry import ConvexRegion, cylinder, farey_triangle, refine, unimodular_image
-from .paths import PathFamily, arrow_text, families
+from .paths import arrow_text, families
 
 __all__ = [
     "PairParity",
@@ -63,7 +62,6 @@ __all__ = [
     "parity_profile",
     "decode_histogram",
     "boundary_window_histogram",
-    "family_lattice_count",
     "FamilyCheck",
     "VerifyResult",
     "verify_tuple_identity",
@@ -261,35 +259,27 @@ def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], in
 # ---------------------------------------------------------------------------
 
 
+def _column_starts(
+    interval: Optional[UnitInterval], a: int, bs: Iterable[int]
+) -> list[tuple[int, int]]:
+    """The window start pairs (a, b) of column a, b in ``bs``: primitive, and
+    with a*(1 - hi) <= b_bar < a*(1 - lo) when there is an interval."""
+    if interval is None:
+        return [(a, b) for b in bs if gcd(a, b) == 1]
+    # b_bar is an integer: a*(1 - hi) <= b_bar < a*(1 - lo) iff first <= b_bar < stop
+    lo, hi = interval.lo, interval.hi
+    first = -(-a * (hi.denominator - hi.numerator) // hi.denominator)
+    stop = -(-a * (lo.denominator - lo.numerator) // lo.denominator)
+    return [(a, b) for b in bs if gcd(a, b) == 1 and first <= pow(b, -1, a) < stop]
+
+
 @lru_cache(maxsize=64)
 def _decode_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
-    # each point's h odd-to-odd steps, coded into farey's integer window key
-    # as farey._gap_pass codes them, and decoded by farey
-    m = _key_base(q_max)
     keys: dict[int, int] = {}
     get = keys.get
-    if interval is not None:
-        ln, ld = interval.lo.numerator, interval.lo.denominator
-        hn, hd = interval.hi.numerator, interval.hi.denominator
     for a, bs in _columns(farey_triangle(), q_max, PairParity("odd", "any")):
-        for b in bs:
-            if gcd(a, b) != 1:
-                continue
-            if interval is not None:
-                bbar = 0 if a == 1 else pow(b, -1, a)
-                if not (bbar * hd >= a * (hd - hn) and bbar * ld < a * (ld - ln)):
-                    continue
-            q, q2, key = a, b, 0
-            for _ in range(h):
-                k = (q_max + q) // q2
-                if q2 & 1:
-                    key = key * m + 2
-                    q, q2 = q2, k * q2 - q
-                else:
-                    key = key * m + 2 * k + 1
-                    q3 = k * q2 - q
-                    q, q2 = q3, (q_max + q2) // q3 * q3 - q2
-            keys[key] = get(key, 0) + 1
+        for key, count in _window_keys(q_max, h, _column_starts(interval, a, bs)).items():
+            keys[key] = get(key, 0) + count
     return _histogram(keys, q_max, h, with_steps=True)[0]
 
 
@@ -306,39 +296,6 @@ def decode_histogram(
 
 
 @lru_cache(maxsize=64)
-def _boundary_cached(
-    q_max: int, h: int, interval: Optional[UnitInterval]
-) -> Counter:
-    n0 = 2 * h + 4
-    head = [(f.numerator, f.denominator) for f in islice(farey_fractions(q_max), n0)]
-    if head[-1] == (1, 1):
-        base = head  # F(Q) has at most n0 elements
-    else:
-        # the last n0 elements: F(Q) minus 1/1 is symmetric under a/q -> (q-a)/q
-        base = [(q - a, q) for a, q in reversed(head[: n0 - 1])] + [(1, 1)]
-    # then n0 elements of the continuation past 1/1: F(Q) shifted by 1, 2, ...
-    ext = base + [(a + s * q, q) for s in range(1, n0 + 1) for a, q in head][:n0]
-    one_idx = len(base) - 1
-    odds = [j for j, (_, q) in enumerate(ext) if q & 1]
-    m = _key_base(q_max)
-    keys: dict[int, int] = {}
-    # no two even denominators are adjacent, so the n0 continuation elements
-    # hold at least h + 2 odd ones: every window below is complete
-    for s0, j in enumerate(odds):
-        idx = odds[s0 : s0 + h + 1]
-        if j > one_idx or idx[-1] <= one_idx:
-            continue  # the window starts past 1/1 or closes before it
-        a0, q0 = ext[j]
-        if interval is not None and not (interval.lo * q0 < a0 <= interval.hi * q0):
-            continue
-        key = 0
-        for i, k in zip(idx, idx[1:]):  # code 2 * gap + 1 when an even element sits between
-            key = key * m + 2 * (ext[k][0] * ext[i][1] - ext[i][0] * ext[k][1]) + (k > i + 1)
-        keys[key] = keys.get(key, 0) + 1
-    return _histogram(keys, q_max, h, with_steps=True)[0]
-
-
-@lru_cache(maxsize=64)
 def _stream_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
     # the streaming pass, so the identity still checks the recurrence
     # (gap_histogram counts whole-sequence windows from lattice row blocks)
@@ -348,23 +305,11 @@ def _stream_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Coun
 def boundary_window_histogram(
     q_max: int, h: int, interval: Optional[UnitInterval] = None
 ) -> Counter:
-    """The decoded windows that start in F(Q) but end past 1/1 (at most h)."""
-    return _boundary_cached(q_max, h, _restriction(q_max, h, interval))
-
-
-def family_lattice_count(
-    family: PathFamily,
-    q_max: int,
-    deltas: Sequence[int],
-    interval: Optional[UnitInterval] = None,
-) -> int:
-    """Lattice count of one family: points whose decoded window has the given
-    gaps and the family's step signature.  Equals the sum over all free-label
-    instantiations of the (odd, first-vertex-parity) count of the scaled
-    cylinder; the dual region-based route is exercised in the test suite.
-    """
-    key = (tuple(int(d) for d in deltas), family.path.step_types())
-    return decode_histogram(q_max, len(key[0]), interval)[key]
+    """The decoded windows that start in F(Q) but end past 1/1 (at most h):
+    farey's tail windows, kept by the half-open rule when there is an interval."""
+    interval = _restriction(q_max, h, interval)
+    starts = [s for q, q2 in _tail_starts(q_max, h) for s in _column_starts(interval, q, (q2,))]
+    return _histogram(_window_keys(q_max, h, starts), q_max, h, with_steps=True)[0]
 
 
 # ---------------------------------------------------------------------------

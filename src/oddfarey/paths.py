@@ -29,8 +29,6 @@ __all__ = [
     "LabeledPath",
     "PathFamily",
     "families",
-    "oe_labels",
-    "consumed_gaps",
     "instantiate",
     "arrow_text",
     "MAX_WINDOW",
@@ -166,30 +164,6 @@ def families(deltas: Sequence[int]) -> tuple[PathFamily, ...]:
             labels.append(LabelSlot(None, "even" if source == after else "odd"))
         path = LabeledPath(tuple(vertices), tuple(labels))
         out.append(PathFamily(path, len(vertices) - 1, vertices[0]))
-    return tuple(out)
-
-
-def oe_labels(vertices: Sequence[str], labels: Sequence[int]) -> tuple[int, ...]:
-    """The labels carried by O->E edges of a concretely labelled walk."""
-    if len(vertices) != len(labels):
-        raise ValueError("need exactly one label per edge")
-    return tuple(lab for v, lab in zip(vertices, labels) if v == "E")
-
-
-def consumed_gaps(vertices: Sequence[str], deltas: Sequence[int]) -> tuple[int, ...]:
-    """The gap values consumed at O->E->O blocks, in order."""
-    out = []
-    j = 0
-    e = 0
-    while e < len(vertices):
-        if vertices[e] == "E":
-            out.append(deltas[j])
-            e += 2
-        else:
-            e += 1
-        j += 1
-    if j != len(deltas):
-        raise ValueError(f"walk consumes {j} gaps but {len(deltas)} were given")
     return tuple(out)
 
 

@@ -86,8 +86,44 @@ def brute_windows(q_max: int, h: int, interval=None, with_steps: bool = False) -
             continue
         key = tuple(brute_gaps([seq[i] for i in idx]))
         if with_steps:
-            key = (key, tuple("OO" if j == i + 1 else "OEO" for i, j in zip(idx, idx[1:])))
+            key = (key, _steps(idx))
         out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _steps(idx: list[int]) -> tuple[str, ...]:
+    """'OO' where two odd positions are adjacent, 'OEO' where one sits between."""
+    return tuple("OO" if j == i + 1 else "OEO" for i, j in zip(idx, idx[1:]))
+
+
+@lru_cache(maxsize=None)
+def _windows_past_one(q_max: int, h: int) -> list[tuple[Fraction, tuple]]:
+    """(first fraction, (gaps, steps)) of each window of h+1 consecutive
+    odd-denominator fractions of the periodic sequence F(Q), F(Q) + 1,
+    F(Q) + 2, ... that starts in F(Q) and ends past 1/1.  Each copy
+    F(Q) + s holds the odd element (s + 1)/1, so h + 2 copies hold them all.
+    """
+    base = brute_farey(q_max)
+    seq = [f + s for s in range(h + 2) for f in base]
+    odd_pos = [i for i, f in enumerate(seq) if f.denominator % 2 == 1]
+    one = len(base) - 1  # the position of 1/1 in the ascending sequence
+    out = []
+    for s in range(len(odd_pos) - h):
+        idx = odd_pos[s : s + h + 1]
+        if idx[0] <= one < idx[-1]:
+            out.append((seq[idx[0]], (tuple(brute_gaps([seq[i] for i in idx])), _steps(idx))))
+    return out
+
+
+def brute_boundary_windows(q_max: int, h: int, interval=None) -> dict:
+    """Histogram of the windows of ``_windows_past_one``, keyed (gaps, steps)
+    as in ``brute_windows``.  ``interval`` is None or a pair (lo, hi); a
+    window counts when its first fraction f has lo < f <= hi, the half-open
+    rule of the lattice side."""
+    out: dict = {}
+    for first, key in _windows_past_one(q_max, h):
+        if interval is None or interval[0] < first <= interval[1]:
+            out[key] = out.get(key, 0) + 1
     return out
 
 

@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,46 @@ def test_list_csv_and_json(capsys):
     assert json.loads(out) == [
         "1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "2/3", "3/4", "4/5", "1/1",
     ]
+
+
+class _Enough(Exception):
+    pass
+
+
+class _Head(io.TextIOBase):
+    """A stdout that takes the first ``limit`` characters written to it and
+    then stops the writer, as ``head -c`` would."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.text = io.StringIO()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, s: str) -> int:
+        self.text.write(s)
+        if self.text.tell() >= self.limit:
+            raise _Enough
+        return len(s)
+
+
+def test_list_streams_its_rows():
+    """``farey list --q 2000 --format csv`` writes its 1.2 M rows as it makes
+    them: traced memory stays below 20 MB while the first 2 MB of rows are
+    written.  Rows built before the first write would take about 600 MB."""
+    head = _Head(2_000_000)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(head), pytest.raises(_Enough):
+            main(["list", "--q", "2000", "--format", "csv"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lines = head.text.getvalue().splitlines()
+    assert lines[:2] == ["index,fraction,decimal", "1,1/2000,0.0005"]
+    assert len(lines) > 50_000
+    assert peak < 20_000_000
 
 
 def test_closed_pipe_ends_quietly():
@@ -174,6 +216,9 @@ def test_bad_arguments(capsys):
     with pytest.raises(SystemExit):
         main(["lattice", "--ks", "2", "--q", "10", "--parity", "odd"])
     assert main(["list", "--q", "0"]) == 2  # ValueError path
+    capsys.readouterr()
+    assert main(["list", "--q", "0", "--format", "csv"]) == 2
+    assert capsys.readouterr().out == ""  # the order is checked before the header
 
 
 def _bad_input(capsys, *argv):

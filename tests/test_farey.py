@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     F8,
     F8_ODD,
+    brute_boundary_windows,
     brute_farey,
     brute_gaps,
     brute_odd_farey,
@@ -19,9 +20,7 @@ from conftest import (
 from oddfarey.farey import (
     DEFAULT_MAX_Q,
     UnitInterval,
-    _histogram,
     _stream_histogram,
-    _tail_keys,
     count_delta_tuples,
     delta,
     empirical_rho,
@@ -194,14 +193,14 @@ def test_counted_windows_of_order_4():
 
 
 def test_tail_windows_are_the_boundary_windows():
-    """The counted windows that run past 1/1, found by walking back from
-    the last pair, are the lattice decoder's boundary windows."""
+    """The windows that the count takes away, found by walking back from
+    the last pair, are the windows of the periodic odd subsequence that
+    start in F(Q) and end past 1/1."""
     from oddfarey.lattice import boundary_window_histogram
 
     for h in (1, 2, 3, 4):
-        for q in range(1, 151):
-            tail = _histogram(_tail_keys(q, h), q, h, with_steps=True)[0]
-            assert tail == boundary_window_histogram(q, h), (q, h)
+        for q in range(1, 61):
+            assert boundary_window_histogram(q, h) == brute_boundary_windows(q, h), (q, h)
 
 
 def test_single_gap_boundary_window_closed_form():
@@ -270,8 +269,8 @@ def test_unit_interval_validation():
         UnitInterval(Fraction(-1, 2), Fraction(1, 4))
     i = UnitInterval.parse("1/4, 3/4")
     assert (i.lo, i.hi) == (Fraction(1, 4), Fraction(3, 4))
-    assert i.contains(Fraction(1, 4)) and not i.contains_half_open(Fraction(1, 4))
-    assert i.contains_half_open(Fraction(3, 4))
+    assert i.contains(Fraction(1, 4)) and i.contains(Fraction(3, 4))
+    assert not i.contains(Fraction(4, 5))
 
 
 def test_order_cap_enforced(monkeypatch):

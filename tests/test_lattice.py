@@ -4,10 +4,16 @@ from fractions import Fraction
 from math import gcd, log, pi
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import F8_ODD, brute_farey, small_fractions, small_intervals
+from conftest import (
+    F8_ODD,
+    brute_boundary_windows,
+    brute_farey,
+    small_fractions,
+    small_intervals,
+)
 from oddfarey.farey import UnitInterval, _stream_histogram, gap_histogram
 from oddfarey.geometry import cylinder, farey_triangle
 from oddfarey.lattice import (
@@ -17,7 +23,6 @@ from oddfarey.lattice import (
     count_lattice,
     count_lattice_interval,
     decode_histogram,
-    family_lattice_count,
     parity_profile,
     verify_parity_swap,
     verify_tuple_identity,
@@ -102,7 +107,7 @@ def test_family_counts_by_region_route():
     """Orbit-decoded family counts equal sums of region-based counts."""
     for q, deltas in [(8, (1,)), (8, (2,)), (30, (1,)), (30, (3,)), (30, (1, 2))]:
         for fam in families(deltas):
-            by_orbit = family_lattice_count(fam, q, deltas)
+            by_orbit = decode_histogram(q, len(deltas))[(deltas, fam.path.step_types())]
             parity = PairParity("odd", fam.first_vertex_parity)
             total = 0
             free = fam.free_slots
@@ -194,6 +199,20 @@ def test_interval_identity():
                     assert stream[key] == dec[key] - bnd[key], (q, h, key)
         res = verify_tuple_identity(50, (1, 1), interval)
         assert res.ok and not res.notes
+
+
+@seed(20022)
+@settings(max_examples=40, deadline=None)
+@given(interval=small_intervals)
+def test_boundary_windows_match_brute_force_in_intervals(interval):
+    """The boundary windows kept by the half-open rule are those of the
+    periodic sequence F(Q), F(Q) + 1, ... whose first fraction lies in the
+    interval, at every Q <= 60 and h <= 4."""
+    ends = (interval.lo, interval.hi)
+    for h in (1, 2, 3, 4):
+        for q in range(1, 61):
+            expected = brute_boundary_windows(q, h, ends)
+            assert boundary_window_histogram(q, h, interval) == expected, (q, h, interval)
 
 
 def test_interval_convention_note():

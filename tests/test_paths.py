@@ -6,10 +6,8 @@ from oddfarey.paths import (
     LabeledPath,
     LabelSlot,
     arrow_text,
-    consumed_gaps,
     families,
     instantiate,
-    oe_labels,
 )
 
 
@@ -64,25 +62,24 @@ def test_family_count_is_two_to_the_ones(h):
         assert len(families(deltas)) == 2**ones
 
 
+def _oe_pinned(family, deltas) -> bool:
+    """Whether the O->E labels of the family are, in order, the gaps of its
+    O->E->O hops."""
+    vertices, labels = family.path.vertices, family.path.labels
+    oe = [lab.value for v, lab in zip(vertices, labels) if v == "E"]
+    steps = family.path.step_types()
+    return oe == [d for d, step in zip(deltas, steps) if step == "OEO"]
+
+
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
 def test_oe_pinning_and_parities(h):
-    """On any instantiation the O->E labels equal the consumed gaps, and the
-    free labels obey the parity table."""
+    """Every O->E label is fixed to its hop's gap, and the free labels obey
+    the parity table."""
     for deltas in itertools.product((1, 2), repeat=h):
         for fam in families(deltas):
             vertices = fam.path.vertices
             labels = fam.path.labels
-            concrete = []
-            for e, slot in enumerate(labels):
-                if slot.value is not None:
-                    concrete.append(slot.value)
-                elif slot.parity == "odd":
-                    concrete.append(7)
-                elif slot.parity == "even":
-                    concrete.append(8)
-                else:
-                    concrete.append(9)  # dummy
-            assert oe_labels(vertices, concrete) == consumed_gaps(vertices, deltas)
+            assert _oe_pinned(fam, deltas)
             # parity table: even iff source kind equals the kind after target
             for e in range(len(labels) - 1):
                 slot = labels[e]
@@ -96,18 +93,11 @@ def test_oe_pinning_and_parities(h):
 
 def test_reference_walk_in_window_five():
     # O -k1- E -k2- O -k3- O -k4- E -k5- O -k6- O -k7- E -k8- O
+    deltas = (21, 1, 23, 1, 25)
     vertices = ("E", "O", "O", "E", "O", "O", "E", "O")
-    labels = (11, 12, 13, 14, 15, 16, 17, 18)
-    assert oe_labels(vertices, labels) == (11, 14, 17)
-    deltas = (21, 22, 23, 24, 25)
-    assert consumed_gaps(vertices, deltas) == (21, 23, 25)
-
-
-def test_oe_base_cases():
-    assert oe_labels(("O",), (5,)) == ()
-    assert oe_labels(("E", "O"), (5, 6)) == (5,)
-    assert consumed_gaps(("O",), (9,)) == ()
-    assert consumed_gaps(("E", "O"), (9,)) == (9,)
+    (fam,) = [f for f in families(deltas) if f.path.vertices == vertices]
+    assert [fam.path.labels[e].value for e in (0, 3, 6)] == [21, 23, 25]
+    assert _oe_pinned(fam, deltas)
 
 
 def test_instantiate():
