@@ -126,10 +126,11 @@ def _emit(fmt: str, data, columns: Optional[list] = None, text=None) -> None:
     """Print a record (a dict) or a table (an iterable of dicts) in one format.
 
     json dumps ``data``; csv writes a header (``columns``, else the first
-    row's keys) and one line per row; text prints ``text(data)``, a string
-    or an iterable of strings, or falls back to csv when the command has no
-    text renderer.  csv and text write rows as they come, so a table may be
-    a generator when ``columns`` is given.
+    row's keys) and one line per row, with an empty cell for a column the row
+    lacks; text prints ``text(data)``, a string or an iterable of strings, or
+    falls back to csv when the command has no text renderer.  csv and text
+    write rows as they come, so a table may be a generator when ``columns``
+    is given.
     """
     if fmt == "json":
         print(json.dumps(data))
@@ -140,9 +141,9 @@ def _emit(fmt: str, data, columns: Optional[list] = None, text=None) -> None:
     else:
         rows = [data] if isinstance(data, dict) else data
         header = list(rows[0]) if columns is None else columns
-        w = csv.DictWriter(sys.stdout, header, lineterminator="\n")
-        w.writeheader()
-        w.writerows(rows)
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([row.get(c, "") for c in header] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +153,10 @@ def _emit(fmt: str, data, columns: Optional[list] = None, text=None) -> None:
 
 def _cmd_list(args) -> int:
     seq = odd_farey_fractions(args.q) if args.odd else farey_fractions(args.q)
-    if args.format == "json":  # a plain list of fractions, not records
-        _emit("json", [_rat(f) for f in seq])
+    if args.format == "json":  # a plain list of fractions, streamed as json.dumps prints it
+        sys.stdout.write("[")
+        sys.stdout.writelines(f'{", " if i else ""}"{_rat(f)}"' for i, f in enumerate(seq))
+        print("]")
         return 0
     rows = ({"index": i, "fraction": _rat(f), "decimal": _dec(f)} for i, f in enumerate(seq, 1))
     _emit(

@@ -24,18 +24,37 @@ slot, all terms beyond 4r + 1 vanish and the enclosure is exact (lo == hi).
 
 A family's sum is taken over a tree of label prefixes rather than cylinder
 by cylinder.  C(k1, ..., kj, k) is a subset of C(k1, ..., kj), so each node
-clips its parent's polygon by the one new cell (see geometry._index_cells),
-and both shortcuts below keep every sum exact:
+clips its parent's polygon by the one new cell (see geometry._index_cells).
+A prefix whose closure polygon is empty or has zero area is not extended:
+every cylinder below it lies inside that null set and has area 0.  Cells
+that the index range of a polygon's vertices rules out are null in the same
+way.  The skipped terms are all zero, so the sum stays exact.
 
-  * Pruning.  A prefix whose closure polygon is empty or has zero area is
-    not extended: every cylinder below it lies inside that null set and has
-    area 0.  Cells that the index range of a polygon's vertices rules out
-    are null in the same way.  The skipped terms are all zero.
-  * Incremental cutoffs.  The tuples with free values <= K_new are those
-    with free values <= K_old plus those with some free value in
-    (K_old, K_new], disjointly, so lo at K_new is lo at K_old plus the sum
-    over that new shell (family_sum_between).  Exact rational sums do not
-    depend on order, so lo equals the direct sum at K_new.
+Stabilized shells.  The open families are clipped only up to S = 4r + 1, r
+the largest arity among them; beyond S their shells have a closed form.
+Take an open family f (arity at most r), a free slot s of f and a value
+m > S, so m >= 4r + 2:
+
+  * The set of points whose index at step s is m is T^{-s} of the index-m
+    cell.  Up to a null set it is the union of the cylinders (of f's arity)
+    with label m at s, and its area is gap_density(m), since T preserves
+    area.  By the lemma above, every such cylinder is null except the one
+    that carries the forced pattern (1 next to s, 2 elsewhere), so that one
+    cylinder has area gap_density(m).
+  * That cylinder belongs to f exactly when s is escape-consistent (f's
+    fixed labels and the other slots' parities admit the pattern) and the
+    parity of s admits m.
+  * Every other label of a non-null tuple with m at s is 1 or 2 < m, so no
+    tuple has values above S in two slots: the tuples with free values in
+    (S, K] at some slot split disjointly by that slot and its value.
+
+Hence, for K > S, lo(K) = the clipped heads at S plus the sum over m in
+(S, K] of c(m) * gap_density(m), where c(m) counts the escape-consistent
+free slots of the open families whose parity admits m (_stable_shells).
+An even and an odd slot together admit every m once and telescope to
+tail_after(S) - tail_after(K); a slot left without a partner is summed
+term by term.  This is the same rational as the clipped partial sum at K,
+which family_sum_upto and family_sum_between still compute as the oracle.
 """
 
 from __future__ import annotations
@@ -135,12 +154,18 @@ def _escape_pattern_consistent(family: PathFamily, slot: int) -> bool:
     return True
 
 
+def _escape_parities(family: PathFamily) -> list[str]:
+    """The parities of the free slots whose escape pattern is consistent."""
+    return [
+        family.path.labels[s].parity
+        for s in family.free_slots
+        if _escape_pattern_consistent(family, s)
+    ]
+
+
 def family_is_certified_finite(family: PathFamily) -> bool:
     """True when every free slot's escape pattern is contradicted."""
-    slots = family.free_slots
-    if not slots:
-        return True
-    return all(not _escape_pattern_consistent(family, s) for s in slots)
+    return not _escape_parities(family)
 
 
 def _slot_values(parity: str, k_cut: int, above: int = 0) -> range:
@@ -195,6 +220,27 @@ def family_sum_between(family: PathFamily, k_old: int, k_cut: int) -> Fraction:
     return _family_sum(family, k_cut, k_old)
 
 
+def _stable_shells(parities: Sequence[str], above: int, k_cut: int) -> Fraction:
+    """Sum over m in (above, k_cut] of c(m) * gap_density(m), where c(m) is
+    the number of ``parities`` that admit m.
+
+    An even and an odd slot together admit every m once, so each such pair
+    (and each slot of parity "any") telescopes to tail_after(above) -
+    tail_after(k_cut); only the slots left without a partner are summed term
+    by term.
+    """
+    if k_cut <= above:
+        return Fraction(0)
+    n_odd, n_even = parities.count("odd"), parities.count("even")
+    full = len(parities) - n_odd - n_even + min(n_odd, n_even)
+    total = full * (tail_after(above) - tail_after(k_cut))
+    if n_odd != n_even:
+        left = "odd" if n_odd > n_even else "even"
+        terms = (gap_density(m) for m in _slot_values(left, k_cut, above))
+        total += abs(n_odd - n_even) * sum(terms, Fraction(0))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # enclosures
 # ---------------------------------------------------------------------------
@@ -211,9 +257,10 @@ def rho_odd(
 
     Families whose free sums are certified finite contribute exactly; the
     remaining families are summed over free values up to a growing cutoff K
-    with a per-slot parity tail bound.  K grows (doubling) until the width
-    is at most ``tol`` or K reaches ``k_max`` (then ``converged`` is False);
-    K never exceeds ``k_max``.
+    with a per-slot parity tail bound: clipped up to 4 * (largest arity) + 1,
+    in closed form beyond (the stabilized shells of the module docstring).  K
+    grows (doubling) until the width is at most ``tol`` or K reaches
+    ``k_max`` (then ``converged`` is False); K never exceeds ``k_max``.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -235,10 +282,16 @@ def rho_odd(
         return Enclosure(exact_part, exact_part, True, max_cut, True)
 
     n_slots = sum(len(f.free_slots) for f in open_fams)
-    k_cut = min(_FIRST_CUTOFF, k_max)
-    lo = exact_part + sum(family_sum_upto(f, k_cut) for f in open_fams)
+    # The heads are clipped once, up to min(K, stable): K starts at or above
+    # min(stable, k_max) and never falls.
+    stable = 4 * max(f.arity for f in open_fams) + 1
+    escapes = [p for f in open_fams for p in _escape_parities(f)]
+    head_cut = min(stable, k_max)
+    head = exact_part + sum(family_sum_upto(f, head_cut) for f in open_fams)
+    k_cut = min(max(_FIRST_CUTOFF, head_cut), k_max)
     best_hi: Optional[Fraction] = None
     while True:
+        lo = head + _stable_shells(escapes, stable, k_cut)
         hi = lo + n_slots * parity_tail_after(k_cut)
         if best_hi is None or hi < best_hi:
             best_hi = hi
@@ -246,8 +299,7 @@ def rho_odd(
             return Enclosure(lo, best_hi, False, k_cut, True)
         if k_cut >= k_max:
             return Enclosure(lo, best_hi, False, k_cut, False)
-        k_old, k_cut = k_cut, min(2 * k_cut, k_max)
-        lo += sum(family_sum_between(f, k_old, k_cut) for f in open_fams)
+        k_cut = min(2 * k_cut, k_max)
 
 
 @dataclass(frozen=True)

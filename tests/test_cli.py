@@ -13,6 +13,7 @@ import pytest
 from conftest import F8, F8_ODD
 from oddfarey import cli
 from oddfarey.cli import main
+from oddfarey.farey import farey_fractions, odd_farey_fractions
 
 
 def run(capsys, *argv):
@@ -40,6 +41,19 @@ def test_list_csv_and_json(capsys):
     assert json.loads(out) == [
         "1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "2/3", "3/4", "4/5", "1/1",
     ]
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_list_json_is_json_dumps(capsys, q):
+    """The streamed array is byte for byte what json.dumps prints."""
+    for flags, seq in (([], farey_fractions(q)), (["--odd"], odd_farey_fractions(q))):
+        _, out = run(capsys, "list", "--q", str(q), "--format", "json", *flags)
+        assert out == json.dumps([f"{f.numerator}/{f.denominator}" for f in seq]) + "\n"
+
+
+def test_csv_leaves_missing_columns_empty(capsys):
+    cli._emit("csv", [{"a": 1, "b": None}, {"b": "x,y"}], ["a", "b"])
+    assert capsys.readouterr().out == 'a,b\n1,\n,"x,y"\n'
 
 
 class _Enough(Exception):
@@ -79,6 +93,21 @@ def test_list_streams_its_rows():
     lines = head.text.getvalue().splitlines()
     assert lines[:2] == ["index,fraction,decimal", "1,1/2000,0.0005"]
     assert len(lines) > 50_000
+    assert peak < 20_000_000
+
+
+def test_list_streams_its_json_array():
+    """``farey list --q 2000 --format json`` writes its array item by item:
+    traced memory stays below 20 MB while the first 2 MB are written."""
+    head = _Head(2_000_000)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(head), pytest.raises(_Enough):
+            main(["list", "--q", "2000", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head.text.getvalue().startswith('["1/2000", "1/1999", ')
     assert peak < 20_000_000
 
 

@@ -19,13 +19,21 @@ from oddfarey.density import (
     rho_table,
     tail_after,
 )
+from oddfarey.density import _escape_parities, _stable_shells
 from oddfarey.geometry import cylinder_area
-from oddfarey.paths import families, instantiate
+from oddfarey.paths import MAX_WINDOW, arrow_text, families, instantiate
 
 SMALL_TUPLES = [
     ds for h in (1, 2, 3) for ds in itertools.product((1, 2, 3), repeat=h)
 ]
 SMALL_FAMILIES = [f for ds in SMALL_TUPLES for f in families(ds)]
+OPEN_FAMILIES = [
+    f
+    for h in (1, 2, 3, 4)
+    for ds in itertools.product((1, 2, 3, 4), repeat=h)
+    for f in families(ds)
+    if not family_is_certified_finite(f)
+]
 
 
 def _brute_family_sum(family, k_cut):
@@ -217,3 +225,73 @@ def test_benchmark_enclosures_are_pinned():
         enc = rho_odd(deltas, Fraction(1, 100))
         assert (enc.lo, enc.hi, enc.cutoff) == (Fraction(271, 4572), Fraction(2551, 42672), 125)
         assert enc.converged and not enc.exact
+
+
+def test_open_families_of_small_tuples():
+    """The open families of {1..4}^h, h <= 4: 24 of them, in 6 tuples."""
+    assert len(OPEN_FAMILIES) == 24
+    assert all(len(_escape_parities(f)) == 1 for f in OPEN_FAMILIES)
+
+
+@pytest.mark.parametrize("fam", OPEN_FAMILIES, ids=arrow_text)
+def test_stable_shells_are_gap_densities(fam):
+    """Beyond 4r + 1 the clipped shell at m is gap_density(m) once per
+    escape-consistent slot whose parity admits m (the closed form)."""
+    escapes = _escape_parities(fam)
+    start = 4 * fam.arity + 2
+    for m in range(start, start + 30):
+        shell = family_sum_between(fam, m - 1, m)
+        assert shell == sum(1 for p in escapes if p == ("even", "odd")[m % 2]) * gap_density(m)
+        assert shell == _stable_shells(escapes, m - 1, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parities=st.lists(st.sampled_from(("odd", "even", "any")), max_size=5),
+    above=st.integers(1, 60),
+    extra=st.integers(0, 120),
+)
+def test_stable_shells_match_the_term_by_term_sum(parities, above, extra):
+    k_cut = above + extra
+    direct = sum(
+        (
+            gap_density(m)
+            for m in range(above + 1, k_cut + 1)
+            for p in parities
+            if p == "any" or p == ("even", "odd")[m % 2]
+        ),
+        Fraction(0),
+    )
+    assert _stable_shells(parities, above, k_cut) == direct
+
+
+def test_open_slots_pair_up():
+    """Every gap tuple up to the longest window has as many even as odd
+    escape-consistent slots, so its stabilized shells telescope.  Only
+    entries 1 and 2 admit the escape pattern, so {1, 2}^h covers the tuples
+    with open families."""
+    for h in range(1, MAX_WINDOW + 1):
+        for ds in itertools.product((1, 2), repeat=h):
+            escapes = [p for f in families(ds) for p in _escape_parities(f)]
+            assert escapes.count("odd") == escapes.count("even"), ds
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    deltas=st.one_of(
+        st.sampled_from([(1, 1), (1, 1, 2), (2, 1, 1)]),  # the open ones, often
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    ),
+    k_max=st.integers(1, 300),
+)
+def test_lo_is_the_clipped_partial_sum(deltas, k_max):
+    """lo at the cutoff k_max is the clipped sum of every family of a tuple
+    in {1..4}^h, h <= 3; a certified finite family adds nothing beyond
+    4 * arity + 1."""
+    enc = rho_odd(deltas, tol=Fraction(1, 10**12), k_max=k_max)
+    expected = sum(
+        family_sum_upto(f, max(k_max, 4 * f.arity + 1) if family_is_certified_finite(f) else k_max)
+        for f in families(deltas)
+    )
+    assert enc.lo == expected
+    assert enc.exact or (enc.cutoff == k_max and not enc.converged)

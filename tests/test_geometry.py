@@ -98,6 +98,31 @@ def test_membership_matches_orbit_oracle(ks, rng):
     assert region.is_empty or hits  # nonempty regions get exercised
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    ks=st.lists(st.integers(1, 8), min_size=1, max_size=3).map(tuple),
+    q=st.integers(2, 400),
+    data=st.data(),
+)
+def test_contains_agrees_with_orbit_oracle_at_random_points(ks, q, data):
+    """At a random rational point of T, at a random point of the closure
+    polygon (often on its boundary) and at its vertices, the strict/closed
+    constraint test agrees with the orbit's first r indices."""
+    region = cylinder(ks)
+    a = data.draw(st.integers(1, q))
+    points = [(F(a, q), F(data.draw(st.integers(q - a + 1, q)), q))]
+    vs = region.vertices
+    if vs:
+        w = data.draw(st.lists(st.integers(0, 5), min_size=len(vs), max_size=len(vs)))
+        if any(w):
+            points.append(tuple(sum(wi * v[i] for wi, v in zip(w, vs)) / sum(w) for i in (0, 1)))
+        points += vs
+    for x, y in points:
+        if x > 0 and y > 0 and x + y > 1:
+            by_orbit = orbit_kappas(TrianglePoint(x, y), len(ks)) == ks
+            assert region.contains(x, y) == by_orbit, (x, y)
+
+
 def test_membership_examples():
     assert cylinder((2,)).contains(1, 1)
     assert not cylinder((1,)).contains(1, 1)
