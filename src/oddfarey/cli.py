@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from . import __version__
@@ -123,11 +124,12 @@ def _parse_quadrangle(text: str) -> tuple[int, int, int]:
 
 
 def _emit(fmt: str, data, columns: Optional[list] = None, text=None) -> None:
-    """Print a record (a dict) or a table (an iterable of dicts) in one format.
+    """Print a record (a dict) or a table (an iterable of rows) in one format.
 
     json dumps ``data``; csv writes a header (``columns``, else the first
-    row's keys) and one line per row, with an empty cell for a column the row
-    lacks; text prints ``text(data)``, a string or an iterable of strings, or
+    row's keys) and one line per row, with an empty cell for a column a dict
+    row lacks; a row may also be a tuple in ``columns`` order, written as it
+    is.  text prints ``text(data)``, a string or an iterable of strings, or
     falls back to csv when the command has no text renderer.  csv and text
     write rows as they come, so a table may be a generator when ``columns``
     is given.
@@ -143,7 +145,9 @@ def _emit(fmt: str, data, columns: Optional[list] = None, text=None) -> None:
         header = list(rows[0]) if columns is None else columns
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(header)
-        w.writerows([row.get(c, "") for c in header] for row in rows)
+        w.writerows(
+            row if isinstance(row, tuple) else [row.get(c, "") for c in header] for row in rows
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +162,12 @@ def _cmd_list(args) -> int:
         sys.stdout.writelines(f'{", " if i else ""}"{_rat(f)}"' for i, f in enumerate(seq))
         print("]")
         return 0
-    rows = ({"index": i, "fraction": _rat(f), "decimal": _dec(f)} for i, f in enumerate(seq, 1))
-    _emit(
-        args.format,
-        rows,
-        ["index", "fraction", "decimal"],
-        text=lambda rows: ((", " if r["index"] > 1 else "") + r["fraction"] for r in rows),
-    )
+    if args.format == "text":  # the fractions alone, comma-separated
+        fracs = map(_rat, seq)
+        _emit("text", fracs, text=lambda fracs: chain(islice(fracs, 1), (", " + f for f in fracs)))
+    else:
+        rows = ((i, _rat(f), _dec(f)) for i, f in enumerate(seq, 1))
+        _emit("csv", rows, ["index", "fraction", "decimal"])
     return 0
 
 
@@ -307,6 +310,11 @@ def _cmd_lattice(args) -> int:
     region = cylinder(_parse_ks(args.ks))
     parity = _parse_parity(args.parity)
     interval = _parse_interval(args.interval)
+    if interval is not None and args.all_points:
+        raise SystemExit(
+            "error: --all-points cannot be used with --interval: "
+            "the inverse rule is defined only for primitive points"
+        )
     if interval is not None:
         rep = count_lattice_interval(region, args.q, parity, interval)
     else:

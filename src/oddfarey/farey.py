@@ -49,11 +49,13 @@ recurrence runs on past 1/1 through the shifted copies of F(Q), so every
 point starts one window of h steps of the periodic odd subsequence.  These
 are the windows of F(Q) plus the ones that run past 1/1: those that start
 at the last h odd elements, or at all of them when there are at most h.
-``_tail_starts`` finds their start pairs by walking the recurrence back
-from the last pair (Q, 1) (the denominators of (Q - 1)/Q and 1/1), and
-``_counted_keys`` takes their keys away.  ``_window_keys`` codes the window
-of each start pair; it is the one window coder, shared by the count's tail
-and the lattice decoder, whose boundary windows are these tail windows.
+``_block_keys`` counts the windows of all the points (the lattice decoder
+takes them as they are), ``_tail_starts`` finds the start pairs of the
+windows past 1/1 by walking the recurrence back from the last pair (Q, 1)
+(the denominators of (Q - 1)/Q and 1/1), and ``_counted_keys`` takes their
+keys away.  ``_window_keys`` codes the window of each start pair; it is the
+one window coder, shared by the count's tail and the lattice decoder, whose
+boundary windows are these tail windows.
 
 The points are counted row by row.  Row b holds the points (q, b) with odd
 q in (Q - b, Q] coprime to b.  Along a row every later denominator is a
@@ -77,9 +79,11 @@ index), and when it is 'OEO' it is split by its gap only, not by the index
 after the even denominator.  At Q = 4003 that makes about 6,000, 42,000 and
 98,000 blocks for h = 1, 2 and 3, against about Q**2 / 4 points.  Each
 block counts the q coprime to 2b, i.e. odd and coprime to b, by
-inclusion-exclusion over the odd squarefree divisors of b, built from one
-smallest-prime-factor sieve.  ``_counted_keys`` returns the same keys as
-``_gap_pass(Q, h, None)``, which stays the oracle.
+inclusion-exclusion over the odd squarefree divisors of b
+(``_squarefree_divisors``, from one smallest-prime-factor sieve; the
+lattice module counts its columns with the same two functions).
+``_counted_keys`` returns the same keys as ``_gap_pass(Q, h, None)``, which
+stays the oracle.
 """
 
 from __future__ import annotations
@@ -333,6 +337,18 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
+def _squarefree_divisors(n: int, spf: Sequence[int]) -> list[tuple[int, int]]:
+    """(d, mu(d)) for the squarefree divisors d of n >= 1, from the sieve
+    ``spf`` of ``_smallest_prime_factors`` (which must reach n)."""
+    divs = [(1, 1)]
+    while n > 1:
+        p = spf[n]
+        divs += [(p * d, -mu) for d, mu in divs]
+        while n % p == 0:
+            n //= p
+    return divs
+
+
 def _index_runs(
     x: int, y: int, n0: int, n1: int, d0: int, d1: int
 ) -> list[tuple[int, int, int]]:
@@ -396,8 +412,10 @@ def _tail_starts(q_max: int, h: int) -> list[tuple[int, int]]:
     return starts
 
 
-def _counted_keys(q_max: int, h: int) -> dict[int, int]:
-    """``_gap_pass(q_max, h, None)`` by counting lattice points in row blocks.
+def _block_keys(q_max: int, h: int) -> dict[int, int]:
+    """Keys of the windows of the periodic odd subsequence that start at the
+    primitive points (q, b) of Q*T with q odd, with their counts, by counting
+    those points in row blocks.
 
     Row b holds the points (q, b) with odd q in (Q - b, Q] coprime to b; a
     block is a run of q on which every step of the window is fixed, its
@@ -408,15 +426,9 @@ def _counted_keys(q_max: int, h: int) -> dict[int, int]:
     keys: dict[int, int] = {}
     get = keys.get
     for b in range(1, q_max + 1):
-        # (d, mu(d)) for the squarefree d | b, d odd: q is coprime to 2b iff
-        # odd and coprime to b, and (n // d + 1) // 2 odd multiples of d are <= n
-        divs = [(1, 1)]
-        n = b // (b & -b)
-        while n > 1:
-            p = spf[n]
-            divs += [(p * d, -mu) for d, mu in divs]
-            while n % p == 0:
-                n //= p
+        # q is coprime to 2b iff odd and coprime to the odd part of b, and
+        # (n // d + 1) // 2 odd multiples of an odd d are <= n
+        divs = _squarefree_divisors(b // (b & -b), spf)
         # (x, y, steps left, u0, u1, v0, v1, key): the window has reached the
         # odd denominator u0 + u1*q, followed by v0 + v1*q, for q in (x, y]
         todo = [(q_max - b, q_max, h, 0, 1, b, 0, 0)]
@@ -446,6 +458,13 @@ def _counted_keys(q_max: int, h: int) -> dict[int, int]:
                     count += mu * (((y // d + 1) >> 1) - ((x // d + 1) >> 1))
                 if count:
                     keys[key] = get(key, 0) + count
+    return keys
+
+
+def _counted_keys(q_max: int, h: int) -> dict[int, int]:
+    """``_gap_pass(q_max, h, None)`` by counting: the row-block keys of
+    ``_block_keys`` less the windows that run past 1/1."""
+    keys = _block_keys(q_max, h)
     for key, count in _window_keys(q_max, h, _tail_starts(q_max, h)).items():
         keys[key] -= count
     return {k: c for k, c in keys.items() if c}

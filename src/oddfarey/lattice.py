@@ -1,14 +1,23 @@
 """Primitive lattice counts with parity and modular-inverse restrictions.
 
 For a region R inside the (unit-scaled) Farey triangle and an order Q, the
-counters here enumerate integer points (a, b) with (a/Q, b/Q) satisfying
-every region constraint at its exact strictness, optionally filtered by
+counters here count integer points (a, b) with (a/Q, b/Q) satisfying every
+region constraint at its exact strictness, optionally filtered by
 coordinate parities, primitivity gcd(a, b) = 1, and the short-interval rule
-below.  Sweeps go column by column with exact integer bounds per column:
+below.  They go column by column with exact integer bounds per column:
 ``_columns`` is the one place that turns the region's constraints into each
 column's b-range, skips columns of the wrong x-parity and aligns the range
-to the y-parity.  Each counter keeps its per-point loop inline, since a call
-per point would cost more than the point's own test.
+to the y-parity.
+
+Counted columns.  ``count_lattice`` and ``parity_profile`` never visit a
+point.  Column a's primitive points are counted by Moebius inversion over
+the squarefree divisors d of a, from farey's smallest-prime-factor sieve:
+sum of mu(d) times the multiples of d in the b-range that have the right
+parity (for odd d, d*t has the parity of t; for even d, every multiple is
+even, so the term is 0 when b must be odd).  That costs 2**omega(a) terms
+per column instead of one gcd per point.  Two counters still go point by
+point: ``count_lattice_interval``, which needs each point's inverse, and
+the decoder with an interval.
 
 Windows vs points.  Each primitive point (a, b) in Q*T with a odd is the
 denominator pair of an odd-denominator fraction and its Farey successor, and
@@ -20,9 +29,14 @@ identity checkers therefore subtract the (at most h) boundary windows that
 start inside F(Q) but end past 1/1; with that correction the equality is an
 exact integer identity at every order.  Those boundary windows are farey's
 tail windows (``farey._tail_starts``), kept by the half-open rule below when
-there is an interval.  Each window, decoded or boundary, is coded by
-``farey._window_keys`` and decoded by ``farey._histogram``, so the
-recurrence and the key format live only in farey.
+there is an interval.  Without an interval the windows are counted, not
+decoded one point at a time: the start points are exactly the ones that
+``farey._block_keys`` counts in row blocks, so the decoder takes its keys
+(``farey._counted_keys`` is the same count less the tail windows).  With an
+interval each point is decoded by ``farey._window_keys`` (``_decoded_keys``,
+which with no interval is the oracle of the row-block count).  Every window
+key is decoded by ``farey._histogram``, so the recurrence and the key
+format live only in farey.
 
 Short intervals.  A point (a, b) with gcd(a, b) = 1 has a unique inverse
 b_bar in {1, ..., a-1} with b*b_bar = 1 mod a (b_bar = 0 when a = 1); it
@@ -44,9 +58,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .farey import (
     UnitInterval,
+    _block_keys,
     _check_order,
     _histogram,
     _restriction,
+    _smallest_prime_factors,
+    _squarefree_divisors,
     _stream_histogram,
     _tail_starts,
     _window_keys,
@@ -184,6 +201,23 @@ def _columns(
             yield a, range(_align(rng[0], parity.y), rng[1] + 1, ystep)
 
 
+def _coprime_count(divs: Sequence[tuple[int, int]], bs: range) -> int:
+    """#{b in bs : gcd(a, b) = 1}, by Moebius inversion over the squarefree
+    divisors (d, mu(d)) of a.  ``bs`` is a column range of ``_columns``: of
+    step 1, or of step 2 starting at the parity it keeps."""
+    lo, hi = bs.start - 1, bs.stop - 1  # the b in (lo, hi]
+    if bs.step == 1:
+        return sum(mu * (hi // d - lo // d) for d, mu in divs)
+    odd = bs.start & 1  # (n + odd) >> 1 of the t <= n have the parity of bs
+    count = 0
+    for d, mu in divs:
+        if d & 1:  # d*t has the parity of t
+            count += mu * (((hi // d + odd) >> 1) - ((lo // d + odd) >> 1))
+        elif not odd:  # every multiple of an even d is even
+            count += mu * (hi // d - lo // d)
+    return count
+
+
 def count_lattice(
     region: ConvexRegion,
     q_max: int,
@@ -193,17 +227,17 @@ def count_lattice(
     """Exact count of integer points of the scaled region, with filters.
 
     Membership honors each constraint's strict/non-strict sense exactly, so
-    boundary lattice points are classified deterministically.
+    boundary lattice points are classified deterministically.  Each column
+    is counted whole: by its length, or by ``_coprime_count`` when the
+    points must be primitive.
     """
     _check_order(q_max)
-    count = 0
-    for a, bs in _columns(region, q_max, parity):
-        if primitive:
-            for b in bs:
-                if gcd(a, b) == 1:
-                    count += 1
-        else:
-            count += len(bs)
+    cols = list(_columns(region, q_max, parity))
+    if not primitive:
+        count = sum(len(bs) for _, bs in cols)
+    else:
+        spf = _smallest_prime_factors(cols[-1][0] if cols else 1)  # a increases
+        count = sum(_coprime_count(_squarefree_divisors(a, spf), bs) for a, bs in cols)
     return CountReport(count, region, q_max, parity, primitive)
 
 
@@ -239,19 +273,16 @@ def count_lattice_interval(
 
 
 def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], int]:
-    """Primitive counts keyed by coordinate parities, in one sweep.
+    """Primitive counts keyed by coordinate parities, one ``count_lattice``
+    each.
 
     Only ('odd','odd'), ('odd','even'), ('even','odd') occur: two even
     coordinates are never coprime.
     """
-    _check_order(q_max)
-    out = {("odd", "odd"): 0, ("odd", "even"): 0, ("even", "odd"): 0}
-    for a, bs in _columns(region, q_max, PairParity()):
-        xk = "odd" if a % 2 else "even"
-        for b in bs:
-            if gcd(a, b) == 1:
-                out[(xk, "odd" if b % 2 else "even")] += 1
-    return out
+    return {
+        key: count_lattice(region, q_max, PairParity(*key)).count
+        for key in (("odd", "odd"), ("odd", "even"), ("even", "odd"))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +304,23 @@ def _column_starts(
     return [(a, b) for b in bs if gcd(a, b) == 1 and first <= pow(b, -1, a) < stop]
 
 
-@lru_cache(maxsize=64)
-def _decode_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
+def _decoded_keys(q_max: int, h: int, interval: Optional[UnitInterval]) -> dict[int, int]:
+    """The window keys of the start pairs of Q*T, point by point: the decoder
+    when there is an interval, and the oracle of ``_block_keys`` without."""
     keys: dict[int, int] = {}
     get = keys.get
     for a, bs in _columns(farey_triangle(), q_max, PairParity("odd", "any")):
         for key, count in _window_keys(q_max, h, _column_starts(interval, a, bs)).items():
             keys[key] = get(key, 0) + count
+    return keys
+
+
+@lru_cache(maxsize=64)
+def _decode_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
+    if interval is None:  # the start pairs are farey's row-block points
+        keys = _block_keys(q_max, h)
+    else:
+        keys = _decoded_keys(q_max, h, interval)
     return _histogram(keys, q_max, h, with_steps=True)[0]
 
 
@@ -356,11 +397,16 @@ def verify_tuple_identity(
 ) -> VerifyResult:
     """Check streaming window count == lattice family sums, exactly.
 
-    The right-hand side decodes every primitive odd-x point of Q*T into its
-    window (free labels are automatically <= 2Q) and subtracts the boundary
-    windows that run past 1/1.  With an interval the lattice side uses the
-    half-open rule; a note is attached when the closed streaming rule could
-    differ (odd-denominator fraction exactly at the lower endpoint).
+    The left-hand side is the streaming pass over F(Q).  The right-hand side
+    takes the window of every primitive odd-x point of Q*T (free labels are
+    automatically <= 2Q) and subtracts the boundary windows that run past
+    1/1.  Without an interval those windows are counted by farey's row
+    blocks of lattice points, on which every step of the window is fixed,
+    so the identity compares two independent algorithms: the recurrence
+    pass and the lattice count.  With an interval each point is decoded on
+    its own and kept by the half-open rule; a note is attached when the
+    closed streaming rule could differ (odd-denominator fraction exactly at
+    the lower endpoint).
     """
     target = tuple(int(d) for d in deltas)
     h = len(target)
@@ -466,8 +512,13 @@ def asymptotic_report(
     """Counts vs the predicted main term coeff * Area * Q^2 / pi^2.
 
     The residual is normalized by Q log Q; staying bounded is the empirical
-    analogue of the counting estimates this package cross-checks.
+    analogue of the counting estimates this package cross-checks.  Every
+    order must be >= 2, since Q log Q vanishes at Q = 1.
     """
+    orders = list(orders)
+    for q_max in orders:
+        if q_max < 2:
+            raise ValueError(f"asymptotic orders must be >= 2 (Q log Q = 0 at 1), got {q_max}")
     if coefficient is None:
         try:
             coefficient = MAIN_TERM_COEFFICIENTS[(parity.x, parity.y)]

@@ -55,6 +55,31 @@ def brute_window_counts(q_max: int, h: int) -> dict[tuple[int, ...], int]:
     return out
 
 
+def swept_lattice_counts(region, q_max: int) -> dict:
+    """``count_lattice(region, q_max, PairParity(x, y), primitive).count`` for
+    all 9 parities and both values of ``primitive``, keyed (x, y, primitive),
+    from one column sweep with a gcd test at every point."""
+    from oddfarey.lattice import PairParity, _columns
+
+    classes: dict = {}
+    for a, bs in _columns(region, q_max, PairParity()):
+        for b in bs:
+            key = (a & 1, b & 1, gcd(a, b) == 1)
+            classes[key] = classes.get(key, 0) + 1
+    fits = {"odd": (1,), "even": (0,), "any": (0, 1)}
+    return {
+        (px, py, primitive): sum(
+            classes.get((x, y, p), 0)
+            for x in fits[px]
+            for y in fits[py]
+            for p in ((True,) if primitive else (True, False))
+        )
+        for px in fits
+        for py in fits
+        for primitive in (True, False)
+    }
+
+
 def _unit_interval(ends):
     from oddfarey.farey import UnitInterval
 

@@ -56,6 +56,11 @@ def test_csv_leaves_missing_columns_empty(capsys):
     assert capsys.readouterr().out == 'a,b\n1,\n,"x,y"\n'
 
 
+def test_csv_writes_tuple_rows_as_they_are(capsys):
+    cli._emit("csv", iter([(1, "1/2", None), (2, "x,y", "")]), ["a", "b", "c"])
+    assert capsys.readouterr().out == 'a,b,c\n1,1/2,\n2,"x,y",\n'
+
+
 class _Enough(Exception):
     pass
 
@@ -199,6 +204,15 @@ def test_lattice(capsys):
     )
     row = json.loads(out)
     assert row["count"] > 0
+
+
+def test_all_points_take_no_interval(capsys):
+    # the inverse rule of --interval is defined only for primitive points
+    err = _bad_input(
+        capsys, "lattice", "--ks", "2", "--q", "100", "--all-points", "--interval", "0,1/2"
+    )
+    assert "--all-points" in err and "--interval" in err
+    assert capsys.readouterr().out == ""
 
 
 def test_short_interval(capsys):

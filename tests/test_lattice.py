@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, log, pi
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -13,8 +13,16 @@ from conftest import (
     brute_farey,
     small_fractions,
     small_intervals,
+    swept_lattice_counts,
 )
-from oddfarey.farey import UnitInterval, _stream_histogram, gap_histogram
+from oddfarey.farey import (
+    UnitInterval,
+    _histogram,
+    _stream_histogram,
+    farey_count,
+    gap_histogram,
+    odd_farey_count,
+)
 from oddfarey.geometry import cylinder, farey_triangle
 from oddfarey.lattice import (
     PairParity,
@@ -23,6 +31,7 @@ from oddfarey.lattice import (
     count_lattice,
     count_lattice_interval,
     decode_histogram,
+    _decoded_keys,
     parity_profile,
     verify_parity_swap,
     verify_tuple_identity,
@@ -89,18 +98,64 @@ def test_empty_region_count():
     assert count_lattice(cylinder((50, 50)), 100, PairParity()).count == 0
 
 
+_PROFILE_KEYS = (("odd", "odd"), ("odd", "even"), ("even", "odd"))
+
+
+@seed(20023)
+@settings(max_examples=40, deadline=None)
+@given(ks=st.lists(st.integers(1, 8), max_size=3), q=st.integers(1, 2500))
+@example(ks=[2], q=2310)  # the columns a = 1155 = 3*5*7*11 and a = 2310 = 2*1155
+@example(ks=[1, 2], q=2500)
+def test_column_counts_match_the_point_sweep(ks, q):
+    """The Moebius column counts equal the sweep with a gcd test at every
+    point, for all 9 parities, primitive or not."""
+    region = cylinder(tuple(ks))
+    expected = swept_lattice_counts(region, q)
+    for (px, py, primitive), n in expected.items():
+        got = count_lattice(region, q, PairParity(px, py), primitive).count
+        assert got == n, (ks, q, px, py, primitive)
+    profile = parity_profile(region, q)
+    assert profile == {key: expected[(*key, True)] for key in _PROFILE_KEYS}
+
+
+def test_column_counts_at_the_default_cap():
+    q = 10**5  # a point sweep would take minutes; the columns are counted
+    assert count_lattice(T, q, PairParity("odd", "any")).count == odd_farey_count(q)
+    profile = parity_profile(T, q)
+    assert sum(profile.values()) == farey_count(q)
+    assert profile[("odd", "odd")] + profile[("odd", "even")] == odd_farey_count(q)
+
+
 # ---------------------------------------------------------------------------
 # window decoding and the exact identity
 # ---------------------------------------------------------------------------
 
 
 def test_decode_totals_match_element_count():
-    from oddfarey.farey import odd_farey_count
-
     for q in (8, 30, 50):
         for h in (1, 2):
             dec = decode_histogram(q, h)
             assert sum(dec.values()) == odd_farey_count(q)
+
+
+def _point_decode(q, h):
+    return _histogram(_decoded_keys(q, h, None), q, h, with_steps=True)[0]
+
+
+def test_decode_counts_what_the_points_decode():
+    """Without an interval the windows come from farey's row blocks; they are
+    the windows decoded point by point at every small order."""
+    for q in range(1, 151):
+        for h in (1, 2, 3, 4):
+            assert decode_histogram(q, h) == _point_decode(q, h), (q, h)
+
+
+@seed(20024)
+@settings(max_examples=6, deadline=None)
+@given(q=st.integers(301, 3000), h=st.integers(1, 4))
+@example(q=3000, h=4)
+def test_decode_counts_what_the_points_decode_at_random_orders(q, h):
+    assert decode_histogram(q, h) == _point_decode(q, h), (q, h)
 
 
 def test_family_counts_by_region_route():
@@ -306,6 +361,12 @@ def test_asymptotic_report_cell_two():
     for row in rows:
         assert abs(row.main_term - 2 * row.order**2 / (6 * pi**2)) < 1e-9
         assert abs(row.normalized) <= 2
+
+
+@pytest.mark.parametrize("order", [1, 0, -3])
+def test_asymptotic_report_rejects_orders_below_two(order):
+    with pytest.raises(ValueError, match=f"got {order}"):
+        asymptotic_report(T, PairParity("odd", "any"), [100, order])
 
 
 def test_asymptotic_report_requires_coefficient():
