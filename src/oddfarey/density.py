@@ -54,7 +54,7 @@ free slots of the open families whose parity admits m (_stable_shells).
 An even and an odd slot together admit every m once and telescope to
 tail_after(S) - tail_after(K); a slot left without a partner is summed
 term by term.  This is the same rational as the clipped partial sum at K,
-which family_sum_upto and family_sum_between still compute as the oracle.
+which family_sum_upto still computes as the oracle.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ __all__ = [
     "parity_tail_after",
     "family_is_certified_finite",
     "family_sum_upto",
-    "family_sum_between",
     "rho_odd",
     "RhoRow",
     "rho_table",
@@ -178,46 +177,28 @@ def _slot_values(parity: str, k_cut: int, above: int = 0) -> range:
     return range(first, k_cut + 1, 2)
 
 
-def _family_sum(family: PathFamily, k_cut: int, k_old: Optional[int]) -> Fraction:
-    """Sum of cylinder areas over the label tuples with free values <= k_cut
-    and, unless ``k_old`` is None, some free value > k_old.
+def family_sum_upto(family: PathFamily, k_cut: int) -> Fraction:
+    """Exact sum of cylinder areas over free-slot values <= k_cut.
 
     Walks the label prefixes depth first, carrying each prefix's polygon;
     a prefix whose polygon is null is not extended.
     """
     labels = family.path.labels[: family.arity]
-    last_free = max(family.free_slots, default=-1)
-    if k_old is not None and last_free < 0:
-        return Fraction(0)
-    floor = k_old or 0
 
-    def walk(pos: int, points, area2: Fraction, fresh: bool) -> Fraction:
+    def walk(pos: int, points, area2: Fraction) -> Fraction:
         if pos == len(labels):
             return area2
         lab = labels[pos]
         if not lab.is_free:
             ks = range(lab.value, lab.value + 1)
         else:
-            # the last free slot must supply the new value if none came before
-            above = floor if not fresh and pos == last_free else 0
-            ks = _slot_values(lab.parity, k_cut, above)
+            ks = _slot_values(lab.parity, k_cut)
         total = Fraction(0)
-        for k, image, image_area2 in _index_cells(points, ks):
-            total += walk(pos + 1, image, image_area2, fresh or (lab.is_free and k > floor))
+        for _, image, image_area2 in _index_cells(points, ks):
+            total += walk(pos + 1, image, image_area2)
         return total
 
-    return walk(0, _TRIANGLE, _signed_area2(_TRIANGLE), k_old is None) / 2
-
-
-def family_sum_upto(family: PathFamily, k_cut: int) -> Fraction:
-    """Exact sum of cylinder areas over free-slot values <= k_cut."""
-    return _family_sum(family, k_cut, None)
-
-
-def family_sum_between(family: PathFamily, k_old: int, k_cut: int) -> Fraction:
-    """family_sum_upto(family, k_cut) - family_sum_upto(family, k_old), summing
-    only the label tuples with some free value in (k_old, k_cut]."""
-    return _family_sum(family, k_cut, k_old)
+    return walk(0, _TRIANGLE, _signed_area2(_TRIANGLE)) / 2
 
 
 def _stable_shells(parities: Sequence[str], above: int, k_cut: int) -> Fraction:

@@ -15,9 +15,8 @@ the squarefree divisors d of a, from farey's smallest-prime-factor sieve:
 sum of mu(d) times the multiples of d in the b-range that have the right
 parity (for odd d, d*t has the parity of t; for even d, every multiple is
 even, so the term is 0 when b must be odd).  That costs 2**omega(a) terms
-per column instead of one gcd per point.  Two counters still go point by
-point: ``count_lattice_interval``, which needs each point's inverse, and
-the decoder with an interval.
+per column instead of one gcd per point.  Counts and decodes restricted to
+an interval walk each column by the inverse rule below.
 
 Windows vs points.  Each primitive point (a, b) in Q*T with a odd is the
 denominator pair of an odd-denominator fraction and its Farey successor, and
@@ -33,19 +32,27 @@ there is an interval.  Without an interval the windows are counted, not
 decoded one point at a time: the start points are exactly the ones that
 ``farey._block_keys`` counts in row blocks, so the decoder takes its keys
 (``farey._counted_keys`` is the same count less the tail windows).  With an
-interval each point is decoded by ``farey._window_keys`` (``_decoded_keys``,
-which with no interval is the oracle of the row-block count).  Every window
-key is decoded by ``farey._histogram``, so the recurrence and the key
+interval the kept start pairs are coded by ``farey._window_keys``.  Every
+window key is decoded by ``farey._histogram``, so the recurrence and the key
 format live only in farey.
 
 Short intervals.  A point (a, b) with gcd(a, b) = 1 has a unique inverse
-b_bar in {1, ..., a-1} with b*b_bar = 1 mod a (b_bar = 0 when a = 1); it
-equals a*(1 - gamma0) for the window's first fraction gamma0.  Membership in
-I = [lo, hi] is taken as  a*(1 - hi) <= b_bar < a*(1 - lo), i.e. the
-half-open rule lo < gamma0 <= hi, so interval partitions of [0, 1] induce
-exact partitions of counts.  (The streaming side uses closed membership; the
-two agree unless some odd-denominator fraction equals an interval endpoint,
-which the verifiers flag.)
+b_bar in {1, ..., a-1} with b*b_bar = 1 mod a (b_bar = 0 when a = 1, as
+Python's pow(b, -1, 1) gives); it equals a*(1 - gamma0) for the window's
+first fraction gamma0.  Membership in I = [lo, hi] is taken as
+a*(1 - hi) <= b_bar < a*(1 - lo), i.e. the half-open rule lo < gamma0 <= hi,
+so interval partitions of [0, 1] induce exact partitions of counts.  (The
+streaming side uses closed membership; the two agree unless some
+odd-denominator fraction equals an interval endpoint, which the verifiers
+flag.)  ``_inverse_rule`` states the rule once per column: the kept b_bar
+form range(ceil(a*(1 - hi)), ceil(a*(1 - lo))), and the walls are the
+integers among a*(1 - hi), a*(1 - lo) below a.  As b -> b_bar is an
+involution on the units mod a, the kept b of a column that spans less than
+a (every column of a region inside T: column a of Q*T is (Q - a, Q]) are
+the lifts of the kept units, one b = b_bar^-1 mod a each.  So ``_kept``
+walks the shorter of the two ranges, at a cost of min(#b, a*|I| + 1)
+inverses per column: at most |I|*Q^2/4 + Q to decode Q*T, against about
+Q^2/4 point by point.  Wall hits take at most two more per column.
 """
 
 from __future__ import annotations
@@ -241,6 +248,40 @@ def count_lattice(
     return CountReport(count, region, q_max, parity, primitive)
 
 
+def _inverse_rule(a: int, interval: UnitInterval) -> tuple[range, set[int]]:
+    """Column a's kept inverses, range(ceil(a*(1 - hi)), ceil(a*(1 - lo))), and
+    its walls: the integers among a*(1 - hi), a*(1 - lo) below a (no inverse is a)."""
+    ends, walls = [], set()
+    for end in (interval.hi, interval.lo):
+        w, r = divmod(a * (end.denominator - end.numerator), end.denominator)
+        ends.append(w + (r > 0))
+        if not r and w < a:
+            walls.add(w)
+    return range(*ends), walls
+
+
+def _by_b(a: int, bs: range, bbars: range) -> list[int]:
+    """The b in ``bs`` with gcd(a, b) = 1 and b_bar in ``bbars``, by b."""
+    first, stop = bbars.start, bbars.stop
+    return [b for b in bs if gcd(a, b) == 1 and first <= pow(b, -1, a) < stop]
+
+
+def _by_bbar(a: int, bs: range, bbars: range) -> list[int]:
+    """The same b, by b_bar, when ``bs`` spans less than a: each unit b_bar
+    lifts to the one b = b_bar^-1 mod a in [bs.start, bs.start + a)."""
+    lo = bs.start
+    lifts = [lo + (pow(c, -1, a) - lo) % a for c in bbars if gcd(a, c) == 1]
+    return [b for b in lifts if b in bs]
+
+
+def _kept(a: int, bs: range, bbars: range) -> list[int]:
+    """The b in ``bs`` with gcd(a, b) = 1 and b_bar in ``bbars``, walking
+    the shorter of the two ranges (see the module docstring)."""
+    if len(bbars) < len(bs) and bs[-1] - bs[0] < a:
+        return _by_bbar(a, bs, bbars)
+    return _by_b(a, bs, bbars)
+
+
 def count_lattice_interval(
     region: ConvexRegion,
     q_max: int,
@@ -254,21 +295,12 @@ def count_lattice_interval(
     lands exactly on either wall are tallied in ``boundary_hits``.
     """
     _check_order(q_max)
-    ln, ld = interval.lo.numerator, interval.lo.denominator
-    hn, hd = interval.hi.numerator, interval.hi.denominator
-    count = 0
-    hits = 0
+    count = hits = 0
     for a, bs in _columns(region, q_max, parity):
-        lo_wall = a * (hd - hn)  # b_bar * hd >= this
-        hi_wall = a * (ld - ln)  # b_bar * ld < this
-        for b in bs:
-            if gcd(a, b) != 1:
-                continue
-            bbar = 0 if a == 1 else pow(b, -1, a)
-            if bbar * hd == lo_wall or bbar * ld == hi_wall:
-                hits += 1
-            if bbar * hd >= lo_wall and bbar * ld < hi_wall:
-                count += 1
+        bbars, walls = _inverse_rule(a, interval)
+        count += len(_kept(a, bs, bbars))
+        lifts = [bs.start + (pow(w, -1, a) - bs.start) % a for w in walls if gcd(a, w) == 1]
+        hits += sum(b in bs for lift in lifts for b in range(lift, bs.stop, a))
     return CountReport(count, region, q_max, parity, True, interval, hits)
 
 
@@ -290,29 +322,12 @@ def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], in
 # ---------------------------------------------------------------------------
 
 
-def _column_starts(
-    interval: Optional[UnitInterval], a: int, bs: Iterable[int]
-) -> list[tuple[int, int]]:
-    """The window start pairs (a, b) of column a, b in ``bs``: primitive, and
-    with a*(1 - hi) <= b_bar < a*(1 - lo) when there is an interval."""
-    if interval is None:
-        return [(a, b) for b in bs if gcd(a, b) == 1]
-    # b_bar is an integer: a*(1 - hi) <= b_bar < a*(1 - lo) iff first <= b_bar < stop
-    lo, hi = interval.lo, interval.hi
-    first = -(-a * (hi.denominator - hi.numerator) // hi.denominator)
-    stop = -(-a * (lo.denominator - lo.numerator) // lo.denominator)
-    return [(a, b) for b in bs if gcd(a, b) == 1 and first <= pow(b, -1, a) < stop]
-
-
-def _decoded_keys(q_max: int, h: int, interval: Optional[UnitInterval]) -> dict[int, int]:
-    """The window keys of the start pairs of Q*T, point by point: the decoder
-    when there is an interval, and the oracle of ``_block_keys`` without."""
-    keys: dict[int, int] = {}
-    get = keys.get
-    for a, bs in _columns(farey_triangle(), q_max, PairParity("odd", "any")):
-        for key, count in _window_keys(q_max, h, _column_starts(interval, a, bs)).items():
-            keys[key] = get(key, 0) + count
-    return keys
+def _starts(
+    interval: UnitInterval, columns: Iterable[tuple[int, range]]
+) -> Iterator[tuple[int, int]]:
+    """The pairs (a, b), b in bs, of the columns (a, bs) that are primitive
+    and kept by the interval."""
+    return ((a, b) for a, bs in columns for b in _kept(a, bs, _inverse_rule(a, interval)[0]))
 
 
 @lru_cache(maxsize=64)
@@ -320,7 +335,8 @@ def _decode_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Coun
     if interval is None:  # the start pairs are farey's row-block points
         keys = _block_keys(q_max, h)
     else:
-        keys = _decoded_keys(q_max, h, interval)
+        columns = _columns(farey_triangle(), q_max, PairParity("odd", "any"))
+        keys = _window_keys(q_max, h, _starts(interval, columns))
     return _histogram(keys, q_max, h, with_steps=True)[0]
 
 
@@ -349,7 +365,9 @@ def boundary_window_histogram(
     """The decoded windows that start in F(Q) but end past 1/1 (at most h):
     farey's tail windows, kept by the half-open rule when there is an interval."""
     interval = _restriction(q_max, h, interval)
-    starts = [s for q, q2 in _tail_starts(q_max, h) for s in _column_starts(interval, q, (q2,))]
+    starts = _tail_starts(q_max, h)
+    if interval is not None:
+        starts = _starts(interval, ((q, range(q2, q2 + 1)) for q, q2 in starts))
     return _histogram(_window_keys(q_max, h, starts), q_max, h, with_steps=True)[0]
 
 

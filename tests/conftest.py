@@ -80,6 +80,31 @@ def swept_lattice_counts(region, q_max: int) -> dict:
     }
 
 
+def point_starts(q_max: int, interval=None) -> tuple[list[tuple[int, int]], int]:
+    """The primitive points (a, b) of Q*T with a odd, tested one at a time: a
+    gcd at every point and, given an interval, the inverse b_bar = b^-1 mod a
+    (0 when a = 1), kept when a*(1 - hi) <= b_bar < a*(1 - lo), i.e. when the
+    window's first fraction 1 - b_bar/a lies in (lo, hi].  Also returns how
+    many primitive points have b_bar exactly on a*(1 - hi) or a*(1 - lo)."""
+    kept, hits = [], 0
+    for a in range(1, q_max + 1, 2):
+        if interval is not None:
+            hn, hd = interval.hi.numerator, interval.hi.denominator
+            ln, ld = interval.lo.numerator, interval.lo.denominator
+            lo_wall, hi_wall = a * (hd - hn), a * (ld - ln)
+        for b in range(q_max - a + 1, q_max + 1):
+            if gcd(a, b) != 1:
+                continue
+            if interval is None:
+                kept.append((a, b))
+                continue
+            bbar = pow(b, -1, a)
+            hits += bbar * hd == lo_wall or bbar * ld == hi_wall
+            if bbar * hd >= lo_wall and bbar * ld < hi_wall:
+                kept.append((a, b))
+    return kept, hits
+
+
 def _unit_interval(ends):
     from oddfarey.farey import UnitInterval
 

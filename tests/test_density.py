@@ -11,7 +11,6 @@ from conftest import cached_gap_histogram
 from oddfarey.density import (
     Enclosure,
     family_is_certified_finite,
-    family_sum_between,
     family_sum_upto,
     gap_density,
     parity_tail_after,
@@ -26,7 +25,6 @@ from oddfarey.paths import MAX_WINDOW, arrow_text, families, instantiate
 SMALL_TUPLES = [
     ds for h in (1, 2, 3) for ds in itertools.product((1, 2, 3), repeat=h)
 ]
-SMALL_FAMILIES = [f for ds in SMALL_TUPLES for f in families(ds)]
 OPEN_FAMILIES = [
     f
     for h in (1, 2, 3, 4)
@@ -202,17 +200,6 @@ def test_pruned_walk_matches_brute_sum(deltas, k_cut):
         assert family_sum_upto(fam, k_cut) == _brute_family_sum(fam, k_cut)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    fam=st.sampled_from(SMALL_FAMILIES),
-    k1=st.integers(0, 80),
-    extra=st.integers(0, 80),
-)
-def test_sum_between_is_the_increment(fam, k1, extra):
-    k2 = k1 + extra
-    assert family_sum_upto(fam, k1) + family_sum_between(fam, k1, k2) == family_sum_upto(fam, k2)
-
-
 def test_benchmark_enclosures_are_pinned():
     """The enclosures the enclose workload computes, as the direct
     cylinder-by-cylinder sums gave them."""
@@ -240,7 +227,7 @@ def test_stable_shells_are_gap_densities(fam):
     escapes = _escape_parities(fam)
     start = 4 * fam.arity + 2
     for m in range(start, start + 30):
-        shell = family_sum_between(fam, m - 1, m)
+        shell = family_sum_upto(fam, m) - family_sum_upto(fam, m - 1)
         assert shell == sum(1 for p in escapes if p == ("even", "odd")[m % 2]) * gap_density(m)
         assert shell == _stable_shells(escapes, m - 1, m)
 

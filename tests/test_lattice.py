@@ -11,6 +11,7 @@ from conftest import (
     F8_ODD,
     brute_boundary_windows,
     brute_farey,
+    point_starts,
     small_fractions,
     small_intervals,
     swept_lattice_counts,
@@ -19,6 +20,7 @@ from oddfarey.farey import (
     UnitInterval,
     _histogram,
     _stream_histogram,
+    _window_keys,
     farey_count,
     gap_histogram,
     odd_farey_count,
@@ -26,12 +28,15 @@ from oddfarey.farey import (
 from oddfarey.geometry import cylinder, farey_triangle
 from oddfarey.lattice import (
     PairParity,
+    _by_b,
+    _by_bbar,
+    _columns,
+    _inverse_rule,
     asymptotic_report,
     boundary_window_histogram,
     count_lattice,
     count_lattice_interval,
     decode_histogram,
-    _decoded_keys,
     parity_profile,
     verify_parity_swap,
     verify_tuple_identity,
@@ -138,8 +143,9 @@ def test_decode_totals_match_element_count():
             assert sum(dec.values()) == odd_farey_count(q)
 
 
-def _point_decode(q, h):
-    return _histogram(_decoded_keys(q, h, None), q, h, with_steps=True)[0]
+def _point_decode(q, h, interval=None):
+    starts, _ = point_starts(q, interval)
+    return _histogram(_window_keys(q, h, starts), q, h, with_steps=True)[0]
 
 
 def test_decode_counts_what_the_points_decode():
@@ -319,6 +325,84 @@ def test_interval_proportionality():
     assert abs(part / total - 0.5) <= eps
 
 
+_RULE_INTERVALS = [
+    UnitInterval(0, 1), UnitInterval(0, 0), UnitInterval(1, 1),
+    UnitInterval(0, Fraction(1, 2)), UnitInterval(Fraction(1, 3), Fraction(7, 8)),
+    UnitInterval(Fraction(1, 4), Fraction(2501, 10000)),
+    UnitInterval(Fraction(2, 7), Fraction(2, 7)),
+]
+
+
+@pytest.mark.parametrize("ks", [(), (1,), (2,), (1, 2)])
+def test_both_walks_keep_the_same_points(ks):
+    """Walking a column by b and walking its kept inverses b_bar give the same
+    b's, on every column of the cylinder (each spans less than a)."""
+    region = cylinder(ks)
+    parities = [PairParity(), PairParity("odd", "any"), PairParity("odd", "even"),
+                PairParity("even", "odd"), PairParity("odd", "odd")]
+    for q in [*range(1, 25), 57, 98, 131, 200]:
+        for parity in parities:
+            for a, bs in _columns(region, q, parity):
+                assert not bs or bs[-1] - bs[0] < a
+                for interval in _RULE_INTERVALS:
+                    bbars, _ = _inverse_rule(a, interval)
+                    by_b = _by_b(a, bs, bbars)
+                    assert sorted(_by_bbar(a, bs, bbars)) == by_b, (ks, q, parity, a, interval)
+
+
+def _short_interval(q, inv_length, den, num, from_lo):
+    """An interval of length 1/min(inv_length, Q^2) with one endpoint at or
+    next to num/den, on the lower end when ``from_lo`` is set."""
+    length = Fraction(1, min(inv_length, q * q))
+    end = Fraction(min(num, den), den)
+    if from_lo:
+        lo = min(end, 1 - length)
+        return UnitInterval(lo, lo + length)
+    hi = max(end, length)
+    return UnitInterval(hi - length, hi)
+
+
+@seed(20025)
+@settings(max_examples=8, deadline=None)
+@given(
+    q=st.integers(301, 3000),
+    h=st.integers(1, 3),
+    inv_length=st.integers(2, 9 * 10**6),
+    den=st.sampled_from([1, 2, 3, 4, 5, 12, 999, 10**6]),  # small ones put inverses on walls
+    num=st.integers(0, 10**6),
+    from_lo=st.booleans(),
+)
+@example(q=3000, h=2, inv_length=2, den=1, num=0, from_lo=True)  # [0, 1/2]
+@example(q=3000, h=1, inv_length=9 * 10**6, den=3, num=1, from_lo=True)  # |I| = 1/Q^2
+def test_short_interval_counts_match_the_point_oracle(q, h, inv_length, den, num, from_lo):
+    """Decoded windows and interval counts (and wall hits) in intervals of
+    length 1/Q^2 to 1/2 are those of the point-by-point inverse test."""
+    interval = _short_interval(q, inv_length, den, num, from_lo)
+    starts, hits = point_starts(q, interval)
+    expected = _histogram(_window_keys(q, h, starts), q, h, with_steps=True)[0]
+    assert decode_histogram(q, h, interval) == expected, (q, h, interval)
+    rep = count_lattice_interval(T, q, PairParity("odd", "any"), interval)
+    assert (rep.count, rep.boundary_hits) == (len(starts), hits), (q, interval)
+
+
+def test_short_interval_count_costs_its_share(monkeypatch):
+    """An interval count computes about |I| * Q^2 / 2 + 3Q inverses, not one
+    per primitive point: each column walks the shorter of b and b_bar."""
+    import oddfarey.lattice as lattice
+
+    calls = []
+
+    def counted_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(lattice, "pow", counted_pow, raising=False)
+    q, interval = 2000, UnitInterval(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 1000))
+    rep = count_lattice_interval(T, q, PairParity("odd", "any"), interval)
+    assert rep.count == len(point_starts(q, interval)[0])
+    assert 0 < len(calls) <= (interval.hi - interval.lo) * q * q / 2 + 3 * q
+
+
 def test_boundary_hits_flagged():
     # with x parity free, b_bar can land exactly on a cell wall
     rep = count_lattice_interval(T, 12, PairParity(), UnitInterval(0, Fraction(1, 2)))
@@ -456,6 +540,7 @@ def _parity_class(n: int) -> str:
     q=st.integers(1, 60),
     interval=small_intervals,
 )
+@example(ks=[], q=1, interval=UnitInterval(0, 0))  # the wall a*(1 - 0) = a is no inverse
 def test_column_sweep_matches_double_loop(ks, q, interval):
     """Every sweep counter agrees with a membership test of every grid point."""
     region = cylinder(tuple(ks))
