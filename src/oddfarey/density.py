@@ -59,10 +59,10 @@ which family_sum_upto still computes as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import _TRIANGLE, _index_cells, _signed_area2
 from .paths import PathFamily, arrow_text, families
@@ -80,19 +80,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(namedtuple("Enclosure", "lo hi exact cutoff converged")):
     """Certified rational interval around a convergent series value."""
 
-    lo: Fraction
-    hi: Fraction
-    exact: bool
-    cutoff: int
-    converged: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"invalid enclosure [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: Fraction, hi: Fraction, exact: bool, cutoff: int, converged: bool):
+        if lo > hi:
+            raise ValueError(f"invalid enclosure [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi, exact, cutoff, converged)
 
     @property
     def width(self) -> Fraction:
@@ -283,8 +279,7 @@ def rho_odd(
         k_cut = min(2 * k_cut, k_max)
 
 
-@dataclass(frozen=True)
-class RhoRow:
+class RhoRow(NamedTuple):
     """One table row: gap tuple, its enclosure, and the families used."""
 
     deltas: tuple[int, ...]

@@ -19,30 +19,24 @@ Points with x + y = 1 lie outside the phase space and are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = ["TrianglePoint", "kappa", "next_pair", "prev_pair", "orbit_kappas"]
 
 
-@dataclass(frozen=True)
-class TrianglePoint:
+class TrianglePoint(namedtuple("TrianglePoint", "x y")):
     """A point of the Farey triangle, with exact rational coordinates."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        x, y = Fraction(self.x), Fraction(self.y)
+    def __new__(cls, x, y):
+        x, y = Fraction(x), Fraction(y)
         if not (0 < x <= 1 and 0 < y <= 1 and x + y > 1):
             raise ValueError(
                 f"({x}, {y}) is outside the triangle 0 < x,y <= 1, x + y > 1"
             )
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def as_tuple(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
+        return super().__new__(cls, x, y)
 
 
 def kappa(p: TrianglePoint) -> int:

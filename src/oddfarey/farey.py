@@ -89,8 +89,7 @@ stays the oracle.
 from __future__ import annotations
 
 import os
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Iterator, Optional, Sequence
@@ -226,8 +225,7 @@ def odd_farey_count(q_max: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitInterval:
+class UnitInterval(namedtuple("UnitInterval", "lo hi")):
     """A rational subinterval [lo, hi] of [0, 1].
 
     Window counting uses closed membership ``lo <= f <= hi``; the lattice
@@ -235,15 +233,13 @@ class UnitInterval:
     partitions of [0, 1] split counts exactly (see lattice.py).
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lo, hi = Fraction(self.lo), Fraction(self.hi)
+    def __new__(cls, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
         if not (0 <= lo <= hi <= 1):
             raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        return super().__new__(cls, lo, hi)
 
     @classmethod
     def parse(cls, text: str) -> "UnitInterval":

@@ -20,10 +20,10 @@ closures (point, segment, empty) normalize to an empty polygon of area 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Point",
@@ -46,17 +46,15 @@ Point = tuple[Fraction, Fraction]
 _SENSES = ("<=", "<", ">=", ">")
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(namedtuple("LinearForm", "cx cy c0", defaults=(0,))):
     """The affine form cx*x + cy*y + c0 with integer coefficients."""
 
-    cx: int
-    cy: int
-    c0: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cx == 0 and self.cy == 0 and self.c0 == 0:
+    def __new__(cls, cx: int, cy: int, c0: int = 0):
+        if cx == 0 and cy == 0 and c0 == 0:
             raise ValueError("all coefficients are zero")
+        return super().__new__(cls, cx, cy, c0)
 
     def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
         return self.cx * x + self.cy * y + self.c0
@@ -65,18 +63,15 @@ class LinearForm:
         return f"{self.cx}*x + {self.cy}*y + {self.c0}"
 
 
-@dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(namedtuple("HalfPlane", "form sense bound")):
     """Constraint ``form <sense> bound`` with sense in {<=, <, >=, >}."""
 
-    form: LinearForm
-    sense: str
-    bound: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sense not in _SENSES:
-            raise ValueError(f"sense must be one of {_SENSES}, got {self.sense!r}")
-        object.__setattr__(self, "bound", Fraction(self.bound))
+    def __new__(cls, form: LinearForm, sense: str, bound):
+        if sense not in _SENSES:
+            raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
+        return super().__new__(cls, form, sense, Fraction(bound))
 
     def holds(self, x: Fraction, y: Fraction) -> bool:
         v = self.form.evaluate(x, y)
@@ -256,8 +251,7 @@ _UNIT_SQUARE: tuple[Point, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ConvexRegion:
+class ConvexRegion(NamedTuple):
     """A convex region: inequality list plus canonical closure polygon."""
 
     constraints: tuple[HalfPlane, ...]

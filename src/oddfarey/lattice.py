@@ -32,7 +32,8 @@ there is an interval.  Without an interval the windows are counted, not
 decoded one point at a time: the start points are exactly the ones that
 ``farey._block_keys`` counts in row blocks, so the decoder takes its keys
 (``farey._counted_keys`` is the same count less the tail windows).  With an
-interval the kept start pairs are coded by ``farey._window_keys``.  Every
+interval the kept start pairs, found once per (Q, interval) by
+``_kept_columns``, are coded by ``farey._window_keys``.  Every
 window key is decoded by ``farey._histogram``, so the recurrence and the key
 format live only in farey.
 
@@ -57,11 +58,11 @@ Q^2/4 point by point.  Wall hits take at most two more per column.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from array import array
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import gcd, log, pi
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .farey import (
     UnitInterval,
@@ -103,16 +104,15 @@ def _fits(n: int, parity: str) -> bool:
     return parity == "any" or n % 2 == (parity == "odd")
 
 
-@dataclass(frozen=True)
-class PairParity:
+class PairParity(namedtuple("PairParity", "x y", defaults=("any", "any"))):
     """Parity filter for the two coordinates ('odd' / 'even' / 'any')."""
 
-    x: str = "any"
-    y: str = "any"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.x not in _PARITIES or self.y not in _PARITIES:
+    def __new__(cls, x: str = "any", y: str = "any"):
+        if x not in _PARITIES or y not in _PARITIES:
             raise ValueError(f"parities must be in {_PARITIES}")
+        return super().__new__(cls, x, y)
 
     def matches(self, a: int, b: int) -> bool:
         return _fits(a, self.x) and _fits(b, self.y)
@@ -121,8 +121,7 @@ class PairParity:
         return f"({self.x},{self.y})"
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Result of one lattice count, with the filters that produced it."""
 
     count: int
@@ -330,13 +329,23 @@ def _starts(
     return ((a, b) for a, bs in columns for b in _kept(a, bs, _inverse_rule(a, interval)[0]))
 
 
+@lru_cache(maxsize=8)
+def _kept_columns(q_max: int, interval: UnitInterval) -> tuple[tuple[int, array], ...]:
+    """(a, the kept b's) for every odd column a of Q*T: the interval's start
+    pairs, found once for every h.  Packed, they take 4 bytes a pair."""
+    columns = _columns(farey_triangle(), q_max, PairParity("odd", "any"))
+    return tuple(
+        (a, array("i", _kept(a, bs, _inverse_rule(a, interval)[0]))) for a, bs in columns
+    )
+
+
 @lru_cache(maxsize=64)
 def _decode_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
     if interval is None:  # the start pairs are farey's row-block points
         keys = _block_keys(q_max, h)
     else:
-        columns = _columns(farey_triangle(), q_max, PairParity("odd", "any"))
-        keys = _window_keys(q_max, h, _starts(interval, columns))
+        starts = ((a, b) for a, bs in _kept_columns(q_max, interval) for b in bs)
+        keys = _window_keys(q_max, h, starts)
     return _histogram(keys, q_max, h, with_steps=True)[0]
 
 
@@ -376,8 +385,7 @@ def boundary_window_histogram(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyCheck:
+class FamilyCheck(NamedTuple):
     """Per-family comparison of the streaming and lattice window counts."""
 
     signature: tuple[str, ...]
@@ -391,8 +399,7 @@ class FamilyCheck:
         return self.stream == self.lattice - self.boundary
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     """Machine-readable outcome of one identity check."""
 
     ok: bool
@@ -512,8 +519,7 @@ MAIN_TERM_COEFFICIENTS = {
 }
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(NamedTuple):
     order: int
     count: int
     main_term: float

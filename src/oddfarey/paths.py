@@ -20,9 +20,9 @@ with x odd and y matching the parity of the walk's first vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
     "LabelSlot",
@@ -39,18 +39,17 @@ MAX_WINDOW = 8  # walks are generated implicitly; longer windows are out of scop
 _PARITIES = ("odd", "even", "any")
 
 
-@dataclass(frozen=True)
-class LabelSlot:
+class LabelSlot(namedtuple("LabelSlot", "value parity", defaults=(None, "any"))):
     """One edge label: a fixed positive integer, or free with a parity."""
 
-    value: Optional[int] = None
-    parity: str = "any"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.parity not in _PARITIES:
+    def __new__(cls, value: Optional[int] = None, parity: str = "any"):
+        if parity not in _PARITIES:
             raise ValueError(f"parity must be one of {_PARITIES}")
-        if self.value is not None and self.value < 1:
+        if value is not None and value < 1:
             raise ValueError("fixed labels must be positive")
+        return super().__new__(cls, value, parity)
 
     @property
     def is_free(self) -> bool:
@@ -71,20 +70,19 @@ class LabelSlot:
         return {"odd": "k(odd)", "even": "k(even)", "any": "k"}[self.parity]
 
 
-@dataclass(frozen=True)
-class LabeledPath:
+class LabeledPath(namedtuple("LabeledPath", "vertices labels")):
     """Vertex kinds after the root (each 'O' or 'E') and one label per edge."""
 
-    vertices: tuple[str, ...]
-    labels: tuple[LabelSlot, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.vertices) != len(self.labels):
+    def __new__(cls, vertices: tuple[str, ...], labels: tuple[LabelSlot, ...]):
+        if len(vertices) != len(labels):
             raise ValueError("need exactly one label per edge")
-        if any(v not in ("O", "E") for v in self.vertices):
+        if any(v not in ("O", "E") for v in vertices):
             raise ValueError("vertex kinds must be 'O' or 'E'")
-        if not self.vertices or self.vertices[-1] != "O":
+        if not vertices or vertices[-1] != "O":
             raise ValueError("walks end at an odd vertex")
+        return super().__new__(cls, vertices, labels)
 
     @property
     def size(self) -> int:
@@ -105,8 +103,7 @@ class LabeledPath:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     """A walk shape whose cylinder labels are the first |w| - 1 edge labels."""
 
     path: LabeledPath
