@@ -30,6 +30,7 @@ from .lattice import (
     count_lattice,
     count_lattice_interval,
     verify_parity_swap,
+    verify_tuple_identities,
     verify_tuple_identity,
 )
 from .paths import PathFamily, families, instantiate
@@ -68,6 +69,7 @@ __all__ = [
     "count_lattice_interval",
     "verify_parity_swap",
     "verify_tuple_identity",
+    "verify_tuple_identities",
     "PathFamily",
     "families",
     "instantiate",

@@ -27,6 +27,7 @@ from .density import gap_density, rho_odd, rho_table
 from .dynamics import TrianglePoint, next_pair, orbit_kappas
 from .farey import (
     UnitInterval,
+    _tuple_windows,
     empirical_rho,
     farey_fractions,
     gap_histogram,
@@ -38,7 +39,7 @@ from .lattice import (
     count_lattice,
     count_lattice_interval,
     verify_parity_swap,
-    verify_tuple_identity,
+    verify_tuple_identities,
 )
 from .paths import arrow_text, families
 
@@ -336,12 +337,8 @@ def _cmd_short_interval(args) -> int:
     deltas = _parse_deltas(args.delta)
     interval = _parse_interval(args.interval)  # a required option
     enc = rho_odd(deltas, **_enclosure_options(args))
-    hist, windows = gap_histogram(args.q, len(deltas), interval)
-    if not windows:
-        raise ValueError(
-            f"no length-{len(deltas) + 1} windows in the odd subsequence of F({args.q})"
-        )
-    emp = Fraction(hist[deltas], windows)
+    count, windows = _tuple_windows(args.q, deltas, interval)
+    emp = Fraction(count, windows)
     dev = max(enc.lo - emp, emp - enc.hi, Fraction(0))
     norm = float(dev) * math.sqrt(args.q) / math.log(args.q)
     row = {
@@ -349,7 +346,7 @@ def _cmd_short_interval(args) -> int:
         "q": args.q,
         "interval": str(interval),
         "windows": windows,
-        "count": hist[deltas],
+        "count": count,
         "empirical": _rat(emp),
         "empirical_decimal": _dec(emp),
         "lo": _rat(enc.lo),
@@ -381,8 +378,8 @@ def _cmd_verify(args) -> int:
     suite = args.suite
     if suite in ("tuple-identity", "all"):
         q = setting(args.q, 50)
-        for ds in setting(given, [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2)]):
-            res = verify_tuple_identity(q, ds)
+        tuples = setting(given, [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2)])
+        for ds, res in zip(tuples, verify_tuple_identities(q, tuples)):
             run(f"tuple-identity Q={q} deltas={ds}: {res.lhs} == {res.rhs}", res.ok)
             if not res.ok and res.first_mismatch():
                 fc = res.first_mismatch()
@@ -390,8 +387,8 @@ def _cmd_verify(args) -> int:
     if suite in ("interval-identity", "all"):
         q = setting(args.q, 50)
         interval = setting(_parse_interval(args.interval), UnitInterval(0, Fraction(1, 2)))
-        for ds in setting(given, [(1,), (2,), (1, 1)]):
-            res = verify_tuple_identity(q, ds, interval)
+        tuples = setting(given, [(1,), (2,), (1, 1)])
+        for ds, res in zip(tuples, verify_tuple_identities(q, tuples, interval)):
             run(
                 f"interval-identity Q={q} deltas={ds} I={interval}: {res.lhs} == {res.rhs}",
                 res.ok,

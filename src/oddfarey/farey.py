@@ -31,14 +31,19 @@ full window's leading digit is at least 2, so its key is at least
 the partial windows, and the loop needs no test for them.
 
 A window counts when its first fraction f has lo <= f <= hi; F(Q) is
-ascending, so these windows start at the odd elements from the first one
->= lo to the last one <= hi.  The one loop starts at the first element
->= lo (one more step if it is even; 1/Q without an interval) with an empty
-key, so its partial windows are dropped as above.  It stops at the h-th odd
-element at or after the first element > hi, where the last such window
-closes, or at 1/1 if it would run past.  A restricted pass thus costs in
-proportion to the interval's share of F(Q).  ``gap_histogram`` decodes the
-keys; the other window counters each make one call to it.
+ascending, so these windows start at the odd elements e_s, s0 <= s <= s1,
+from the first one >= lo to the last one <= hi.  The pass starts at e_s0
+with an empty key, counts the key of every step up to e_(s1 + 1), the first
+odd element > hi (or 1/1), then keeps the keys of at most h - 1 more steps,
+in order, stopping at 1/1.  The start and the first stop do not depend on
+h, so one pass at h serves every h' <= h (``_read_pass``).  Proof: the key
+at the step to e_t holds the last min(h, t - s0) codes, so mod m**h' it is
+the h'-window from e_(t - h') iff t - s0 >= h', iff it is >= 2*m**(h' - 1).
+The windows to count end at e_(s0 + h'), ..., e_(s1 + h'); the counted
+steps end at e_(s0 + 1), ..., e_(s1 + 1), and the first h' - 1 kept ones
+at e_(s1 + 2), ..., e_(s1 + h').  None ends past 1/1, where both walks
+stop.  A restricted pass thus costs in proportion to the interval's share
+of F(Q).
 
 Windows of the whole sequence are counted, not streamed, at every h.  Each
 odd-denominator element a/q other than 1/1, with its F(Q)-successor of
@@ -82,8 +87,8 @@ block counts the q coprime to 2b, i.e. odd and coprime to b, by
 inclusion-exclusion over the odd squarefree divisors of b
 (``_squarefree_divisors``, from one smallest-prime-factor sieve; the
 lattice module counts its columns with the same two functions).
-``_counted_keys`` returns the same keys as ``_gap_pass(Q, h, None)``, which
-stays the oracle.
+``_counted_keys`` returns the keys that ``_read_pass`` reads off
+``_gap_pass(Q, h, None)``, which stays the oracle.
 """
 
 from __future__ import annotations
@@ -272,41 +277,38 @@ def _key_base(q_max: int) -> int:
 
 
 def _pair_at(q_max: int, x, strict: bool) -> tuple[int, int]:
-    """Denominators (q, q') of the first a/q in F(q_max) that is >= x (> x if
-    ``strict``) and of its successor, or (1, Q) if none: a/q is the least
-    ceil(x*b)/b (floor(x*b) + 1 if strict) over b <= Q, at the least b, and
-    q' is the largest q' <= Q with a*q' = -1 (mod q)."""
+    """Denominators (q, q') of the first odd a/q in F(q_max) that is >= x
+    (> x if ``strict``) and of its successor, or (1, Q) if none: the first
+    element is the least ceil(x*b)/b (floor(x*b) + 1 if strict) over b <= Q,
+    at the least b, its successor's denominator is the largest q' <= Q with
+    a*q' = -1 (mod q), and an even q is followed by an odd one."""
     n, d = x.numerator, x.denominator
     a, q = 1, 1
     for b in range(2, q_max + 1):
         c = max((n * b - (not strict)) // d + 1, 1)
         if c * q < a * b:
             a, q = c, b
-    return q, q_max - (q_max + pow(a, -1, q)) % q
+    q2 = q_max - (q_max + pow(a, -1, q)) % q
+    return (q, q2) if q & 1 else (q2, (q_max + q) // q2 * q2 - q)
 
 
-def _gap_pass(q_max: int, h: int, interval: Optional[UnitInterval]) -> dict[int, int]:
-    """Window keys of the odd subsequence of F(q_max), with their counts.
+def _gap_pass(q_max: int, h: int, interval: Optional[UnitInterval]) -> tuple[dict, list]:
+    """One streaming pass over the odd subsequence of F(q_max) for the
+    windows of every length <= h whose first fraction lies in ``interval``.
 
-    One step goes from an odd-denominator element to the next one; the key
-    of the window ending there holds its last h codes in base 4Q + 2 (see
-    the module docstring).  It walks only the stretch of F(Q) that holds the
-    windows whose first fraction lies in ``interval`` (closed membership).
+    A step goes from an odd-denominator element to the next; its key holds
+    the last h codes of the window that ends there.  Returns the counts of
+    the keys of the steps up to the first odd element > hi, partial ones
+    included, and the keys of the next h - 1 steps or fewer, in order.
     """
     m = _key_base(q_max)
     head = m ** (h - 1)
     lo, hi = (0, 1) if interval is None else (interval.lo, interval.hi)
-    q, q2 = _pair_at(q_max, hi, strict=True)
-    left = h - (q & 1)  # the stop is the h-th odd element from here on
-    while left and q != 1:
-        q, q2 = q2, (q_max + q) // q2 * q2 - q
-        left -= q & 1
-    stop, stop2 = q, q2
+    stop, stop2 = _pair_at(q_max, hi, strict=True)
     q, q2 = _pair_at(q_max, lo, strict=False)
-    if not q & 1:  # two even denominators are never adjacent
-        q, q2 = q2, (q_max + q) // q2 * q2 - q
-    keys: dict[int, int] = {}  # a plain dict: CPython specializes its item access
-    get = keys.get
+    counted: dict[int, int] = {}  # a plain dict: CPython specializes its item access
+    get = counted.get
+    kept: list[int] = []
     key = 0
     while q != stop or q2 != stop2:
         k = (q_max + q) // q2
@@ -317,9 +319,33 @@ def _gap_pass(q_max: int, h: int, interval: Optional[UnitInterval]) -> dict[int,
             key = key % head * m + 2 * k + 1
             q3 = k * q2 - q
             q, q2 = q3, (q_max + q2) // q3 * q3 - q2
-        keys[key] = get(key, 0) + 1
-    partial = 2 * head
-    return {k: c for k, c in keys.items() if k >= partial}
+        counted[key] = get(key, 0) + 1
+    while len(kept) < h - 1 and q != 1:
+        k = (q_max + q) // q2
+        if q2 & 1:
+            key = key % head * m + 2
+            q, q2 = q2, k * q2 - q
+        else:
+            key = key % head * m + 2 * k + 1
+            q3 = k * q2 - q
+            q, q2 = q3, (q_max + q2) // q3 * q3 - q2
+        kept.append(key)
+    return counted, kept
+
+
+def _read_pass(q_max: int, h: int, counted: dict, kept: list) -> dict[int, int]:
+    """The h-window keys of a ``_gap_pass`` at any length >= h, with their
+    counts: its counted keys and first h - 1 kept keys, mod m**h, that are
+    >= 2*m**(h - 1)."""
+    m = _key_base(q_max)
+    mod, partial = m**h, 2 * m ** (h - 1)
+    keys: dict[int, int] = {}
+    get = keys.get
+    for key, count in [*counted.items(), *((key, 1) for key in kept[: h - 1])]:
+        key %= mod
+        if key >= partial:
+            keys[key] = get(key, 0) + count
+    return keys
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
@@ -458,8 +484,8 @@ def _block_keys(q_max: int, h: int) -> dict[int, int]:
 
 
 def _counted_keys(q_max: int, h: int) -> dict[int, int]:
-    """``_gap_pass(q_max, h, None)`` by counting: the row-block keys of
-    ``_block_keys`` less the windows that run past 1/1."""
+    """The h-windows of ``_gap_pass(q_max, h, None)`` by counting: the
+    row-block keys of ``_block_keys`` less the windows that run past 1/1."""
     keys = _block_keys(q_max, h)
     for key, count in _window_keys(q_max, h, _tail_starts(q_max, h)).items():
         keys[key] -= count
@@ -520,23 +546,21 @@ def gap_histogram(
     if interval is None:
         keys = _counted_keys(q_max, h)
     else:
-        keys = _gap_pass(q_max, h, interval)
+        keys = _read_pass(q_max, h, *_gap_pass(q_max, h, interval))
     return _histogram(keys, q_max, h, with_steps)
 
 
-def _stream_histogram(
-    q_max: int,
-    h: int,
-    interval: Optional[UnitInterval] = None,
-    with_steps: bool = False,
-) -> tuple[Counter, int]:
-    """``gap_histogram`` from the streaming pass at every h and interval.
-
-    The streaming side of the lattice window identity, and the oracle of
-    the counted windows.
-    """
-    keys = _gap_pass(q_max, h, _restriction(q_max, h, interval))
-    return _histogram(keys, q_max, h, with_steps)
+def _stream_histograms(
+    q_max: int, h: int, interval: Optional[UnitInterval] = None, with_steps: bool = False
+) -> list[tuple[Counter, int]]:
+    """``gap_histogram`` at every length 1, ..., h from one streaming pass,
+    whatever the interval: the streaming side of the lattice window
+    identity, and the oracle of the counted windows."""
+    counted, kept = _gap_pass(q_max, h, _restriction(q_max, h, interval))
+    return [
+        _histogram(_read_pass(q_max, j, counted, kept), q_max, j, with_steps)
+        for j in range(1, h + 1)
+    ]
 
 
 def _gap_tuple(deltas: Sequence[int]) -> tuple[int, ...]:
@@ -571,21 +595,25 @@ def window_count(
     return windows
 
 
+def _tuple_windows(q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval]):
+    """(matching windows, all windows) for ``empirical_rho``, from one pass;
+    a ValueError when there is no window."""
+    target = _gap_tuple(deltas)
+    hist, windows = gap_histogram(q_max, len(target), interval)
+    if windows == 0:
+        where = "" if interval is None else f" with first fraction in {interval}"
+        raise ValueError(
+            f"no length-{len(target) + 1} windows{where} in the odd subsequence of F({q_max})"
+        )
+    return hist[target], windows
+
+
 def empirical_rho(
-    q_max: int,
-    deltas: Sequence[int],
-    interval: Optional[UnitInterval] = None,
+    q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval] = None
 ) -> Fraction:
     """Exact ratio (matching windows) / (all windows) for the gap tuple.
 
     The denominator is the number of length-(h+1) windows, h = len(deltas),
-    with the first fraction in ``interval`` when one is given.  One pass of
-    ``gap_histogram`` gives both.
+    with the first fraction in ``interval`` when one is given.
     """
-    target = _gap_tuple(deltas)
-    hist, windows = gap_histogram(q_max, len(target), interval)
-    if windows == 0:
-        raise ValueError(
-            f"no length-{len(target) + 1} windows in the odd subsequence of F({q_max})"
-        )
-    return Fraction(hist[target], windows)
+    return Fraction(*_tuple_windows(q_max, deltas, interval))

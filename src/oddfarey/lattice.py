@@ -9,11 +9,11 @@ below.  They go column by column with exact integer bounds per column:
 column's b-range, skips columns of the wrong x-parity and aligns the range
 to the y-parity.
 
-Counted columns.  ``count_lattice`` and ``parity_profile`` never visit a
-point.  Column a's primitive points are counted by Moebius inversion over
-the squarefree divisors d of a, from farey's smallest-prime-factor sieve:
-sum of mu(d) times the multiples of d in the b-range that have the right
-parity (for odd d, d*t has the parity of t; for even d, every multiple is
+Counted columns.  ``count_lattice`` and ``parity_profile`` (all three
+classes in one sweep) never visit a point.  Column a's primitive points are
+counted by Moebius inversion over the squarefree divisors d of a, from
+farey's smallest-prime-factor sieve: sum of mu(d) times the multiples of d
+in the b-range that have the right parity (for odd d, d*t has the parity of t; for even d, every multiple is
 even, so the term is 0 when b must be odd).  That costs 2**omega(a) terms
 per column instead of one gcd per point.  Counts and decodes restricted to
 an interval walk each column by the inverse rule below.
@@ -32,10 +32,13 @@ there is an interval.  Without an interval the windows are counted, not
 decoded one point at a time: the start points are exactly the ones that
 ``farey._block_keys`` counts in row blocks, so the decoder takes its keys
 (``farey._counted_keys`` is the same count less the tail windows).  With an
-interval the kept start pairs, found once per (Q, interval) by
-``_kept_columns``, are coded by ``farey._window_keys``.  Every
-window key is decoded by ``farey._histogram``, so the recurrence and the key
-format live only in farey.
+interval the kept start pairs flow from ``_starts`` into
+``farey._window_keys``.  Every window key is decoded by
+``farey._histogram``, so the recurrence and the key format live only in
+farey.  ``verify_tuple_identities`` streams and decodes once per (Q,
+interval), at the longest length H of its tuples, and reads each shorter h
+off that: the pass as farey proves, the decode by ``_truncated``.  Nothing
+is cached.
 
 Short intervals.  A point (a, b) with gcd(a, b) = 1 has a unique inverse
 b_bar in {1, ..., a-1} with b*b_bar = 1 mod a (b_bar = 0 when a = 1, as
@@ -58,9 +61,7 @@ Q^2/4 point by point.  Wall hits take at most two more per column.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter, namedtuple
-from functools import lru_cache
 from math import gcd, log, pi
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -72,7 +73,7 @@ from .farey import (
     _restriction,
     _smallest_prime_factors,
     _squarefree_divisors,
-    _stream_histogram,
+    _stream_histograms,
     _tail_starts,
     _window_keys,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "FamilyCheck",
     "VerifyResult",
     "verify_tuple_identity",
+    "verify_tuple_identities",
     "verify_parity_swap",
     "AsymptoticRow",
     "asymptotic_report",
@@ -304,16 +306,25 @@ def count_lattice_interval(
 
 
 def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], int]:
-    """Primitive counts keyed by coordinate parities, one ``count_lattice``
-    each.
+    """Primitive counts keyed by coordinate parities, from one column sweep.
 
     Only ('odd','odd'), ('odd','even'), ('even','odd') occur: two even
-    coordinates are never coprime.
+    coordinates are never coprime.  An odd column counts its odd and its
+    even b, an even column its odd b, each by ``_coprime_count``.
     """
-    return {
-        key: count_lattice(region, q_max, PairParity(*key)).count
-        for key in (("odd", "odd"), ("odd", "even"), ("even", "odd"))
-    }
+    _check_order(q_max)
+    cols = list(_columns(region, q_max, PairParity()))
+    spf = _smallest_prime_factors(cols[-1][0] if cols else 1)  # a increases
+    oo = oe = eo = 0
+    for a, bs in cols:
+        divs = _squarefree_divisors(a, spf)
+        odd_bs = range(_align(bs.start, "odd"), bs.stop, 2)
+        if a & 1:
+            oo += _coprime_count(divs, odd_bs)
+            oe += _coprime_count(divs, range(_align(bs.start, "even"), bs.stop, 2))
+        else:
+            eo += _coprime_count(divs, odd_bs)
+    return {("odd", "odd"): oo, ("odd", "even"): oe, ("even", "odd"): eo}
 
 
 # ---------------------------------------------------------------------------
@@ -329,26 +340,6 @@ def _starts(
     return ((a, b) for a, bs in columns for b in _kept(a, bs, _inverse_rule(a, interval)[0]))
 
 
-@lru_cache(maxsize=8)
-def _kept_columns(q_max: int, interval: UnitInterval) -> tuple[tuple[int, array], ...]:
-    """(a, the kept b's) for every odd column a of Q*T: the interval's start
-    pairs, found once for every h.  Packed, they take 4 bytes a pair."""
-    columns = _columns(farey_triangle(), q_max, PairParity("odd", "any"))
-    return tuple(
-        (a, array("i", _kept(a, bs, _inverse_rule(a, interval)[0]))) for a, bs in columns
-    )
-
-
-@lru_cache(maxsize=64)
-def _decode_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
-    if interval is None:  # the start pairs are farey's row-block points
-        keys = _block_keys(q_max, h)
-    else:
-        starts = ((a, b) for a, bs in _kept_columns(q_max, interval) for b in bs)
-        keys = _window_keys(q_max, h, starts)
-    return _histogram(keys, q_max, h, with_steps=True)[0]
-
-
 def decode_histogram(
     q_max: int, h: int, interval: Optional[UnitInterval] = None
 ) -> Counter:
@@ -358,14 +349,23 @@ def decode_histogram(
     the *periodic* odd subsequence; free index labels never exceed 2Q, so the
     per-family sums below are finite by construction.
     """
-    return _decode_cached(q_max, h, _restriction(q_max, h, interval))
+    interval = _restriction(q_max, h, interval)
+    if interval is None:  # the start pairs are farey's row-block points
+        keys = _block_keys(q_max, h)
+    else:
+        columns = _columns(farey_triangle(), q_max, PairParity("odd", "any"))
+        keys = _window_keys(q_max, h, _starts(interval, columns))
+    return _histogram(keys, q_max, h, with_steps=True)[0]
 
 
-@lru_cache(maxsize=64)
-def _stream_cached(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
-    # the streaming pass, so the identity still checks the recurrence
-    # (gap_histogram counts whole-sequence windows from lattice row blocks)
-    return _stream_histogram(q_max, h, interval, with_steps=True)[0]
+def _truncated(hist: Counter, h: int) -> Counter:
+    """A decoded (gaps, steps) histogram cut to the first h steps: a decoded
+    window is a full window of the periodic sequence, so its first h steps
+    are the h-window from the same start."""
+    out: Counter = Counter()
+    for (gaps, steps), count in hist.items():
+        out[gaps[:h], steps[:h]] += count
+    return out
 
 
 def boundary_window_histogram(
@@ -415,12 +415,11 @@ class VerifyResult(NamedTuple):
         return None
 
 
-def verify_tuple_identity(
-    q_max: int,
-    deltas: Sequence[int],
-    interval: Optional[UnitInterval] = None,
-) -> VerifyResult:
-    """Check streaming window count == lattice family sums, exactly.
+def verify_tuple_identities(
+    q_max: int, tuples: Sequence[Sequence[int]], interval: Optional[UnitInterval] = None
+) -> list[VerifyResult]:
+    """Check streaming window count == lattice family sums, exactly; one
+    result per gap tuple, in order.
 
     The left-hand side is the streaming pass over F(Q).  The right-hand side
     takes the window of every primitive odd-x point of Q*T (free labels are
@@ -431,32 +430,46 @@ def verify_tuple_identity(
     pass and the lattice count.  With an interval each point is decoded on
     its own and kept by the half-open rule; a note is attached when the
     closed streaming rule could differ (odd-denominator fraction exactly at
-    the lower endpoint).
+    the lower endpoint).  One pass and one decode, at the longest tuple's
+    length, serve every tuple (see the module docstring).
     """
-    target = tuple(int(d) for d in deltas)
-    h = len(target)
-    ikey = _restriction(q_max, h, interval)
-    stream_hist = _stream_cached(q_max, h, ikey)
-    dec = decode_histogram(q_max, h, ikey)
-    bound = boundary_window_histogram(q_max, h, ikey)
-    checks = []
-    for fam in families(target):
-        sig = fam.path.step_types()
-        key = (target, sig)
-        checks.append(
-            FamilyCheck(sig, arrow_text(fam), stream_hist[key], dec[key], bound[key])
+    targets = [tuple(int(d) for d in deltas) for deltas in tuples]
+    ikey = _restriction(q_max, min(map(len, targets), default=0), interval)
+    top = max(map(len, targets))
+    streams = _stream_histograms(q_max, top, ikey, with_steps=True)
+    decoded = decode_histogram(q_max, top, ikey)
+    lo = 0 if ikey is None else ikey.lo
+    notes = ()
+    if lo > 0 and lo.denominator % 2 == 1 and lo.denominator <= q_max:
+        notes = (
+            f"lower endpoint {lo} is an odd-denominator fraction of F({q_max}): "
+            "closed (streaming) and half-open (lattice) memberships may differ",
         )
-    notes = []
-    if ikey is not None and ikey.lo > 0:
-        lo = ikey.lo
-        if lo.denominator % 2 == 1 and lo.denominator <= q_max:
-            notes.append(
-                f"lower endpoint {lo} is an odd-denominator fraction of F({q_max}): "
-                "closed (streaming) and half-open (lattice) memberships may differ"
+    results = []
+    for target in targets:
+        h = len(target)
+        stream_hist = streams[h - 1][0]
+        dec = _truncated(decoded, h)
+        bound = boundary_window_histogram(q_max, h, ikey)
+        checks = []
+        for fam in families(target):
+            sig = fam.path.step_types()
+            key = (target, sig)
+            checks.append(
+                FamilyCheck(sig, arrow_text(fam), stream_hist[key], dec[key], bound[key])
             )
-    lhs = sum(fc.stream for fc in checks)
-    rhs = sum(fc.lattice - fc.boundary for fc in checks)
-    return VerifyResult(all(fc.ok for fc in checks), lhs, rhs, tuple(checks), tuple(notes))
+        lhs = sum(fc.stream for fc in checks)
+        rhs = sum(fc.lattice - fc.boundary for fc in checks)
+        ok = all(fc.ok for fc in checks)
+        results.append(VerifyResult(ok, lhs, rhs, tuple(checks), notes))
+    return results
+
+
+def verify_tuple_identity(
+    q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval] = None
+) -> VerifyResult:
+    """``verify_tuple_identities`` for one gap tuple."""
+    return verify_tuple_identities(q_max, [deltas], interval)[0]
 
 
 _SWAP_EVEN = (

@@ -14,7 +14,7 @@ from conftest import F8, F8_ODD, cached_gap_histogram
 from oddfarey.density import gap_density, rho_odd
 from oddfarey.farey import (
     UnitInterval,
-    _stream_histogram,
+    _stream_histograms,
     empirical_rho,
     farey_fractions,
     gap_histogram,
@@ -68,7 +68,7 @@ def test_criterion_04_window_identity():
     ok = True
     for q in (8, 50, 100, 200):
         for h in (1, 2, 3):
-            stream, _ = _stream_histogram(q, h)  # the pass, not the lattice count
+            stream, _ = _stream_histograms(q, h)[-1]  # the pass, not the lattice count
             dec: Counter = Counter()
             for (gaps, _sig), c in decode_histogram(q, h).items():
                 dec[gaps] += c

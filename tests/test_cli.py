@@ -365,3 +365,12 @@ def test_short_interval_without_windows(capsys):
     # no odd-denominator fraction equals 1/2, so no window starts in [1/2, 1/2]
     err = _bad_input(capsys, "short-interval", "--q", "10", "--delta", "1", "--interval", "1/2,1/2")
     assert "no length-2 windows" in err
+
+
+def test_no_window_error_names_the_interval(capsys):
+    # F(50) has windows, just none whose first fraction lies in [1/2, 1/2]
+    for command in ("short-interval", "compare"):
+        err = _bad_input(capsys, command, "--q", "50", "--delta", "1", "--interval", "1/2,1/2")
+        assert "no length-2 windows with first fraction in [1/2,1/2] " in err and "F(50)" in err
+    err = _bad_input(capsys, "compare", "--q", "1", "--delta", "1")  # F(1) has no window
+    assert "no length-2 windows in the odd subsequence of F(1)" in err

@@ -20,7 +20,7 @@ from conftest import (
 from oddfarey.farey import (
     DEFAULT_MAX_Q,
     UnitInterval,
-    _stream_histogram,
+    _stream_histograms,
     count_delta_tuples,
     delta,
     empirical_rho,
@@ -146,7 +146,7 @@ def test_gap_counts_total_to_window_count(q_max):
 
 
 def _assert_count_is_stream(q, h):
-    stream, windows = _stream_histogram(q, h, with_steps=True)
+    stream, windows = _stream_histograms(q, h, with_steps=True)[-1]
     gaps_only = Counter()
     for (gaps, _steps), c in stream.items():
         gaps_only[gaps] += c

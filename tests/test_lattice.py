@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     F8_ODD,
     brute_boundary_windows,
+    brute_windows,
     brute_farey,
     point_starts,
     small_fractions,
@@ -19,19 +20,20 @@ from conftest import (
 from oddfarey.farey import (
     UnitInterval,
     _histogram,
-    _stream_histogram,
+    _stream_histograms,
     _window_keys,
     farey_count,
     gap_histogram,
     odd_farey_count,
 )
-from oddfarey.geometry import cylinder, farey_triangle
+from oddfarey.geometry import cylinder, farey_triangle, refine, unimodular_image
 from oddfarey.lattice import (
     PairParity,
     _by_b,
     _by_bbar,
     _columns,
     _inverse_rule,
+    _truncated,
     asymptotic_report,
     boundary_window_histogram,
     count_lattice,
@@ -39,6 +41,7 @@ from oddfarey.lattice import (
     decode_histogram,
     parity_profile,
     verify_parity_swap,
+    verify_tuple_identities,
     verify_tuple_identity,
 )
 from oddfarey.paths import families
@@ -121,6 +124,35 @@ def test_column_counts_match_the_point_sweep(ks, q):
         assert got == n, (ks, q, px, py, primitive)
     profile = parity_profile(region, q)
     assert profile == {key: expected[(*key, True)] for key in _PROFILE_KEYS}
+
+
+def _profile_region(kind, ks):
+    """A cylinder, a cell refined by a subcylinder (as the parity swap
+    refines), that cell's unimodular image, or an empty region."""
+    cell = refine(cylinder(ks[:1]), cylinder(ks))
+    return {
+        "cylinder": cylinder(ks),
+        "refined": cell,
+        "image": unimodular_image(cell, ks[0]),
+        "empty": refine(cylinder((1,)), cylinder((2,))),
+    }[kind]
+
+
+@seed(20025)
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["cylinder", "refined", "image", "empty"]),
+    ks=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+    q=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 300)),
+)
+@example(kind="empty", ks=(1,), q=300)
+@example(kind="image", ks=(3, 1), q=1)
+def test_parity_profile_is_three_counts_in_one_sweep(kind, ks, q):
+    region = _profile_region(kind, ks)
+    profile = parity_profile(region, q)
+    assert profile == {key: count_lattice(region, q, PairParity(*key)).count for key in _PROFILE_KEYS}
+    swept = swept_lattice_counts(region, q)
+    assert profile == {key: swept[(*key, True)] for key in _PROFILE_KEYS}
 
 
 def test_column_counts_at_the_default_cap():
@@ -210,7 +242,7 @@ def test_tuple_identity_examples():
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_identity_full_histogram(q, h):
     """Every observed pattern satisfies the corrected identity, not just a few."""
-    stream, _ = _stream_histogram(q, h, with_steps=True)  # the pass, not the count
+    stream, _ = _stream_histograms(q, h, with_steps=True)[-1]  # the pass, not the count
     dec = decode_histogram(q, h)
     bnd = boundary_window_histogram(q, h)
     keys = set(stream) | set(dec) | set(bnd)
@@ -218,28 +250,34 @@ def test_identity_full_histogram(q, h):
         assert stream[key] == dec[key] - bnd[key], (q, h, key)
 
 
-def test_verify_streams_once_per_key(monkeypatch):
-    """The identity's stream side is one pass per (Q, h, interval), and a
-    streaming pass even at h = 1."""
+def test_verify_streams_once_per_key(monkeypatch, capsys):
+    """`verify all` makes one streaming pass and one decode per (Q, interval),
+    at the longest window its tuples ask for (a pass streams even for the
+    h = 1 tuples), and one column sweep per parity profile."""
     import oddfarey.farey as farey
-    from oddfarey.lattice import _stream_cached
+    import oddfarey.lattice as lattice
+    from oddfarey.cli import main
 
-    passes = []
-    gap_pass = farey._gap_pass
+    calls = []
 
-    def counted_pass(*key):
-        passes.append(key)
-        return gap_pass(*key)
+    def recording(name, fn):
+        def recorded(*args):
+            calls.append((name, *args))
+            return fn(*args)
 
-    monkeypatch.setattr(farey, "_gap_pass", counted_pass)
-    _stream_cached.cache_clear()
+        return recorded
+
+    monkeypatch.setattr(farey, "_gap_pass", recording("pass", farey._gap_pass))
+    for name in ("decode_histogram", "parity_profile", "_columns"):
+        monkeypatch.setattr(lattice, name, recording(name, getattr(lattice, name)))
+    assert main(["verify", "all", "--q", "33"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
     half = UnitInterval(0, Fraction(1, 2))
-    for deltas in [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2)]:
-        assert verify_tuple_identity(33, deltas).ok
-    for deltas in [(1,), (2,), (1, 1)]:
-        assert verify_tuple_identity(33, deltas, half).ok
-    _stream_cached.cache_clear()
-    assert passes == [(33, 1, None), (33, 2, None), (33, 1, half), (33, 2, half)]
+    per_key = [(33, 2, None), (33, 2, half)]
+    assert [c[1:] for c in calls if c[0] == "pass"] == per_key
+    assert [c[1:] for c in calls if c[0] == "decode_histogram"] == per_key
+    first = next(i for i, c in enumerate(calls) if c[0] == "parity_profile")
+    assert [c[0] for c in calls[first:]] == ["parity_profile", "_columns"] * 30
 
 
 def test_identity_at_tiny_orders():
@@ -280,6 +318,36 @@ def test_interval_convention_note():
     # 1/3 is an odd-denominator element, so closed vs half-open may differ
     res = verify_tuple_identity(30, (1,), UnitInterval(Fraction(1, 3), 1))
     assert res.notes
+
+
+@seed(20024)
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 150), top=st.integers(1, 4), interval=small_intervals)
+@example(q=40, top=4, interval=UnitInterval(Fraction(7, 9), 1))  # ends at 1
+@example(q=50, top=3, interval=UnitInterval(Fraction(1, 2), Fraction(1, 2)))  # no odd element
+@example(q=60, top=4, interval=UnitInterval(0, Fraction(1, 3)))  # starts at 0
+@example(q=9, top=4, interval=UnitInterval(Fraction(4, 5), Fraction(4, 5)))  # tail cut at 1/1
+@example(q=2, top=4, interval=UnitInterval(0, 1))  # the whole sequence: no tail
+@example(q=37, top=4, interval=UnitInterval(0, 1))
+def test_one_pass_and_one_decode_serve_every_shorter_window(q, top, interval):
+    """One streaming pass at the longest length H gives the windows of every
+    h <= H, and the H-decode cut to h is the h-decode."""
+    streams = _stream_histograms(q, top, interval, with_steps=True)
+    decoded = decode_histogram(q, top, interval)
+    for h in range(1, top + 1):
+        expected = brute_windows(q, h, (interval.lo, interval.hi), with_steps=True)
+        assert streams[h - 1] == (expected, sum(expected.values())), (q, top, h, interval)
+        assert _truncated(decoded, h) == decode_histogram(q, h, interval), (q, top, h, interval)
+
+
+def test_identities_of_mixed_lengths_match_one_at_a_time():
+    tuples = [(2, 1, 1), (1,), (1, 2), (3,), (1, 1, 2)]
+    for interval in (None, UnitInterval(Fraction(1, 4), Fraction(2, 3))):
+        together = verify_tuple_identities(45, tuples, interval)
+        assert together == [verify_tuple_identities(45, [t], interval)[0] for t in tuples]
+        assert all(res.ok for res in together)
+    with pytest.raises(ValueError, match="window length"):
+        verify_tuple_identities(45, [(1,), ()])
 
 
 @settings(max_examples=25, deadline=None)
