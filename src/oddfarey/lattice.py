@@ -53,16 +53,20 @@ form range(ceil(a*(1 - hi)), ceil(a*(1 - lo))), and the walls are the
 integers among a*(1 - hi), a*(1 - lo) below a.  As b -> b_bar is an
 involution on the units mod a, the kept b of a column that spans less than
 a (every column of a region inside T: column a of Q*T is (Q - a, Q]) are
-the lifts of the kept units, one b = b_bar^-1 mod a each.  So ``_kept``
-walks the shorter of the two ranges, at a cost of min(#b, a*|I| + 1)
-inverses per column: at most |I|*Q^2/4 + Q to decode Q*T, against about
-Q^2/4 point by point.  Wall hits take at most two more per column.
+the lifts of the kept units, one b = b_bar^-1 mod a each.  So ``_walk``
+walks the shorter of the two ranges, min(#b, a*|I| + 1) values per column:
+at most |I|*Q^2/4 + Q to decode Q*T, against about Q^2/4 point by point.
+No value costs a gcd or an inverse of its own: ``_units`` sieves the range
+by a's primes, and ``_inverses`` inverts the units left in one batch, at 3
+multiplications mod a each and one inversion per column.  Wall hits take at
+most two more units and inversions per column.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from math import gcd, log, pi
+from itertools import compress, repeat
+from math import log, pi
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .farey import (
@@ -261,26 +265,55 @@ def _inverse_rule(a: int, interval: UnitInterval) -> tuple[range, set[int]]:
     return range(*ends), walls
 
 
-def _by_b(a: int, bs: range, bbars: range) -> list[int]:
-    """The b in ``bs`` with gcd(a, b) = 1 and b_bar in ``bbars``, by b."""
-    first, stop = bbars.start, bbars.stop
-    return [b for b in bs if gcd(a, b) == 1 and first <= pow(b, -1, a) < stop]
+def _units(a: int, vals: range, spf: Sequence[int]) -> list[int]:
+    """The v in ``vals`` (step 1 or 2) with gcd(a, v) = 1: the multiples of
+    each prime of a, from the sieve ``spf`` (which must reach a), are struck
+    from vals.start, ..., vals.stop - 1, and vals is read off what is left."""
+    n = len(range(vals.start, vals.stop))
+    keep, zeros = bytearray(b"\x01") * n, bytes(n)
+    while a > 1:
+        p = spf[a]
+        while a % p == 0:
+            a //= p
+        i = -vals.start % p  # the first index of a multiple of p
+        keep[i::p] = zeros[i::p]
+    return list(compress(vals, keep[::vals.step]))
 
 
-def _by_bbar(a: int, bs: range, bbars: range) -> list[int]:
-    """The same b, by b_bar, when ``bs`` spans less than a: each unit b_bar
-    lifts to the one b = b_bar^-1 mod a in [bs.start, bs.start + a)."""
-    lo = bs.start
-    lifts = [lo + (pow(c, -1, a) - lo) % a for c in bbars if gcd(a, c) == 1]
-    return [b for b in lifts if b in bs]
+def _inverses(units: list[int], a: int, lo: int) -> list[int]:
+    """The inverse mod a of each of the ``units``, as the integer in [lo, lo +
+    a), with one inversion for them all (Montgomery's trick)."""
+    after, p = [], 1
+    for u in reversed(units):
+        after.append(p)  # the product of the units after u
+        p = p * u % a
+    inv, out = pow(p, -1, a), []
+    for u, p in zip(units, reversed(after)):  # inv = 1 / (u * p) mod a
+        out.append((inv * p - lo) % a + lo)
+        inv = inv * u % a
+    return out
 
 
-def _kept(a: int, bs: range, bbars: range) -> list[int]:
-    """The b in ``bs`` with gcd(a, b) = 1 and b_bar in ``bbars``, walking
-    the shorter of the two ranges (see the module docstring)."""
+def _by_b(a: int, bs: range, bbars: range, spf: Sequence[int]) -> tuple[list[int], Iterator[bool]]:
+    """The units b of ``bs``, and for each whether b_bar is in ``bbars``."""
+    units = _units(a, bs, spf)
+    return units, map(bbars.__contains__, _inverses(units, a, 0))
+
+
+def _by_bbar(a: int, bs: range, bbars: range, spf: Sequence[int]) -> tuple[list[int], Iterator[bool]]:
+    """The lifts b = b_bar^-1 mod a into [bs.start, bs.start + a) of the units
+    b_bar of ``bbars``, and for each whether it is in ``bs``."""
+    lifts = _inverses(_units(a, bbars, spf), a, bs.start)
+    return lifts, map(bs.__contains__, lifts)
+
+
+def _walk(a: int, bs: range, bbars: range, spf: Sequence[int]) -> tuple[list[int], Iterator[bool]]:
+    """The b that column a visits, and for each whether it is kept (gcd(a, b)
+    = 1, b in ``bs``, b_bar in ``bbars``), by the shorter walk: the kept b are
+    ``compress`` of the two, their count the sum of the flags."""
     if len(bbars) < len(bs) and bs[-1] - bs[0] < a:
-        return _by_bbar(a, bs, bbars)
-    return _by_b(a, bs, bbars)
+        return _by_bbar(a, bs, bbars, spf)
+    return _by_b(a, bs, bbars, spf)
 
 
 def count_lattice_interval(
@@ -296,12 +329,13 @@ def count_lattice_interval(
     lands exactly on either wall are tallied in ``boundary_hits``.
     """
     _check_order(q_max)
+    cols = list(_columns(region, q_max, parity))
+    spf = _smallest_prime_factors(cols[-1][0] if cols else 1)  # a increases
     count = hits = 0
-    for a, bs in _columns(region, q_max, parity):
+    for a, bs in cols:
         bbars, walls = _inverse_rule(a, interval)
-        count += len(_kept(a, bs, bbars))
-        lifts = [bs.start + (pow(w, -1, a) - bs.start) % a for w in walls if gcd(a, w) == 1]
-        hits += sum(b in bs for lift in lifts for b in range(lift, bs.stop, a))
+        count += sum(_walk(a, bs, bbars, spf)[1])
+        hits += sum(sum(_walk(a, bs, range(w, w + 1), spf)[1]) for w in walls)
     return CountReport(count, region, q_max, parity, True, interval, hits)
 
 
@@ -337,7 +371,10 @@ def _starts(
 ) -> Iterator[tuple[int, int]]:
     """The pairs (a, b), b in bs, of the columns (a, bs) that are primitive
     and kept by the interval."""
-    return ((a, b) for a, bs in columns for b in _kept(a, bs, _inverse_rule(a, interval)[0]))
+    columns = list(columns)
+    spf = _smallest_prime_factors(max((a for a, _ in columns), default=1))
+    for a, bs in columns:
+        yield from zip(repeat(a), compress(*_walk(a, bs, _inverse_rule(a, interval)[0], spf)))
 
 
 def decode_histogram(

@@ -20,6 +20,8 @@ from conftest import (
 from oddfarey.farey import (
     UnitInterval,
     _histogram,
+    _smallest_prime_factors,
+    _squarefree_divisors,
     _stream_histograms,
     _window_keys,
     farey_count,
@@ -33,7 +35,9 @@ from oddfarey.lattice import (
     _by_bbar,
     _columns,
     _inverse_rule,
+    _inverses,
     _truncated,
+    _units,
     asymptotic_report,
     boundary_window_histogram,
     count_lattice,
@@ -401,21 +405,85 @@ _RULE_INTERVALS = [
 ]
 
 
+def _by_point(a, bs, bbars):
+    """The b in ``bs`` with gcd(a, b) = 1 and b_bar in ``bbars``, with one gcd
+    and one inverse per point: the oracle of both walks."""
+    return [b for b in bs if gcd(a, b) == 1 and pow(b, -1, a) in bbars]
+
+
 @pytest.mark.parametrize("ks", [(), (1,), (2,), (1, 2)])
 def test_both_walks_keep_the_same_points(ks):
-    """Walking a column by b and walking its kept inverses b_bar give the same
-    b's, on every column of the cylinder (each spans less than a)."""
+    """Walking a column by b and walking its kept inverses b_bar each keep the
+    b's of the per-point oracle, on every column of the cylinder (each spans
+    less than a), among them a = 1, even a with step-2 columns and prime
+    powers."""
     region = cylinder(ks)
     parities = [PairParity(), PairParity("odd", "any"), PairParity("odd", "even"),
                 PairParity("even", "odd"), PairParity("odd", "odd")]
+    spf = _smallest_prime_factors(200)
+    kinds = set()
     for q in [*range(1, 25), 57, 98, 131, 200]:
         for parity in parities:
             for a, bs in _columns(region, q, parity):
                 assert not bs or bs[-1] - bs[0] < a
+                if a == 1:
+                    kinds.add("a = 1")
+                if a % 2 == 0 and bs.step == 2:
+                    kinds.add("even a, step 2")
+                if len(_squarefree_divisors(a, spf)) == 2:
+                    kinds.add("prime power")
                 for interval in _RULE_INTERVALS:
                     bbars, _ = _inverse_rule(a, interval)
-                    by_b = _by_b(a, bs, bbars)
-                    assert sorted(_by_bbar(a, bs, bbars)) == by_b, (ks, q, parity, a, interval)
+                    expected = _by_point(a, bs, bbars)
+                    by_b = list(itertools.compress(*_by_b(a, bs, bbars, spf)))
+                    by_bbar = sorted(itertools.compress(*_by_bbar(a, bs, bbars, spf)))
+                    assert by_b == by_bbar == expected, (ks, q, parity, a, interval)
+    assert kinds >= {"even a, step 2", "prime power"} | ({"a = 1"} if ks in [(), (1,)] else set())
+
+
+_PRIME_POWERS = [2, 4, 8, 64, 3, 9, 27, 243, 5, 25, 125, 7, 49, 343, 11, 121, 1331]
+
+
+@seed(20026)
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.one_of(st.integers(1, 400), st.sampled_from(_PRIME_POWERS)),
+    start=st.integers(-3, 3),
+    length=st.integers(-1, 6),
+    step=st.sampled_from([1, 2]),
+    shift=st.integers(-2, 2),
+)
+@example(a=1, start=0, length=1, step=1, shift=0)
+@example(a=6, start=-1, length=3, step=2, shift=0)  # 0, a and 2a in a step-2 range
+@example(a=7, start=-2, length=4, step=2, shift=1)  # odd a, step 2: 0, 7, 14, 21 off and on parity
+@example(a=2310, start=-1, length=2, step=1, shift=0)  # 2*3*5*7*11
+def test_unit_sieve_is_the_gcd_filter(a, start, length, step, shift):
+    """The sieve keeps exactly the v with gcd(a, v) = 1, on ranges of step 1
+    and 2 reaching from about start*a to about (start + length)*a, so that
+    they hold 0, a and multiples of a."""
+    vals = range(start * a + shift, (start + length) * a + shift, step)
+    assert _units(a, vals, _smallest_prime_factors(a)) == [v for v in vals if gcd(a, v) == 1]
+
+
+@seed(20027)
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.one_of(st.integers(1, 10**6), st.sampled_from([1, 2, *_PRIME_POWERS])),
+    xs=st.lists(st.integers(-10**6, 10**6), max_size=40),
+    lo=st.integers(-10**6, 10**6),
+)
+@example(a=1, xs=[0, 1, 5], lo=0)  # b_bar = 0 when a = 1, as Python's pow gives
+@example(a=1, xs=[], lo=3)
+@example(a=2, xs=[1, 3, -1], lo=5)
+@example(a=9, xs=[7], lo=-4)  # one element
+@example(a=3**12, xs=[], lo=0)  # the empty list
+@example(a=2**10, xs=list(range(1, 2**10, 2)), lo=2**9)
+def test_batch_inverses_are_the_modular_inverses(a, xs, lo):
+    """One inversion per batch gives pow(x, -1, a) for every unit x, in order,
+    and its lift into [lo, lo + a)."""
+    units = [x for x in xs if gcd(a, x) == 1]
+    assert _inverses(units, a, 0) == [pow(x, -1, a) for x in units]
+    assert _inverses(units, a, lo) == [lo + (pow(x, -1, a) - lo) % a for x in units]
 
 
 def _short_interval(q, inv_length, den, num, from_lo):
@@ -454,21 +522,32 @@ def test_short_interval_counts_match_the_point_oracle(q, h, inv_length, den, num
 
 
 def test_short_interval_count_costs_its_share(monkeypatch):
-    """An interval count computes about |I| * Q^2 / 2 + 3Q inverses, not one
-    per primitive point: each column walks the shorter of b and b_bar."""
+    """An interval count inverts about |I| * Q^2 / 2 + 3Q units, not one per
+    primitive point: each column walks the shorter of b and b_bar.  Each
+    batch of units costs one pow: at most three per column, one for the
+    kept range and one for each wall."""
     import oddfarey.lattice as lattice
 
-    calls = []
+    batches, pows = [], []
+    batch_inverses = lattice._inverses
+
+    def counted_inverses(units, a, lo):
+        batches.append(len(units))
+        return batch_inverses(units, a, lo)
 
     def counted_pow(*args):
-        calls.append(args)
+        pows.append(args)
         return pow(*args)
 
+    monkeypatch.setattr(lattice, "_inverses", counted_inverses)
     monkeypatch.setattr(lattice, "pow", counted_pow, raising=False)
     q, interval = 2000, UnitInterval(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 1000))
-    rep = count_lattice_interval(T, q, PairParity("odd", "any"), interval)
+    parity = PairParity("odd", "any")
+    rep = count_lattice_interval(T, q, parity, interval)
     assert rep.count == len(point_starts(q, interval)[0])
-    assert 0 < len(calls) <= (interval.hi - interval.lo) * q * q / 2 + 3 * q
+    assert 0 < sum(batches) <= (interval.hi - interval.lo) * q * q / 2 + 3 * q
+    columns = len(list(_columns(T, q, parity)))
+    assert len(pows) == len(batches) <= 3 * columns
 
 
 def test_boundary_hits_flagged():
