@@ -44,20 +44,22 @@ from .lattice import (
 from .paths import arrow_text, families
 
 
-_ENCLOSURE_OPTIONS = {  # rho_odd argument: (built-in default, parser, bad-value message)
-    "tol": ("1/1000000", Fraction, "bad tolerance {!r}, expected like '1/1000'"),
-    "k_max": (8000, int, "bad cutoff limit {!r}, expected an integer"),
+_ENCLOSURE_OPTIONS = {  # rho_odd argument: (parser, bad-value message)
+    "tol": (Fraction, "bad tolerance {!r}, expected like '1/1000'"),
+    "k_max": (int, "bad cutoff limit {!r}, expected an integer"),
 }
 
 
 def _enclosure_options(args) -> dict:
-    """The ``tol`` and ``k_max`` arguments of rho_odd, parsed; each comes from
-    its flag, else the config file, else the built-in default."""
+    """The ``tol`` and ``k_max`` arguments of rho_odd that its flag, else the
+    config file, sets, parsed; rho_odd's own defaults stand for the rest."""
     out = {}
-    for name, (default, parse, bad) in _ENCLOSURE_OPTIONS.items():
+    for name, (parse, bad) in _ENCLOSURE_OPTIONS.items():
         value = getattr(args, name)
         if value is None:
-            value = args._config.get(name, default)
+            if name not in args._config:
+                continue
+            value = args._config[name]
         try:
             out[name] = parse(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

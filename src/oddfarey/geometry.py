@@ -11,10 +11,16 @@ L_i + L_{i+1} > 1 (0 <= i <= r); the redundant i = 0 entries are kept as
 part of the contract.  A region carries both the inequality list (with
 strict/non-strict senses, used for exact lattice membership) and the closure
 polygon (used for exact areas).  Vertices come from successive half-plane
-clips of the unit square in rational arithmetic; polygons are canonicalized
-to CCW order starting at the lexicographically smallest vertex so that two
-regions describe the same set iff their vertex tuples are equal.  Degenerate
-closures (point, segment, empty) normalize to an empty polygon of area 0.
+clips of the closed triangle in rational arithmetic.
+
+Regions are canonical by construction: every polygon runs CCW from its
+lexicographically smallest vertex and has no repeated and no collinear
+consecutive vertex, so two regions describe the same set iff their vertex
+tuples are equal.  Clips and the unimodular maps keep that form, so the
+normal form only orients and rotates (see ``_canonicalize`` for why the
+precondition holds).  Points from outside the package enter only through
+``convex_hull``.  Degenerate closures (point, segment, empty) normalize to
+an empty polygon of area 0.
 """
 
 from __future__ import annotations
@@ -99,14 +105,9 @@ class HalfPlane(namedtuple("HalfPlane", "form sense bound")):
 
 
 def _signed_area2(points: Sequence[Point]) -> Fraction:
-    """Twice the signed shoelace area."""
-    total = Fraction(0)
-    n = len(points)
-    for i in range(n):
-        x1, y1 = points[i]
-        x2, y2 = points[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return total
+    """Twice the signed shoelace area (0 for fewer than 3 points)."""
+    pairs = zip(points, points[1:] + points[:1])
+    return sum((x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in pairs), Fraction(0))
 
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -114,42 +115,24 @@ def _cross(o: Point, a: Point, b: Point) -> Fraction:
 
 
 def _canonicalize(points: Sequence[Point]) -> tuple[Point, ...]:
-    """Dedupe, drop collinear vertices, orient CCW, rotate to the lex-min vertex.
+    """Orient a convex polygon CCW and rotate it to its lex-min vertex.
 
-    Returns () for degenerate input (fewer than 3 distinct vertices or zero
-    area).
+    Returns () for zero area, so also for fewer than 3 vertices.
+    Precondition: the polygon has zero area, or it is convex with no repeated
+    and no collinear consecutive vertex.  ``_TRIANGLE`` and ``convex_hull``'s
+    output meet it, and every polygon made from them does.  Clipping such a
+    polygon by a closed half-plane keeps it so: a crossing point lies
+    strictly inside an edge whose endpoints have values of opposite sign, and
+    at most two output vertices lie on the clip line, next to each other.  A
+    linear map of determinant 1 keeps it too, and a polygon that loses its
+    area stays of zero area under both, which the area test maps to ().
     """
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    # remove consecutive duplicates (cyclically)
-    dedup: list[Point] = []
-    for p in pts:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    while len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    if len(dedup) < 3:
-        return ()
-    # remove collinear middles until stable
-    changed = True
-    while changed and len(dedup) >= 3:
-        changed = False
-        out: list[Point] = []
-        n = len(dedup)
-        for i in range(n):
-            if _cross(dedup[i - 1], dedup[i], dedup[(i + 1) % n]) != 0:
-                out.append(dedup[i])
-            else:
-                changed = True
-        dedup = out
-    if len(dedup) < 3:
-        return ()
-    area2 = _signed_area2(dedup)
+    area2 = _signed_area2(points)
     if area2 == 0:
         return ()
-    if area2 < 0:
-        dedup.reverse()
-    start = min(range(len(dedup)), key=lambda i: dedup[i])
-    return tuple(dedup[start:] + dedup[:start])
+    pts = list(points) if area2 > 0 else list(reversed(points))
+    start = pts.index(min(pts))
+    return tuple(pts[start:] + pts[:start])
 
 
 def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
@@ -172,8 +155,6 @@ def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
 
 def _clip(points: Sequence[Point], hp: HalfPlane) -> list[Point]:
     """Clip a convex polygon by the closure of the half-plane, exactly."""
-    if not points:
-        return []
     f, b = hp.form, hp.bound
     sign = -1 if hp.sense in (">=", ">") else 1
     return _clip_values(points, [sign * (f.evaluate(x, y) - b) for x, y in points])
@@ -196,6 +177,13 @@ def _clip_values(points: Sequence[Point], vals: Sequence[Fraction]) -> list[Poin
             t = sp / (sp - sq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
+
+
+def _clipped(points: Sequence[Point], constraints: Iterable[HalfPlane]) -> tuple[Point, ...]:
+    """The canonical polygon of ``points`` clipped by each constraint's closure."""
+    for hp in constraints:
+        points = _clip(points, hp)
+    return _canonicalize(points)
 
 
 def _index_cells(
@@ -233,9 +221,11 @@ def _index_cells(
 
 
 # The closed triangle 1 >= x, y >= 0, x + y >= 1 (the closure of
-# cylinder(()), counter-clockwise).  After labels k1..kj, the image of the
-# closed cylinder under the j-th iterate is a polygon in the coordinates
-# (L_j, L_{j+1}); _index_cells on it adds the constraints on L_{j+2}.
+# cylinder(()), counter-clockwise).  ``cylinder`` clips every cylinder from
+# it, as the constraints on L0, L1 and L0 + L1 cut out no more.  After
+# labels k1..kj, the image of the closed cylinder under the j-th iterate is
+# a polygon in the coordinates (L_j, L_{j+1}); _index_cells on it adds the
+# constraints on L_{j+2}.
 _TRIANGLE: tuple[Point, ...] = (
     (Fraction(1), Fraction(0)),
     (Fraction(1), Fraction(1)),
@@ -243,16 +233,13 @@ _TRIANGLE: tuple[Point, ...] = (
 )
 
 
-_UNIT_SQUARE: tuple[Point, ...] = (
-    (Fraction(0), Fraction(0)),
-    (Fraction(1), Fraction(0)),
-    (Fraction(1), Fraction(1)),
-    (Fraction(0), Fraction(1)),
-)
-
-
 class ConvexRegion(NamedTuple):
-    """A convex region: inequality list plus canonical closure polygon."""
+    """A convex region: inequality list plus canonical closure polygon.
+
+    A hand-built region must hold a canonical polygon (see the module
+    docstring; ``convex_hull`` gives one) that is the closure of its
+    constraints.
+    """
 
     constraints: tuple[HalfPlane, ...]
     vertices: tuple[Point, ...]
@@ -262,8 +249,6 @@ class ConvexRegion(NamedTuple):
         return not self.vertices
 
     def area(self) -> Fraction:
-        if not self.vertices:
-            return Fraction(0)
         return abs(_signed_area2(self.vertices)) / 2
 
     def contains(self, x, y) -> bool:
@@ -320,16 +305,12 @@ def cylinder_forms(ks: Sequence[int]) -> list[LinearForm]:
 
 def cylinder_constraints(ks: Sequence[int]) -> tuple[HalfPlane, ...]:
     forms = cylinder_forms(ks)
-    one = Fraction(1)
-    zero = Fraction(0)
     cons: list[HalfPlane] = []
     for f in forms:
-        cons.append(HalfPlane(f, "<=", one))
-        cons.append(HalfPlane(f, ">", zero))
+        cons.append(HalfPlane(f, "<=", 1))
+        cons.append(HalfPlane(f, ">", 0))
     for f, g in zip(forms, forms[1:]):
-        cons.append(
-            HalfPlane(LinearForm(f.cx + g.cx, f.cy + g.cy, f.c0 + g.c0), ">", one)
-        )
+        cons.append(HalfPlane(LinearForm(f.cx + g.cx, f.cy + g.cy, f.c0 + g.c0), ">", 1))
     return tuple(cons)
 
 
@@ -342,7 +323,8 @@ def cylinder(ks: Sequence[int]) -> ConvexRegion:
     ks = tuple(int(k) for k in ks)
     if any(k < 1 for k in ks):
         raise ValueError(f"labels must be positive integers, got {ks}")
-    return refine(ConvexRegion((), _UNIT_SQUARE), cylinder_constraints(ks))
+    cons = cylinder_constraints(ks)
+    return ConvexRegion(cons, _clipped(_TRIANGLE, cons))
 
 
 @lru_cache(maxsize=None)
@@ -358,14 +340,11 @@ def farey_triangle() -> ConvexRegion:
 
 
 def refine(region: ConvexRegion, extra: "ConvexRegion | Iterable[HalfPlane]") -> ConvexRegion:
-    """Intersect a region with further half-plane constraints."""
+    """Intersect a region with further half-plane constraints.  The result
+    keeps one copy of each constraint, in order of first appearance."""
     extra_cons = tuple(extra.constraints if isinstance(extra, ConvexRegion) else extra)
-    pts: Sequence[Point] = list(region.vertices)
-    for hp in extra_cons:
-        pts = _clip(pts, hp)
-        if not pts:
-            break
-    return ConvexRegion(region.constraints + extra_cons, _canonicalize(pts))
+    cons = tuple(dict.fromkeys(region.constraints + extra_cons))
+    return ConvexRegion(cons, _clipped(region.vertices, extra_cons))
 
 
 # ---------------------------------------------------------------------------
@@ -405,23 +384,19 @@ def unimodular_image(region: ConvexRegion, k: int) -> ConvexRegion:
 
 
 def halfplanes_from_polygon(points: Sequence[Point]) -> tuple[HalfPlane, ...]:
-    """Closed edge constraints (integer coefficients) of a convex polygon."""
-    pts = _canonicalize(points)
+    """Closed edge constraints (integer coefficients) of the convex hull of
+    the points."""
+    pts = convex_hull(points)
     if not pts:
         raise ValueError("degenerate polygon has no half-plane description")
     cons: list[HalfPlane] = []
-    n = len(pts)
-    for i in range(n):
-        (x1, y1), (x2, y2) = pts[i], pts[(i + 1) % n]
-        # inward normal for CCW order: (y1 - y2, x2 - x1)
-        a = y1 - y2
-        b = x2 - x1
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+        a, b = y1 - y2, x2 - x1  # the inward normal for CCW order
         c = -(a * x1 + b * y1)
         scale = math.lcm(a.denominator, b.denominator, c.denominator)
         ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
-        g = math.gcd(math.gcd(abs(ai), abs(bi)), abs(ci))
-        if g > 1:
-            ai, bi, ci = ai // g, bi // g, ci // g
+        g = math.gcd(ai, bi, ci)
+        ai, bi, ci = ai // g, bi // g, ci // g
         cons.append(HalfPlane(LinearForm(ai, bi, ci), ">=", Fraction(0)))
     return tuple(cons)
 

@@ -82,7 +82,7 @@ from .farey import (
     _window_keys,
 )
 from .geometry import ConvexRegion, cylinder, farey_triangle, refine, unimodular_image
-from .paths import arrow_text, families
+from .paths import _PARITIES, arrow_text, families
 
 __all__ = [
     "PairParity",
@@ -101,8 +101,6 @@ __all__ = [
     "asymptotic_report",
     "MAIN_TERM_COEFFICIENTS",
 ]
-
-_PARITIES = ("odd", "even", "any")
 
 
 def _fits(n: int, parity: str) -> bool:
@@ -294,26 +292,18 @@ def _inverses(units: list[int], a: int, lo: int) -> list[int]:
     return out
 
 
-def _by_b(a: int, bs: range, bbars: range, spf: Sequence[int]) -> tuple[list[int], Iterator[bool]]:
-    """The units b of ``bs``, and for each whether b_bar is in ``bbars``."""
-    units = _units(a, bs, spf)
-    return units, map(bbars.__contains__, _inverses(units, a, 0))
-
-
-def _by_bbar(a: int, bs: range, bbars: range, spf: Sequence[int]) -> tuple[list[int], Iterator[bool]]:
-    """The lifts b = b_bar^-1 mod a into [bs.start, bs.start + a) of the units
-    b_bar of ``bbars``, and for each whether it is in ``bs``."""
-    lifts = _inverses(_units(a, bbars, spf), a, bs.start)
-    return lifts, map(bs.__contains__, lifts)
-
-
 def _walk(a: int, bs: range, bbars: range, spf: Sequence[int]) -> tuple[list[int], Iterator[bool]]:
     """The b that column a visits, and for each whether it is kept (gcd(a, b)
-    = 1, b in ``bs``, b_bar in ``bbars``), by the shorter walk: the kept b are
-    ``compress`` of the two, their count the sum of the flags."""
-    if len(bbars) < len(bs) and bs[-1] - bs[0] < a:
-        return _by_bbar(a, bs, bbars, spf)
-    return _by_b(a, bs, bbars, spf)
+    = 1, b in ``bs``, b_bar in ``bbars``): the kept b are ``compress`` of the
+    two, their count the sum of the flags.  The walk inverts the units of the
+    shorter of ``bs`` and ``bbars`` and lifts each inverse into the other
+    range's window [start, start + a); as ``bbars`` lies in [0, a], that
+    lift changes no membership."""
+    by_bbar = len(bbars) < len(bs) and bs[-1] - bs[0] < a
+    walked, other = (bbars, bs) if by_bbar else (bs, bbars)
+    units = _units(a, walked, spf)
+    lifts = _inverses(units, a, other.start)
+    return lifts if by_bbar else units, map(other.__contains__, lifts)
 
 
 def count_lattice_interval(

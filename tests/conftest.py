@@ -105,6 +105,39 @@ def point_starts(q_max: int, interval=None) -> tuple[list[tuple[int, int]], int]
     return kept, hits
 
 
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def full_canonical(points) -> tuple:
+    """A polygon's full normal form: drop repeated consecutive vertices
+    (cyclically), drop collinear middles until none is left, orient CCW and
+    rotate to the lex-min vertex; () when fewer than 3 vertices or zero area
+    remain.  The library's normal form only orients and rotates, and must
+    agree with this on every polygon the library makes."""
+    pts = []
+    for p in points:
+        p = (Fraction(p[0]), Fraction(p[1]))
+        if not pts or p != pts[-1]:
+            pts.append(p)
+    while len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    changed = True
+    while changed and len(pts) >= 3:
+        n = len(pts)
+        kept = [pts[i] for i in range(n) if _cross(pts[i - 1], pts[i], pts[(i + 1) % n]) != 0]
+        changed, pts = len(kept) < n, kept
+    if len(pts) < 3:
+        return ()
+    area2 = sum(_cross((0, 0), pts[i - 1], pts[i]) for i in range(len(pts)))
+    if area2 == 0:
+        return ()
+    if area2 < 0:
+        pts.reverse()
+    start = pts.index(min(pts))
+    return tuple(pts[start:] + pts[:start])
+
+
 def _unit_interval(ends):
     from oddfarey.farey import UnitInterval
 

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+
+from conftest import full_canonical
 
 from oddfarey.dynamics import TrianglePoint, orbit_kappas
 from oddfarey.geometry import (
@@ -19,7 +21,15 @@ from oddfarey.geometry import (
     stabilized_quadrangle,
     unimodular_image,
 )
-from oddfarey.geometry import _TRIANGLE, _canonicalize, _index_cells
+from oddfarey.geometry import (
+    _TRIANGLE,
+    _canonicalize,
+    _clip,
+    _cross,
+    _index_cells,
+    _signed_area2,
+    cylinder_constraints,
+)
 
 
 def F(*t):
@@ -286,3 +296,103 @@ def test_index_cells_chain_is_the_forward_image_of_the_cylinder(ks):
     a, b = cylinder_forms(ks)[-2:]
     image = [(a.evaluate(x, y), b.evaluate(x, y)) for x, y in region.vertices]
     assert _canonicalize(points) == _canonicalize(image)
+
+
+def _assert_strictly_convex_ccw(points):
+    """CCW, with no repeated and no collinear consecutive vertex."""
+    n = len(points)
+    assert n >= 3 and _signed_area2(points) > 0, points
+    assert len(set(points)) == n, points
+    assert all(_cross(points[i - 2], points[i - 1], points[i]) > 0 for i in range(n)), points
+
+
+def _clip_chain(points, constraints):
+    """The polygon that ``refine`` hands to the normal form."""
+    for hp in constraints:
+        points = _clip(points, hp)
+    return points
+
+
+def _assert_in_normal_form(raw, canonical):
+    """A polygon made by the library is strictly convex and CCW, or of zero
+    area; its normal form is the old full one, also from every rotation of
+    either orientation; and ``canonical`` is that normal form."""
+    assert _canonicalize(raw) == full_canonical(raw) == canonical
+    if not canonical:
+        assert _signed_area2(raw) == 0
+        return
+    _assert_strictly_convex_ccw(raw)
+    _assert_strictly_convex_ccw(canonical)
+    for turned in (list(raw), list(reversed(raw))):
+        for r in range(len(turned)):
+            rotated = turned[r:] + turned[:r]
+            assert _canonicalize(rotated) == full_canonical(rotated) == canonical
+
+
+_LABELS = st.lists(st.one_of(st.integers(1, 4), st.integers(1, 40)), max_size=5).map(tuple)
+
+
+@seed(20151)
+@settings(max_examples=300, deadline=None)
+@given(ks=_LABELS, j=st.integers(1, 40))
+def test_regions_are_canonical_by_construction(ks, j):
+    """Cylinders (labels <= 40, arity <= 5), a cell refined by a sub-cylinder,
+    unimodular images and an ``_index_cells`` chain all come out CCW with no
+    repeated and no collinear consecutive vertex, so the normal form that only
+    orients and rotates equals the full one on them."""
+    region = cylinder(ks)
+    _assert_in_normal_form(_clip_chain(_TRIANGLE, cylinder_constraints(ks)), region.vertices)
+    k = ks[0] if ks else j
+    cell, sub = cylinder((k,)), cylinder((k,) + ks[1:])
+    raw = _clip_chain(cell.vertices, sub.constraints)
+    _assert_in_normal_form(raw, refine(cell, sub).vertices)
+    assert refine(cell, sub).vertices == sub.vertices
+    image = unimodular_image(sub, k)
+    _assert_in_normal_form([(y, k * y - x) for x, y in sub.vertices], image.vertices)
+    points = _TRIANGLE
+    for label in ks:
+        cells = list(_index_cells(points, range(label, label + 1)))
+        if not cells:
+            break
+        [(_, points, _)] = cells
+        _assert_strictly_convex_ccw(points)
+        assert _canonicalize(points) == full_canonical(points)
+
+
+def test_start_polygon_and_hull_are_in_normal_form():
+    _assert_strictly_convex_ccw(_TRIANGLE)
+    assert _canonicalize(_TRIANGLE) == full_canonical(_TRIANGLE) == farey_triangle().vertices
+    for m, i, r in [(6, 1, 1), (10, 2, 2), (17, 3, 3)]:
+        quad = stabilized_quadrangle(m, i, r)
+        _assert_in_normal_form(list(quad.vertices), quad.vertices)
+
+
+@seed(20152)
+@settings(max_examples=100, deadline=None)
+@given(ks=_LABELS.filter(lambda ks: cylinder_area(ks) > 0), data=st.data())
+def test_halfplanes_take_the_hull_of_their_points(ks, data):
+    """A cylinder's vertices give the same edge constraints shuffled, repeated
+    and padded with edge midpoints."""
+    vs = cylinder(ks).vertices
+    mids = [((x1 + x2) / 2, (y1 + y2) / 2) for (x1, y1), (x2, y2) in zip(vs, vs[1:] + vs[:1])]
+    extra = data.draw(st.lists(st.sampled_from(list(vs) + mids), max_size=12))
+    points = data.draw(st.permutations(list(vs) + mids + extra))
+    assert halfplanes_from_polygon(points) == halfplanes_from_polygon(vs)
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_refine_keeps_each_constraint_once(k):
+    """Refining a cell by its sub-cylinders keeps each constraint once, the
+    cell's first and then the new ones in order, and gives the sub-cylinder's
+    polygon and constraint set."""
+    cell = cylinder((k,))
+    for j in range(1, 12):
+        sub = cylinder((k, j))
+        refined = refine(cell, sub)
+        assert len(set(refined.constraints)) == len(refined.constraints)
+        new = tuple(hp for hp in sub.constraints if hp not in cell.constraints)
+        assert refined.constraints == cell.constraints + new
+        assert set(refined.constraints) == set(sub.constraints)
+        assert refined.vertices == sub.vertices
+        twice = refine(refined, list(sub.constraints) * 2)
+        assert twice == refined

@@ -31,13 +31,12 @@ from oddfarey.farey import (
 from oddfarey.geometry import cylinder, farey_triangle, refine, unimodular_image
 from oddfarey.lattice import (
     PairParity,
-    _by_b,
-    _by_bbar,
     _columns,
     _inverse_rule,
     _inverses,
     _truncated,
     _units,
+    _walk,
     asymptotic_report,
     boundary_window_histogram,
     count_lattice,
@@ -407,16 +406,25 @@ _RULE_INTERVALS = [
 
 def _by_point(a, bs, bbars):
     """The b in ``bs`` with gcd(a, b) = 1 and b_bar in ``bbars``, with one gcd
-    and one inverse per point: the oracle of both walks."""
+    and one inverse per point: the oracle of the walk."""
     return [b for b in bs if gcd(a, b) == 1 and pow(b, -1, a) in bbars]
 
 
 @pytest.mark.parametrize("ks", [(), (1,), (2,), (1, 2)])
-def test_both_walks_keep_the_same_points(ks):
-    """Walking a column by b and walking its kept inverses b_bar each keep the
-    b's of the per-point oracle, on every column of the cylinder (each spans
-    less than a), among them a = 1, even a with step-2 columns and prime
-    powers."""
+def test_both_walks_keep_the_same_points(ks, monkeypatch):
+    """The walk by b and the walk by b_bar (the two branches of ``_walk``)
+    keep the b's of the per-point oracle on every column of the cylinder
+    (each spans less than a), among them a = 1, even a with step-2 columns
+    and prime powers; both branches occur."""
+    import oddfarey.lattice as lattice
+
+    walked, units = [], lattice._units
+
+    def recorded_units(a, vals, spf):
+        walked.append(vals)  # the range the walk inverts: bs or bbars
+        return units(a, vals, spf)
+
+    monkeypatch.setattr(lattice, "_units", recorded_units)
     region = cylinder(ks)
     parities = [PairParity(), PairParity("odd", "any"), PairParity("odd", "even"),
                 PairParity("even", "odd"), PairParity("odd", "odd")]
@@ -434,11 +442,12 @@ def test_both_walks_keep_the_same_points(ks):
                     kinds.add("prime power")
                 for interval in _RULE_INTERVALS:
                     bbars, _ = _inverse_rule(a, interval)
-                    expected = _by_point(a, bs, bbars)
-                    by_b = list(itertools.compress(*_by_b(a, bs, bbars, spf)))
-                    by_bbar = sorted(itertools.compress(*_by_bbar(a, bs, bbars, spf)))
-                    assert by_b == by_bbar == expected, (ks, q, parity, a, interval)
-    assert kinds >= {"even a, step 2", "prime power"} | ({"a = 1"} if ks in [(), (1,)] else set())
+                    visited, flags = _walk(a, bs, bbars, spf)
+                    kept = sorted(itertools.compress(visited, flags))
+                    assert kept == _by_point(a, bs, bbars), (ks, q, parity, a, interval)
+                    kinds.add("by b" if walked.pop() is bs else "by b_bar")
+    assert kinds >= {"by b", "by b_bar", "even a, step 2", "prime power"} | (
+        {"a = 1"} if ks in [(), (1,)] else set())
 
 
 _PRIME_POWERS = [2, 4, 8, 64, 3, 9, 27, 243, 5, 25, 125, 7, 49, 343, 11, 121, 1331]
