@@ -287,19 +287,16 @@ class RhoRow(NamedTuple):
     family_text: tuple[str, ...]
 
 
-def rho_table(
-    h: int,
-    delta_max: int,
-    tol: Fraction = Fraction(1, 10**6),
-    k_max: int = 8000,
-) -> list[RhoRow]:
-    """Enclosures for every gap tuple in {1..delta_max}^h."""
+def rho_table(h: int, delta_max: int, **options) -> list[RhoRow]:
+    """Enclosures for every gap tuple in {1..delta_max}^h.  ``options``
+    (``tol``, ``k_max``) go to rho_odd as given; its defaults stand for the
+    rest."""
     if not (1 <= h <= 4):
         raise ValueError("table window length h must be in 1..4")
     if not (1 <= delta_max <= 20):
         raise ValueError("delta_max must be in 1..20")
     rows = []
     for ds in product(range(1, delta_max + 1), repeat=h):
-        enc = rho_odd(ds, tol=tol, k_max=k_max)
+        enc = rho_odd(ds, **options)
         rows.append(RhoRow(ds, enc, tuple(arrow_text(f) for f in families(ds))))
     return rows

@@ -11,7 +11,8 @@ L_i + L_{i+1} > 1 (0 <= i <= r); the redundant i = 0 entries are kept as
 part of the contract.  A region carries both the inequality list (with
 strict/non-strict senses, used for exact lattice membership) and the closure
 polygon (used for exact areas).  Vertices come from successive half-plane
-clips of the closed triangle in rational arithmetic.
+clips of the closed triangle in exact integer arithmetic on homogeneous
+coordinates (see the polygon machinery); regions hold Fraction points.
 
 Regions are canonical by construction: every polygon runs CCW from its
 lexicographically smallest vertex and has no repeated and no collinear
@@ -103,19 +104,49 @@ class HalfPlane(namedtuple("HalfPlane", "form sense bound")):
 # polygon machinery
 # ---------------------------------------------------------------------------
 
+# Inside this module a polygon is a list of homogeneous integer vertices: a
+# reduced triple (X, Y, W), W > 0 and gcd(X, Y, W) = 1, stands for the point
+# (X/W, Y/W).  A half-plane is an integer functional (gx, gy, gw) whose value
+# gx*X + gy*Y + gw*W has the sign of the affine function at the point, so a
+# clip needs no Fraction: a crossing point is an integer combination of its
+# edge's endpoints, reduced by one gcd (Blinn and Newell, "Clipping using
+# homogeneous coordinates", 1978).  Regions convert to Fractions once, in
+# _canonicalize.
+_Triple = tuple[int, int, int]
 
-def _signed_area2(points: Sequence[Point]) -> Fraction:
+
+def _triple(p: Point) -> _Triple:
+    """The reduced triple of a rational point."""
+    x, y = p
+    w = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
+
+
+def _functional(hp: HalfPlane) -> _Triple:
+    """The integer functional that is <= 0 exactly on the closure of ``hp``."""
+    f, b = hp.form, hp.bound
+    sign = 1 if hp.sense in ("<=", "<") else -1
+    d = sign * b.denominator
+    return d * f.cx, d * f.cy, d * f.c0 - sign * b.numerator
+
+
+def _signed_area2(points: Sequence[_Triple]) -> Fraction:
     """Twice the signed shoelace area (0 for fewer than 3 points)."""
-    pairs = zip(points, points[1:] + points[:1])
-    return sum((x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in pairs), Fraction(0))
+    terms = [
+        (x1 * y2 - x2 * y1, w1 * w2)
+        for (x1, y1, w1), (x2, y2, w2) in zip(points, points[1:] + points[:1])
+    ]
+    den = math.lcm(*[d for _, d in terms])
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _canonicalize(points: Sequence[Point]) -> tuple[Point, ...]:
-    """Orient a convex polygon CCW and rotate it to its lex-min vertex.
+def _canonicalize(points: Sequence[_Triple]) -> tuple[Point, ...]:
+    """Orient a convex polygon CCW, rotate it to its lex-min vertex and
+    convert it to Fraction points.
 
     Returns () for zero area, so also for fewer than 3 vertices.
     Precondition: the polygon has zero area, or it is convex with no repeated
@@ -130,16 +161,17 @@ def _canonicalize(points: Sequence[Point]) -> tuple[Point, ...]:
     area2 = _signed_area2(points)
     if area2 == 0:
         return ()
-    pts = list(points) if area2 > 0 else list(reversed(points))
+    pts = [(Fraction(x, w), Fraction(y, w)) for x, y, w in points]
+    if area2 < 0:
+        pts.reverse()
     start = pts.index(min(pts))
     return tuple(pts[start:] + pts[:start])
 
 
 def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
-    """Exact convex hull (Andrew monotone chain), canonicalized."""
+    """Exact convex hull (Andrew monotone chain): CCW from the lex-min
+    vertex, with no collinear vertex; () when the points span no area."""
     pts = sorted({(Fraction(x), Fraction(y)) for x, y in points})
-    if len(pts) < 3:
-        return ()
     lower: list[Point] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -150,45 +182,44 @@ def convex_hull(points: Iterable[Point]) -> tuple[Point, ...]:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return _canonicalize(lower[:-1] + upper[:-1])
+    hull = lower[:-1] + upper[:-1]
+    return tuple(hull) if len(hull) >= 3 else ()
 
 
-def _clip(points: Sequence[Point], hp: HalfPlane) -> list[Point]:
-    """Clip a convex polygon by the closure of the half-plane, exactly."""
-    f, b = hp.form, hp.bound
-    sign = -1 if hp.sense in (">=", ">") else 1
-    return _clip_values(points, [sign * (f.evaluate(x, y) - b) for x, y in points])
+def _clip(points: Sequence[_Triple], g: _Triple) -> list[_Triple]:
+    """Keep the part of a convex polygon where the functional ``g`` is <= 0.
 
-
-def _clip_values(points: Sequence[Point], vals: Sequence[Fraction]) -> list[Point]:
-    """Keep the part of a convex polygon where an affine function is <= 0.
-
-    ``vals`` holds the function's value at each vertex; crossing points are
-    interpolated on the edges where it changes sign.
+    On an edge where the value changes sign from sp to sq, the crossing point
+    sq*P - sp*Q is a combination of the endpoints with coefficients of one
+    sign, so it lies on the edge; it is negated to W > 0 and reduced.
     """
-    out: list[Point] = []
-    n = len(points)
-    for i in range(n):
-        p, sp = points[i], vals[i]
-        q, sq = points[(i + 1) % n], vals[(i + 1) % n]
+    gx, gy, gw = g
+    vals = [gx * x + gy * y + gw * w for x, y, w in points]
+    out: list[_Triple] = []
+    for (xp, yp, wp), sp, (xq, yq, wq), sq in zip(
+        points, vals, points[1:] + points[:1], vals[1:] + vals[:1]
+    ):
         if sp <= 0:
-            out.append(p)
+            out.append((xp, yp, wp))
         if (sp < 0 < sq) or (sq < 0 < sp):
-            t = sp / (sp - sq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            x, y, w = sq * xp - sp * xq, sq * yp - sp * yq, sq * wp - sp * wq
+            if w < 0:
+                x, y, w = -x, -y, -w
+            d = math.gcd(x, y, w)
+            out.append((x // d, y // d, w // d))
     return out
 
 
-def _clipped(points: Sequence[Point], constraints: Iterable[HalfPlane]) -> tuple[Point, ...]:
+def _clipped(points: Sequence[_Triple], constraints: Iterable[HalfPlane]) -> tuple[Point, ...]:
     """The canonical polygon of ``points`` clipped by each constraint's closure."""
     for hp in constraints:
-        points = _clip(points, hp)
+        points = _clip(points, _functional(hp))
     return _canonicalize(points)
 
 
 def _index_cells(
-    points: Sequence[Point], ks: range
-) -> Iterator[tuple[int, list[Point], Fraction]]:
+    points: Sequence[_Triple], ks: range
+) -> Iterator[tuple[int, list[_Triple], Fraction]]:
     """Cut a polygon of positive area in the closed triangle by index cells.
 
     Yields (k, image, area2) for each k in ``ks`` (a range with step >= 1)
@@ -197,7 +228,8 @@ def _index_cells(
     The cell's third wall k*y - x >= 0 holds on the whole triangle, where
     y <= 1, so only two clips are needed.  The map has determinant 1, so the
     image keeps the piece's area and orientation; clipping the image again
-    by the next label's cell is the next cylinder (see ``_TRIANGLE``).
+    by the next label's cell is the next cylinder (see ``_TRIANGLE``).  On a
+    triple it is (X, Y, W) -> (Y, k*Y - X, W), which stays reduced.
 
     The index (1 + x)/y is a ratio of affine functions, so over a convex
     polygon of positive area its values in the interior fill the open
@@ -205,16 +237,15 @@ def _index_cells(
     y = 0); cells outside that interval meet the polygon in a null set and
     are skipped without clipping.
     """
-    ratios = [(1 + x) / y for x, y in points if y]
-    first = math.floor(min(ratios))
-    last = math.ceil(max(ratios)) - 1 if len(ratios) == len(points) else ks.stop
+    first = min((w + x) // y for x, y, w in points if y)
+    ceils = [-((-w - x) // y) for x, y, w in points if y]
+    last = max(ceils) - 1 if len(ceils) == len(points) else ks.stop
     start = ks.start + max(0, -((ks.start - first) // ks.step)) * ks.step
     for k in range(start, min(ks.stop, last + 1), ks.step):
-        piece = _clip_values(points, [k * y - x - 1 for x, y in points])
-        piece = _clip_values(piece, [1 + x - (k + 1) * y for x, y in piece])
+        piece = _clip(_clip(points, (-1, k, -1)), (1, -k - 1, 1))
         if len(piece) < 3:
             continue
-        image = [(y, k * y - x) for x, y in piece]
+        image = [(y, k * y - x, w) for x, y, w in piece]
         area2 = _signed_area2(image)
         if area2 > 0:
             yield k, image, area2
@@ -226,11 +257,7 @@ def _index_cells(
 # labels k1..kj, the image of the closed cylinder under the j-th iterate is
 # a polygon in the coordinates (L_j, L_{j+1}); _index_cells on it adds the
 # constraints on L_{j+2}.
-_TRIANGLE: tuple[Point, ...] = (
-    (Fraction(1), Fraction(0)),
-    (Fraction(1), Fraction(1)),
-    (Fraction(0), Fraction(1)),
-)
+_TRIANGLE: tuple[_Triple, ...] = ((1, 0, 1), (1, 1, 1), (0, 1, 1))
 
 
 class ConvexRegion(NamedTuple):
@@ -249,7 +276,7 @@ class ConvexRegion(NamedTuple):
         return not self.vertices
 
     def area(self) -> Fraction:
-        return abs(_signed_area2(self.vertices)) / 2
+        return abs(_signed_area2([_triple(p) for p in self.vertices])) / 2
 
     def contains(self, x, y) -> bool:
         """Exact membership honoring each constraint's strictness."""
@@ -344,7 +371,7 @@ def refine(region: ConvexRegion, extra: "ConvexRegion | Iterable[HalfPlane]") ->
     keeps one copy of each constraint, in order of first appearance."""
     extra_cons = tuple(extra.constraints if isinstance(extra, ConvexRegion) else extra)
     cons = tuple(dict.fromkeys(region.constraints + extra_cons))
-    return ConvexRegion(cons, _clipped(region.vertices, extra_cons))
+    return ConvexRegion(cons, _clipped([_triple(p) for p in region.vertices], extra_cons))
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +389,10 @@ def unimodular_image(region: ConvexRegion, k: int) -> ConvexRegion:
     """
     if k < 1:
         raise ValueError("cell index k must be >= 1")
-    cell = cylinder((k,))
-    for x, y in region.vertices:
-        if not cell.closure_contains(x, y):
+    walls = [_functional(hp) for hp in cylinder((k,)).constraints]
+    pts = [_triple(p) for p in region.vertices]
+    for (x, y), (X, Y, W) in zip(region.vertices, pts):
+        if any(gx * X + gy * Y + gw * W > 0 for gx, gy, gw in walls):
             raise ValueError(f"vertex ({x}, {y}) is outside the closed index-{k} cell")
     new_cons = tuple(
         HalfPlane(
@@ -374,8 +402,7 @@ def unimodular_image(region: ConvexRegion, k: int) -> ConvexRegion:
         )
         for hp in region.constraints
     )
-    new_pts = [(y, k * y - x) for x, y in region.vertices]
-    return ConvexRegion(new_cons, _canonicalize(new_pts))
+    return ConvexRegion(new_cons, _canonicalize([(Y, k * Y - X, W) for X, Y, W in pts]))
 
 
 # ---------------------------------------------------------------------------

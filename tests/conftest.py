@@ -7,6 +7,7 @@ list.  Expected values frozen in the tests were computed with these.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -136,6 +137,70 @@ def full_canonical(points) -> tuple:
         pts.reverse()
     start = pts.index(min(pts))
     return tuple(pts[start:] + pts[:start])
+
+
+# The Fraction clipper that geometry.py used before it moved to homogeneous
+# integer vertices, kept as the reference for the integer one.
+FRACTION_TRIANGLE = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
+
+
+def as_points(triples) -> list:
+    """Fraction points (X/W, Y/W) of homogeneous integer vertices."""
+    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in triples]
+
+
+def fraction_area2(points) -> Fraction:
+    """Twice the signed shoelace area of Fraction points."""
+    pairs = zip(points, points[1:] + points[:1])
+    return sum((x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in pairs), Fraction(0))
+
+
+def fraction_clip_values(points, vals) -> list:
+    """Keep the part of a convex polygon where an affine function, with
+    value ``vals[i]`` at vertex i, is <= 0; crossing points are interpolated
+    on the edges where it changes sign."""
+    out = []
+    n = len(points)
+    for i in range(n):
+        p, sp = points[i], vals[i]
+        q, sq = points[(i + 1) % n], vals[(i + 1) % n]
+        if sp <= 0:
+            out.append(p)
+        if (sp < 0 < sq) or (sq < 0 < sp):
+            t = sp / (sp - sq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def fraction_clip(points, hp) -> list:
+    """Clip a convex polygon by the closure of the half-plane, exactly."""
+    f, b = hp.form, hp.bound
+    sign = -1 if hp.sense in (">=", ">") else 1
+    return fraction_clip_values(points, [sign * (f.evaluate(x, y) - b) for x, y in points])
+
+
+def fraction_clip_chain(points, constraints) -> list:
+    for hp in constraints:
+        points = fraction_clip(points, hp)
+    return points
+
+
+def fraction_index_cells(points, ks: range):
+    """(k, image, area2) for each cell of ``ks`` that meets the polygon in
+    positive area, as geometry._index_cells gives it, in Fractions."""
+    ratios = [(1 + x) / y for x, y in points if y]
+    first = math.floor(min(ratios))
+    last = math.ceil(max(ratios)) - 1 if len(ratios) == len(points) else ks.stop
+    start = ks.start + max(0, -((ks.start - first) // ks.step)) * ks.step
+    for k in range(start, min(ks.stop, last + 1), ks.step):
+        piece = fraction_clip_values(points, [k * y - x - 1 for x, y in points])
+        piece = fraction_clip_values(piece, [1 + x - (k + 1) * y for x, y in piece])
+        if len(piece) < 3:
+            continue
+        image = [(y, k * y - x) for x, y in piece]
+        area2 = fraction_area2(image)
+        if area2 > 0:
+            yield k, image, area2
 
 
 def _unit_interval(ends):

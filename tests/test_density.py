@@ -139,11 +139,17 @@ def test_cutoff_limit_must_be_positive(k_max):
 
 
 def test_rho_table_shape():
-    rows = rho_table(1, 6, tol=Fraction(1, 1000))
-    assert [r.deltas for r in rows] == [(k,) for k in range(1, 7)]
-    for r in rows:
-        assert r.enclosure.lo == gap_density(r.deltas[0])
-        assert r.family_text
+    """Rows are rho_odd's enclosures under the table's options, so rho_odd's
+    defaults stand for the options not given; (1, 1) has an open family, so
+    its row depends on them."""
+    for options in ({"tol": Fraction(1, 1000)}, {}, {"k_max": 1}):
+        rows = rho_table(1, 6, **options)
+        assert [r.deltas for r in rows] == [(k,) for k in range(1, 7)]
+        for r in rows:
+            assert r.enclosure.lo == gap_density(r.deltas[0])
+            assert r.family_text
+        for r in rows + rho_table(2, 2, **options):
+            assert r.enclosure == rho_odd(r.deltas, **options)
     with pytest.raises(ValueError):
         rho_table(5, 3)
     with pytest.raises(ValueError):

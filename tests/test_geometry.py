@@ -1,10 +1,19 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import full_canonical
+from conftest import (
+    FRACTION_TRIANGLE,
+    as_points,
+    fraction_area2,
+    fraction_clip,
+    fraction_clip_chain,
+    fraction_index_cells,
+    full_canonical,
+)
 
 from oddfarey.dynamics import TrianglePoint, orbit_kappas
 from oddfarey.geometry import (
@@ -25,9 +34,12 @@ from oddfarey.geometry import (
     _TRIANGLE,
     _canonicalize,
     _clip,
+    _clipped,
     _cross,
+    _functional,
     _index_cells,
     _signed_area2,
+    _triple,
     cylinder_constraints,
 )
 
@@ -294,14 +306,14 @@ def test_index_cells_chain_is_the_forward_image_of_the_cylinder(ks):
     region = cylinder(ks)
     assert area2 / 2 == region.area() > 0
     a, b = cylinder_forms(ks)[-2:]
-    image = [(a.evaluate(x, y), b.evaluate(x, y)) for x, y in region.vertices]
+    image = [_triple((a.evaluate(x, y), b.evaluate(x, y))) for x, y in region.vertices]
     assert _canonicalize(points) == _canonicalize(image)
 
 
 def _assert_strictly_convex_ccw(points):
     """CCW, with no repeated and no collinear consecutive vertex."""
     n = len(points)
-    assert n >= 3 and _signed_area2(points) > 0, points
+    assert n >= 3 and fraction_area2(points) > 0, points
     assert len(set(points)) == n, points
     assert all(_cross(points[i - 2], points[i - 1], points[i]) > 0 for i in range(n)), points
 
@@ -309,24 +321,25 @@ def _assert_strictly_convex_ccw(points):
 def _clip_chain(points, constraints):
     """The polygon that ``refine`` hands to the normal form."""
     for hp in constraints:
-        points = _clip(points, hp)
+        points = _clip(points, _functional(hp))
     return points
 
 
 def _assert_in_normal_form(raw, canonical):
-    """A polygon made by the library is strictly convex and CCW, or of zero
-    area; its normal form is the old full one, also from every rotation of
-    either orientation; and ``canonical`` is that normal form."""
-    assert _canonicalize(raw) == full_canonical(raw) == canonical
+    """A polygon of integer triples made by the library is strictly convex
+    and CCW, or of zero area; its normal form is the old full one, also from
+    every rotation of either orientation; and ``canonical`` is that normal
+    form."""
+    assert _canonicalize(raw) == full_canonical(as_points(raw)) == canonical
     if not canonical:
         assert _signed_area2(raw) == 0
         return
-    _assert_strictly_convex_ccw(raw)
+    _assert_strictly_convex_ccw(as_points(raw))
     _assert_strictly_convex_ccw(canonical)
     for turned in (list(raw), list(reversed(raw))):
         for r in range(len(turned)):
             rotated = turned[r:] + turned[:r]
-            assert _canonicalize(rotated) == full_canonical(rotated) == canonical
+            assert _canonicalize(rotated) == full_canonical(as_points(rotated)) == canonical
 
 
 _LABELS = st.lists(st.one_of(st.integers(1, 4), st.integers(1, 40)), max_size=5).map(tuple)
@@ -344,27 +357,29 @@ def test_regions_are_canonical_by_construction(ks, j):
     _assert_in_normal_form(_clip_chain(_TRIANGLE, cylinder_constraints(ks)), region.vertices)
     k = ks[0] if ks else j
     cell, sub = cylinder((k,)), cylinder((k,) + ks[1:])
-    raw = _clip_chain(cell.vertices, sub.constraints)
+    raw = _clip_chain([_triple(p) for p in cell.vertices], sub.constraints)
     _assert_in_normal_form(raw, refine(cell, sub).vertices)
     assert refine(cell, sub).vertices == sub.vertices
     image = unimodular_image(sub, k)
-    _assert_in_normal_form([(y, k * y - x) for x, y in sub.vertices], image.vertices)
+    image_raw = [(y, k * y - x, w) for x, y, w in map(_triple, sub.vertices)]
+    _assert_in_normal_form(image_raw, image.vertices)
     points = _TRIANGLE
     for label in ks:
         cells = list(_index_cells(points, range(label, label + 1)))
         if not cells:
             break
         [(_, points, _)] = cells
-        _assert_strictly_convex_ccw(points)
-        assert _canonicalize(points) == full_canonical(points)
+        _assert_strictly_convex_ccw(as_points(points))
+        assert _canonicalize(points) == full_canonical(as_points(points))
 
 
 def test_start_polygon_and_hull_are_in_normal_form():
-    _assert_strictly_convex_ccw(_TRIANGLE)
-    assert _canonicalize(_TRIANGLE) == full_canonical(_TRIANGLE) == farey_triangle().vertices
+    _assert_strictly_convex_ccw(as_points(_TRIANGLE))
+    assert _canonicalize(_TRIANGLE) == full_canonical(FRACTION_TRIANGLE) == farey_triangle().vertices
+    assert as_points(_TRIANGLE) == list(FRACTION_TRIANGLE)
     for m, i, r in [(6, 1, 1), (10, 2, 2), (17, 3, 3)]:
         quad = stabilized_quadrangle(m, i, r)
-        _assert_in_normal_form(list(quad.vertices), quad.vertices)
+        _assert_in_normal_form([_triple(p) for p in quad.vertices], quad.vertices)
 
 
 @seed(20152)
@@ -396,3 +411,78 @@ def test_refine_keeps_each_constraint_once(k):
         assert refined.vertices == sub.vertices
         twice = refine(refined, list(sub.constraints) * 2)
         assert twice == refined
+
+
+def _vertex_halfplanes(vs, data):
+    """Integer half-planes through vertices of ``vs``, where a clip meets
+    values that are exactly 0: one through a vertex in a drawn direction, and
+    the edge lines of the hull of three vertices (chords or sides), each with
+    either sense."""
+    x, y = data.draw(st.sampled_from(vs))
+    cx, cy = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any))
+    c0 = data.draw(st.integers(-3, 3))
+    sense = data.draw(st.sampled_from(("<=", "<", ">=", ">")))
+    yield HalfPlane(LinearForm(cx, cy, c0), sense, cx * x + cy * y + c0)
+    for hp in halfplanes_from_polygon(data.draw(st.permutations(vs))[:3]):
+        yield hp
+        yield HalfPlane(hp.form, "<", hp.bound)
+
+
+@seed(20161)
+@settings(max_examples=300, deadline=None)
+@given(
+    ks=st.lists(st.integers(1, 12), max_size=3).map(tuple),
+    j=st.integers(1, 12),
+    step=st.integers(1, 2),
+    data=st.data(),
+)
+def test_integer_clipping_matches_the_fraction_clipper(ks, j, step, data):
+    """Cylinders (arity <= 3, labels <= 12), cells refined by sub-cylinders,
+    unimodular images, half-planes through vertices and ``_index_cells``
+    give the same canonical vertices and the same area2 as the Fraction
+    clipper."""
+    region = cylinder(ks)
+    cons = cylinder_constraints(ks)
+    assert region.vertices == full_canonical(fraction_clip_chain(FRACTION_TRIANGLE, cons))
+    assert _clipped(_TRIANGLE, cons) == region.vertices
+    assert region.area() == abs(fraction_area2(list(region.vertices))) / 2
+    k = ks[0] if ks else j
+    cell, sub = cylinder((k,)), cylinder((k,) + ks[1:] + (j,))
+    oracle = full_canonical(fraction_clip_chain(list(cell.vertices), sub.constraints))
+    assert refine(cell, sub).vertices == oracle
+    image = unimodular_image(sub, k)
+    assert image.vertices == full_canonical([(y, k * y - x) for x, y in sub.vertices])
+    if region.vertices:
+        for hp in _vertex_halfplanes(list(region.vertices), data):
+            oracle = full_canonical(fraction_clip(list(region.vertices), hp))
+            assert refine(region, [hp]).vertices == oracle, hp
+    points, fpoints = _TRIANGLE, list(FRACTION_TRIANGLE)
+    for label in ks + (j,):
+        ls = range(data.draw(st.integers(1, 3)), 13, step)
+        cells = list(_index_cells(points, ls))
+        oracle = list(fraction_index_cells(fpoints, ls))
+        assert [(c, as_points(img), a2) for c, img, a2 in cells] == oracle
+        nxt = [(img, fimg) for (c, img, _), (_, fimg, _) in zip(cells, oracle) if c == label]
+        if not nxt:
+            break
+        [(points, fpoints)] = nxt
+
+
+@pytest.mark.parametrize("ks", [(2,) * 20 + (1, 200), (1, 1000)])
+def test_triples_stay_reduced_along_deep_chains(ks):
+    """Every vertex of a clip chain and of an ``_index_cells`` chain stays a
+    reduced triple with W > 0: unreduced triples would still give the right
+    polygons, only with ever larger integers."""
+
+    def assert_reduced(points):
+        assert points
+        assert all(w > 0 and math.gcd(x, y, w) == 1 for x, y, w in points), points
+
+    points = _TRIANGLE
+    for hp in cylinder_constraints(ks):
+        points = _clip(points, _functional(hp))
+        assert_reduced(points)
+    points = _TRIANGLE
+    for k in ks:
+        [(_, points, _)] = _index_cells(points, range(k, k + 1))
+        assert_reduced(points)
