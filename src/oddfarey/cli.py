@@ -115,7 +115,7 @@ def _parse_point(text: str) -> TrianglePoint:
     try:
         return TrianglePoint(Fraction(parts[0]), Fraction(parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+        raise SystemExit(f"error: bad point {text!r}: {exc}") from exc
 
 
 def _parse_quadrangle(text: str) -> tuple[int, int, int]:
@@ -175,6 +175,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.delta_max < 0:
+        raise SystemExit(f"error: --delta-max must be >= 0, got {args.delta_max}")
     hist, windows = gap_histogram(args.q, args.h, interval=_parse_interval(args.interval))
     rows = [
         {
@@ -438,105 +440,138 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SUITES = (
+    "tuple-identity", "interval-identity", "parity-swap", "areas", "completeness", "stabilization",
+    "all",
+)
+
+# The subcommands, in the order `farey -h` lists them: the handler, the help
+# text, the --format default (None: no --format option), whether rho_odd's
+# --tol and --k-max apply, and the arguments as (name, add_argument keywords).
+_COMMANDS = {
+    "list": (
+        _cmd_list, "print F(Q) or its odd-denominator subsequence", "text", False,
+        [("--q", dict(type=int, required=True)), ("--odd", dict(action="store_true"))],
+    ),
+    "stats": (
+        _cmd_stats, "gap-tuple histogram of the odd subsequence", "csv", False,
+        [
+            ("--q", dict(type=int, required=True)),
+            ("--h", dict(type=int, default=1)),
+            ("--delta-max", dict(type=int, default=0, help="drop tuples with larger entries")),
+            ("--interval", dict(help="restrict window starts, e.g. '0,1/2'")),
+        ],
+    ),
+    "rho": (
+        _cmd_rho, "certified enclosure of a limiting gap density", "text", True,
+        [("--delta", dict(required=True, help="gap tuple, e.g. '1,2'"))],
+    ),
+    "rho-table": (
+        _cmd_rho_table, "enclosure table over {1..delta_max}^h", "csv", True,
+        [("--h", dict(type=int, default=2)), ("--delta-max", dict(type=int, default=3))],
+    ),
+    "compare": (
+        _cmd_compare, "empirical ratio at order Q vs the enclosure", "text", True,
+        [
+            ("--delta", dict(required=True)),
+            ("--q", dict(type=int, required=True)),
+            ("--interval", {}),
+        ],
+    ),
+    "region": (
+        _cmd_region, "dump a cylinder region as JSON", "json", False,
+        [
+            ("--ks", dict(default="", help="index labels, e.g. '2,1,3' (empty = triangle)")),
+            ("--quadrangle", dict(help="m,i,r for the stabilized backward image")),
+        ],
+    ),
+    "orbit": (
+        _cmd_orbit, "JSON orbit trace of a triangle point", None, False,
+        [
+            ("--point", dict(required=True, help="x,y as rationals, e.g. '3/4,1/2'")),
+            ("--steps", dict(type=int, default=5)),
+        ],
+    ),
+    "paths": (
+        _cmd_paths, "walk families for a gap tuple", "text", False,
+        [("--delta", dict(required=True))],
+    ),
+    "lattice": (
+        _cmd_lattice, "exact lattice count of a scaled cylinder", "text", False,
+        [
+            ("--ks", dict(default="")),
+            ("--q", dict(type=int, required=True)),
+            ("--parity", dict(default="any,any")),
+            ("--interval", {}),
+            ("--all-points", dict(action="store_true", help="count without the gcd filter")),
+        ],
+    ),
+    "verify": (
+        _cmd_verify, "run a named identity suite (exit 1 on failure)", None, False,
+        [
+            ("suite", dict(choices=_SUITES)),
+            ("--q", dict(type=int)),
+            ("--delta", {}),
+            ("--k", dict(type=int)),
+            ("--interval", {}),
+        ],
+    ),
+    "short-interval": (
+        _cmd_short_interval, "interval-restricted ratio vs the limit", "text", True,
+        [
+            ("--q", dict(type=int, required=True)),
+            ("--delta", dict(required=True)),
+            ("--interval", dict(required=True)),
+        ],
+    ),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `farey` parser with every subcommand, or with ``command`` alone.
+
+    A one-command parser reads that command's input as the full parser does
+    and prints the same usage line, since its metavar lists every command.
+    Help, --version and input that names no command need the full parser:
+    argparse would list only the one command there, or name a missing or
+    unknown command by that metavar.
+    """
     ap = argparse.ArgumentParser(
         prog="farey",
         description="Exact gap statistics of Farey fractions with odd denominators.",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     ap.add_argument("--config", help="JSON file with default option values")
-    sub = ap.add_subparsers(dest="command", required=True)
-    enclosure = argparse.ArgumentParser(add_help=False)  # rho_odd's tol and k_max
-    enclosure.add_argument("--tol")
-    enclosure.add_argument("--k-max", type=int)
-
-    def command(name, func, help, fmt="text", parents=()):
-        """A subcommand running ``func``, with ``--format`` defaulting to ``fmt``."""
-        p = sub.add_parser(name, help=help, parents=list(parents))
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        func, summary, fmt, enclosure, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        if enclosure:  # rho_odd's tol and k_max
+            p.add_argument("--tol")
+            p.add_argument("--k-max", type=int)
         if fmt is not None:
             p.add_argument("--format", choices=("text", "csv", "json"), default=fmt)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.set_defaults(func=func)
-        return p
-
-    p = command("list", _cmd_list, "print F(Q) or its odd-denominator subsequence")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--odd", action="store_true")
-
-    p = command("stats", _cmd_stats, "gap-tuple histogram of the odd subsequence", "csv")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--h", type=int, default=1)
-    p.add_argument("--delta-max", type=int, default=0, help="drop tuples with larger entries")
-    p.add_argument("--interval", help="restrict window starts, e.g. '0,1/2'")
-
-    p = command(
-        "rho", _cmd_rho, "certified enclosure of a limiting gap density", parents=[enclosure]
-    )
-    p.add_argument("--delta", required=True, help="gap tuple, e.g. '1,2'")
-
-    p = command(
-        "rho-table",
-        _cmd_rho_table,
-        "enclosure table over {1..delta_max}^h",
-        "csv",
-        parents=[enclosure],
-    )
-    p.add_argument("--h", type=int, default=2)
-    p.add_argument("--delta-max", type=int, default=3)
-
-    p = command(
-        "compare", _cmd_compare, "empirical ratio at order Q vs the enclosure", parents=[enclosure]
-    )
-    p.add_argument("--delta", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--interval")
-
-    p = command("region", _cmd_region, "dump a cylinder region as JSON", "json")
-    p.add_argument("--ks", default="", help="index labels, e.g. '2,1,3' (empty = triangle)")
-    p.add_argument("--quadrangle", help="m,i,r for the stabilized backward image")
-
-    p = command("orbit", _cmd_orbit, "JSON orbit trace of a triangle point", None)
-    p.add_argument("--point", required=True, help="x,y as rationals, e.g. '3/4,1/2'")
-    p.add_argument("--steps", type=int, default=5)
-
-    p = command("paths", _cmd_paths, "walk families for a gap tuple")
-    p.add_argument("--delta", required=True)
-
-    p = command("lattice", _cmd_lattice, "exact lattice count of a scaled cylinder")
-    p.add_argument("--ks", default="")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--parity", default="any,any")
-    p.add_argument("--interval")
-    p.add_argument("--all-points", action="store_true", help="count without the gcd filter")
-
-    p = command("verify", _cmd_verify, "run a named identity suite (exit 1 on failure)", None)
-    p.add_argument(
-        "suite",
-        choices=(
-            "tuple-identity",
-            "interval-identity",
-            "parity-swap",
-            "areas",
-            "completeness",
-            "stabilization",
-            "all",
-        ),
-    )
-    p.add_argument("--q", type=int)
-    p.add_argument("--delta")
-    p.add_argument("--k", type=int)
-    p.add_argument("--interval")
-
-    p = command(
-        "short-interval",
-        _cmd_short_interval,
-        "interval-restricted ratio vs the limit",
-        parents=[enclosure],
-    )
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--interval", required=True)
-
     return ap
+
+
+def _command_named(argv: Sequence[str]) -> Optional[str]:
+    """The command that ``argv`` runs, if only ``--config`` options come
+    before it; None for any other input, which takes the full parser."""
+    i = 0
+    while i < len(argv):
+        if argv[i] in _COMMANDS:
+            return argv[i]
+        if argv[i] == "--config":
+            i += 2
+        elif argv[i].startswith("--config="):
+            i += 1
+        else:
+            return None
+    return None
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -558,8 +593,7 @@ EXIT_BROKEN_PIPE = 141
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser(_command_named(argv)).parse_args(argv)
     try:
         args._config = _load_config(args.config)
         code = args.func(args)

@@ -142,6 +142,13 @@ def test_stats(capsys):
     assert data["7"] == (1, 12, "1/12")
 
 
+def test_stats_prints_an_empty_table(capsys):
+    # the one pair window starting at 1/3 is (1, 2), so --delta-max 1 drops it
+    argv = ["stats", "--q", "20", "--h", "2", "--delta-max", "1", "--interval", "1/3,1/3"]
+    assert run(capsys, *argv) == (0, "q,h,deltas,count,windows,ratio,ratio_decimal\n")
+    assert run(capsys, *argv, "--format", "json") == (0, "[]\n")
+
+
 def test_rho(capsys):
     code, out = run(capsys, "rho", "--delta", "2")
     assert code == 0
@@ -313,6 +320,12 @@ def test_bad_quadrangle(capsys, text):
     assert "quadrangle must look like 'm,i,r'" in _bad_input(capsys, "region", "--quadrangle", text)
 
 
+@pytest.mark.parametrize("text", ["1/0,1", "1/2", "a,b", "0,0"])
+def test_bad_point_names_its_input(capsys, text):
+    err = _bad_input(capsys, "orbit", "--point", text)
+    assert err.count("\n") == 1 and repr(text) in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_nonpositive_order_cap(monkeypatch, capsys, cap):
     monkeypatch.setenv("FAREY_MAX_Q", cap)
@@ -321,6 +334,8 @@ def test_nonpositive_order_cap(monkeypatch, capsys, cap):
 
 def test_argument_errors_exit_two(capsys):
     assert "bad gap tuple" in _bad_input(capsys, "rho", "--delta", "x")
+    err = _bad_input(capsys, "stats", "--q", "10", "--delta-max", "-1")
+    assert err == "error: --delta-max must be >= 0, got -1\n"
     _bad_input(capsys, "short-interval", "--q", "10", "--delta", "1", "--interval", "1/2,1/4")
 
 
