@@ -26,12 +26,10 @@ from .geometry import ConvexRegion, cylinder, farey_triangle, stabilized_quadran
 from .lattice import (
     CountReport,
     PairParity,
-    asymptotic_report,
     count_lattice,
     count_lattice_interval,
     verify_parity_swap,
     verify_tuple_identities,
-    verify_tuple_identity,
 )
 from .paths import PathFamily, families, instantiate
 
@@ -64,11 +62,9 @@ __all__ = [
     "unimodular_image",
     "CountReport",
     "PairParity",
-    "asymptotic_report",
     "count_lattice",
     "count_lattice_interval",
     "verify_parity_swap",
-    "verify_tuple_identity",
     "verify_tuple_identities",
     "PathFamily",
     "families",

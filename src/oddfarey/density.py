@@ -65,7 +65,7 @@ from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .geometry import _TRIANGLE, _index_cells, _signed_area2
-from .paths import PathFamily, arrow_text, families
+from .paths import PathFamily, families
 
 __all__ = [
     "Enclosure",
@@ -280,11 +280,10 @@ def rho_odd(
 
 
 class RhoRow(NamedTuple):
-    """One table row: gap tuple, its enclosure, and the families used."""
+    """One table row: gap tuple and its enclosure."""
 
     deltas: tuple[int, ...]
     enclosure: Enclosure
-    family_text: tuple[str, ...]
 
 
 def rho_table(h: int, delta_max: int, **options) -> list[RhoRow]:
@@ -295,8 +294,4 @@ def rho_table(h: int, delta_max: int, **options) -> list[RhoRow]:
         raise ValueError("table window length h must be in 1..4")
     if not (1 <= delta_max <= 20):
         raise ValueError("delta_max must be in 1..20")
-    rows = []
-    for ds in product(range(1, delta_max + 1), repeat=h):
-        enc = rho_odd(ds, **options)
-        rows.append(RhoRow(ds, enc, tuple(arrow_text(f) for f in families(ds))))
-    return rows
+    return [RhoRow(ds, rho_odd(ds, **options)) for ds in product(range(1, delta_max + 1), repeat=h)]

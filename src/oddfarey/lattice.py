@@ -5,9 +5,10 @@ counters here count integer points (a, b) with (a/Q, b/Q) satisfying every
 region constraint at its exact strictness, optionally filtered by
 coordinate parities, primitivity gcd(a, b) = 1, and the short-interval rule
 below.  They go column by column with exact integer bounds per column:
-``_columns`` is the one place that turns the region's constraints into each
-column's b-range, skips columns of the wrong x-parity and aligns the range
-to the y-parity.
+``_columns`` is the one place that turns the region's constraints (scaled
+by geometry's ``_functional``, the one half-plane-to-integer rule) into
+each column's b-range, skips columns of the wrong x-parity and aligns the
+range to the y-parity.
 
 Counted columns.  ``count_lattice`` and ``parity_profile`` (all three
 classes in one sweep) never visit a point.  Column a's primitive points are
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import compress, repeat
-from math import log, pi
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .farey import (
@@ -81,7 +81,7 @@ from .farey import (
     _tail_starts,
     _window_keys,
 )
-from .geometry import ConvexRegion, cylinder, farey_triangle, refine, unimodular_image
+from .geometry import ConvexRegion, _functional, cylinder, farey_triangle, refine, unimodular_image
 from .paths import _PARITIES, arrow_text, families
 
 __all__ = [
@@ -94,12 +94,8 @@ __all__ = [
     "boundary_window_histogram",
     "FamilyCheck",
     "VerifyResult",
-    "verify_tuple_identity",
     "verify_tuple_identities",
     "verify_parity_swap",
-    "AsymptoticRow",
-    "asymptotic_report",
-    "MAIN_TERM_COEFFICIENTS",
 ]
 
 
@@ -142,26 +138,12 @@ class CountReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _scaled_constraints(
-    region: ConvexRegion, q_max: int
-) -> list[tuple[int, int, int, bool]]:
-    """Constraints as CX*a + CY*b <= RHS (or < when strict) on integer points."""
-    out = []
-    for hp in region.constraints:
-        f, bound = hp.form, hp.bound
-        d = bound.denominator
-        cx, cy = d * f.cx, d * f.cy
-        rhs = q_max * bound.numerator - d * f.c0 * q_max
-        if hp.sense in (">=", ">"):
-            cx, cy, rhs = -cx, -cy, -rhs
-        out.append((cx, cy, rhs, hp.sense in ("<", ">")))
-    return out
-
-
 def _column_range(
     cons: Sequence[tuple[int, int, int, bool]], a: int
 ) -> Optional[tuple[int, int]]:
-    """Exact integer b-range of one column, or None when the column is empty."""
+    """Exact integer b-range of one column, or None when the column is empty;
+    each of ``cons`` is (cx, cy, rhs, strict) for cx*a + cy*b <= rhs (< when
+    strict)."""
     lo: Optional[int] = None
     hi: Optional[int] = None
     for cx, cy, rhs, strict in cons:
@@ -199,7 +181,10 @@ def _columns(
     bounds = region.bounds()
     if bounds is None:  # empty region
         return
-    cons = _scaled_constraints(region, q_max)
+    cons = []
+    for hp in region.constraints:  # (a/Q, b/Q) is in hp's closure iff gx*a + gy*b + gw*Q <= 0
+        gx, gy, gw = _functional(hp)
+        cons.append((gx, gy, -gw * q_max, hp.sense in ("<", ">")))
     xmin, xmax, _, _ = bounds
     xlo = _align(max(-(-q_max * xmin.numerator // xmin.denominator), 1), parity.x)
     xhi = q_max * xmax.numerator // xmax.denominator
@@ -492,13 +477,6 @@ def verify_tuple_identities(
     return results
 
 
-def verify_tuple_identity(
-    q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval] = None
-) -> VerifyResult:
-    """``verify_tuple_identities`` for one gap tuple."""
-    return verify_tuple_identities(q_max, [deltas], interval)[0]
-
-
 _SWAP_EVEN = (
     (("odd", "even"), ("even", "odd")),
     (("even", "odd"), ("odd", "even")),
@@ -544,59 +522,3 @@ def verify_parity_swap(
     rhs = sum(fc.lattice for fc in checks)
     return VerifyResult(all(fc.ok for fc in checks), lhs, rhs, tuple(checks))
 
-
-# ---------------------------------------------------------------------------
-# asymptotic diagnostics
-# ---------------------------------------------------------------------------
-
-MAIN_TERM_COEFFICIENTS = {
-    ("odd", "any"): 4,
-    ("even", "any"): 2,
-    ("odd", "odd"): 2,
-    ("odd", "even"): 2,
-    ("even", "odd"): 2,
-    ("any", "any"): 6,
-}
-
-
-class AsymptoticRow(NamedTuple):
-    order: int
-    count: int
-    main_term: float
-    residual: float
-    normalized: float  # residual / (Q log Q)
-
-
-def asymptotic_report(
-    region: ConvexRegion,
-    parity: PairParity,
-    orders: Iterable[int],
-    coefficient: Optional[int] = None,
-) -> list[AsymptoticRow]:
-    """Counts vs the predicted main term coeff * Area * Q^2 / pi^2.
-
-    The residual is normalized by Q log Q; staying bounded is the empirical
-    analogue of the counting estimates this package cross-checks.  Every
-    order must be >= 2, since Q log Q vanishes at Q = 1.
-    """
-    orders = list(orders)
-    for q_max in orders:
-        if q_max < 2:
-            raise ValueError(f"asymptotic orders must be >= 2 (Q log Q = 0 at 1), got {q_max}")
-    if coefficient is None:
-        try:
-            coefficient = MAIN_TERM_COEFFICIENTS[(parity.x, parity.y)]
-        except KeyError as exc:
-            raise ValueError(
-                f"no default main-term coefficient for parity {parity}; pass one"
-            ) from exc
-    area = float(region.area())
-    rows = []
-    for q_max in orders:
-        n = count_lattice(region, q_max, parity).count
-        main = coefficient * area * q_max * q_max / pi**2
-        resid = n - main
-        rows.append(
-            AsymptoticRow(q_max, n, main, resid, resid / (q_max * log(q_max)))
-        )
-    return rows

@@ -315,6 +315,17 @@ def test_bad_config_values(tmp_path, capsys):
     assert "bad cutoff" in _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1")
 
 
+def test_unknown_config_key(tmp_path, capsys):
+    """A key other than tol and k_max (k-max normalizes) is an error, not
+    ignored; a known key the command does not read stays accepted."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": "1/10"}))
+    err = _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1,1")
+    assert err == f"error: config {str(cfg)!r} has unknown key 'tolerance' (known: tol, k_max)\n"
+    cfg.write_text(json.dumps({"k-max": 50, "tol": "1/10"}))
+    assert run(capsys, "--config", str(cfg), "stats", "--q", "10")[0] == 0
+
+
 @pytest.mark.parametrize("text", ["1,2", "1,2,3,4", "6,x,1", ""])
 def test_bad_quadrangle(capsys, text):
     assert "quadrangle must look like 'm,i,r'" in _bad_input(capsys, "region", "--quadrangle", text)

@@ -147,7 +147,6 @@ def test_rho_table_shape():
         assert [r.deltas for r in rows] == [(k,) for k in range(1, 7)]
         for r in rows:
             assert r.enclosure.lo == gap_density(r.deltas[0])
-            assert r.family_text
         for r in rows + rho_table(2, 2, **options):
             assert r.enclosure == rho_odd(r.deltas, **options)
     with pytest.raises(ValueError):

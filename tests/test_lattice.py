@@ -1,7 +1,7 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import gcd, log, pi
+from math import ceil, floor, gcd, lcm, log, pi
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -28,7 +28,18 @@ from oddfarey.farey import (
     gap_histogram,
     odd_farey_count,
 )
-from oddfarey.geometry import cylinder, farey_triangle, refine, unimodular_image
+from oddfarey.geometry import (
+    ConvexRegion,
+    HalfPlane,
+    LinearForm,
+    convex_hull,
+    cylinder,
+    farey_triangle,
+    halfplanes_from_polygon,
+    refine,
+    stabilized_quadrangle,
+    unimodular_image,
+)
 from oddfarey.lattice import (
     PairParity,
     _columns,
@@ -37,7 +48,6 @@ from oddfarey.lattice import (
     _truncated,
     _units,
     _walk,
-    asymptotic_report,
     boundary_window_histogram,
     count_lattice,
     count_lattice_interval,
@@ -45,7 +55,6 @@ from oddfarey.lattice import (
     parity_profile,
     verify_parity_swap,
     verify_tuple_identities,
-    verify_tuple_identity,
 )
 from oddfarey.paths import families
 
@@ -229,14 +238,14 @@ def test_boundary_windows_order_8():
 
 
 def test_tuple_identity_examples():
-    res = verify_tuple_identity(8, (7,))
+    res = verify_tuple_identities(8, [(7,)])[0]
     assert res.ok and res.lhs == res.rhs == 1
-    res = verify_tuple_identity(8, (1,))
+    res = verify_tuple_identities(8, [(1,)])[0]
     assert res.ok and res.lhs == 7
     assert sum(fc.boundary for fc in res.families) == 1
-    res = verify_tuple_identity(50, (1, 1))
+    res = verify_tuple_identities(50, [(1, 1)])[0]
     assert res.ok
-    res = verify_tuple_identity(100, (2, 3))
+    res = verify_tuple_identities(100, [(2, 3)])[0]
     assert res.ok
     assert res.first_mismatch() is None
 
@@ -285,7 +294,7 @@ def test_verify_streams_once_per_key(monkeypatch, capsys):
 
 def test_identity_at_tiny_orders():
     # fewer elements than the window: stream side has no windows at all
-    res = verify_tuple_identity(1, (1, 1))
+    res = verify_tuple_identities(1, [(1, 1)])[0]
     assert res.ok and res.lhs == 0
 
 
@@ -299,7 +308,7 @@ def test_interval_identity():
                 keys = set(stream) | set(dec) | set(bnd)
                 for key in keys:
                     assert stream[key] == dec[key] - bnd[key], (q, h, key)
-        res = verify_tuple_identity(50, (1, 1), interval)
+        res = verify_tuple_identities(50, [(1, 1)], interval)[0]
         assert res.ok and not res.notes
 
 
@@ -319,7 +328,7 @@ def test_boundary_windows_match_brute_force_in_intervals(interval):
 
 def test_interval_convention_note():
     # 1/3 is an odd-denominator element, so closed vs half-open may differ
-    res = verify_tuple_identity(30, (1,), UnitInterval(Fraction(1, 3), 1))
+    res = verify_tuple_identities(30, [(1,)], UnitInterval(Fraction(1, 3), 1))[0]
     assert res.notes
 
 
@@ -589,31 +598,20 @@ def test_parity_swap_battery(k, q):
 
 
 def test_asymptotic_report_triangle():
-    rows = asymptotic_report(T, PairParity("odd", "any"), [100, 300, 500])
-    for row in rows:
-        # main term 4 * (1/2) * Q^2 / pi^2 = 2 Q^2 / pi^2
-        assert abs(row.main_term - 2 * row.order**2 / pi**2) < 1e-9
-        assert abs(row.normalized) <= 2
+    """The odd-x primitive points of Q*T number 4 * area * Q^2 / pi^2 (area
+    1/2) up to 2 Q log Q."""
+    for q in (100, 300, 500):
+        n = count_lattice(T, q, PairParity("odd", "any")).count
+        assert abs(n - 4 * T.area() * q * q / pi**2) <= 2 * q * log(q)
 
 
 def test_asymptotic_report_cell_two():
-    rows = asymptotic_report(cylinder((2,)), PairParity("odd", "even"), [100, 250, 400])
-    for row in rows:
-        assert abs(row.main_term - 2 * row.order**2 / (6 * pi**2)) < 1e-9
-        assert abs(row.normalized) <= 2
-
-
-@pytest.mark.parametrize("order", [1, 0, -3])
-def test_asymptotic_report_rejects_orders_below_two(order):
-    with pytest.raises(ValueError, match=f"got {order}"):
-        asymptotic_report(T, PairParity("odd", "any"), [100, order])
-
-
-def test_asymptotic_report_requires_coefficient():
-    with pytest.raises(ValueError):
-        asymptotic_report(T, PairParity("even", "even"), [10])
-    rows = asymptotic_report(T, PairParity("even", "even"), [10], coefficient=0)
-    assert rows[0].count == 0
+    """The (odd, even) primitive points of Q * cylinder((2,)) (area 1/6) number
+    2 * area * Q^2 / pi^2 up to 2 Q log Q."""
+    cell = cylinder((2,))
+    for q in (100, 250, 400):
+        n = count_lattice(cell, q, PairParity("odd", "even")).count
+        assert abs(n - 2 * cell.area() * q * q / pi**2) <= 2 * q * log(q)
 
 
 def test_parity_soundness_replay():
@@ -699,11 +697,18 @@ def _parity_class(n: int) -> str:
 @example(ks=[], q=1, interval=UnitInterval(0, 0))  # the wall a*(1 - 0) = a is no inverse
 def test_column_sweep_matches_double_loop(ks, q, interval):
     """Every sweep counter agrees with a membership test of every grid point."""
-    region = cylinder(tuple(ks))
+    _assert_sweeps_match_the_grid(cylinder(tuple(ks)), q, interval)
+
+
+def _assert_sweeps_match_the_grid(region, q, interval):
+    """count_lattice (primitive or not, every parity), count_lattice_interval
+    and parity_profile of a region in (0, 1]^2 against a membership test of
+    every grid point of [1, q]^2 in its bounding box."""
+    x0, x1, y0, y1 = region.bounds() or (1, 0, 1, 0)
     inside = [
         (a, b)
-        for a in range(1, q + 1)
-        for b in range(1, q + 1)
+        for a in range(max(1, ceil(q * x0)), floor(q * x1) + 1)
+        for b in range(max(1, ceil(q * y0)), floor(q * y1) + 1)
         if region.contains(Fraction(a, q), Fraction(b, q))
     ]
     primitive = [(a, b) for a, b in inside if gcd(a, b) == 1]
@@ -725,3 +730,50 @@ def test_column_sweep_matches_double_loop(ks, q, interval):
     profile = parity_profile(region, q)
     assert sum(profile.values()) == len(primitive)
     assert all(profile[key] == expected[key] for key in profile)
+
+
+def _restated(hp, sense):
+    """A closed constraint f >= 0 of ``halfplanes_from_polygon`` stated in
+    ``sense`` on the same wall (strict for < and >): the form is negated for
+    <= and <, and its constant moves into the bound over gcd(cx, cy), so
+    that the bound can be a proper fraction."""
+    f, sign = hp.form, 1 if sense in (">=", ">") else -1
+    g = gcd(f.cx, f.cy)
+    return HalfPlane(LinearForm(sign * f.cx // g, sign * f.cy // g), sense, Fraction(-sign * f.c0, g))
+
+
+_SENSES = (">=", ">", "<=", "<")
+F = Fraction
+_POLYGONS = [  # walls through lattice points of Q*R when Q is a multiple of 12
+    [(F(1, 2), F(1)), (F(1), F(1, 2)), (F(1), F(1))],  # restated, x + y >= 3/2 has bound 3/2
+    [(F(1, 4), F(3, 4)), (F(3, 4), F(1, 4)), (F(1), F(1))],
+    [(F(1, 3), F(1)), (F(2, 3), F(1, 2)), (F(1), F(3, 4)), (F(5, 6), F(1))],
+]
+
+
+@pytest.mark.parametrize("corners", _POLYGONS)
+def test_sweeps_honor_all_four_senses(corners):
+    """The sweeps read every constraint sense, not only the <= and > that
+    cylinders, cells and their images use: each hand-built region is stated
+    closed as halfplanes_from_polygon gives it, in each one sense throughout,
+    and with the four senses mixed; a stabilized quadrangle is closed too."""
+    hull = convex_hull(corners)
+    closed = halfplanes_from_polygon(hull)
+    assert all(hp.sense == ">=" for hp in closed)
+    statements = [[sense] * len(closed) for sense in _SENSES]
+    statements += [[_SENSES[(i + shift) % 4] for i in range(len(closed))] for shift in range(4)]
+    intervals = [UnitInterval(0, F(1, 2)), UnitInterval(F(1, 3), F(3, 4))]
+    for senses in statements:
+        region = ConvexRegion(tuple(map(_restated, closed, senses)), hull)
+        for q, interval in itertools.product((12, 24, 13), intervals):
+            _assert_sweeps_match_the_grid(region, q, interval)
+
+
+@pytest.mark.parametrize("m, i, r", [(6, 1, 1), (8, 1, 1), (10, 2, 2)])
+def test_sweeps_of_stabilized_quadrangles(m, i, r):
+    """At Q the lcm of its vertices' denominators, every vertex of a
+    stabilized quadrangle is a lattice point of Q*R, on two walls."""
+    region = stabilized_quadrangle(m, i, r)
+    q = lcm(*(c.denominator for v in region.vertices for c in v))
+    for interval in (UnitInterval(0, F(1, 2)), UnitInterval(F(1, 3), F(3, 4))):
+        _assert_sweeps_match_the_grid(region, q, interval)
