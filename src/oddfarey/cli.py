@@ -585,11 +585,13 @@ def _load_config(path: Optional[str]) -> dict:
         raise SystemExit(f"error: cannot read config {path!r}: {exc}")
     if not isinstance(data, dict):
         raise SystemExit(f"error: config {path!r} must be a JSON object")
-    config = {k.replace("-", "_"): v for k, v in data.items()}
-    unknown = [k for k in data if k.replace("-", "_") not in _ENCLOSURE_OPTIONS]
-    if unknown:
-        known = ", ".join(_ENCLOSURE_OPTIONS)
-        raise SystemExit(f"error: config {path!r} has unknown key {unknown[0]!r} (known: {known})")
+    config = {}
+    for key, value in data.items():
+        name = key.replace("-", "_")
+        if name not in _ENCLOSURE_OPTIONS:
+            known = ", ".join(_ENCLOSURE_OPTIONS)
+            raise SystemExit(f"error: config {path!r} has unknown key {key!r} (known: {known})")
+        config[name] = value
     return config
 
 
