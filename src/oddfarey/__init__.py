@@ -12,9 +12,7 @@ from .density import Enclosure, gap_density, rho_odd, rho_table
 from .dynamics import TrianglePoint, kappa, next_pair, orbit_kappas, prev_pair
 from .farey import (
     UnitInterval,
-    count_delta_tuples,
     delta,
-    empirical_rho,
     farey_count,
     farey_fractions,
     farey_index,
@@ -26,8 +24,10 @@ from .geometry import ConvexRegion, cylinder, farey_triangle, stabilized_quadran
 from .lattice import (
     CountReport,
     PairParity,
+    count_delta_tuples,
     count_lattice,
     count_lattice_interval,
+    empirical_rho,
     verify_parity_swap,
     verify_tuple_identities,
 )

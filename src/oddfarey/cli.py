@@ -25,19 +25,14 @@ from typing import Optional, Sequence
 from . import __version__
 from .density import gap_density, rho_odd, rho_table
 from .dynamics import TrianglePoint, next_pair, orbit_kappas
-from .farey import (
-    UnitInterval,
-    _tuple_windows,
-    empirical_rho,
-    farey_fractions,
-    gap_histogram,
-    odd_farey_fractions,
-)
+from .farey import UnitInterval, farey_fractions, gap_histogram, odd_farey_fractions
 from .geometry import cylinder, cylinder_area, stabilized_quadrangle
 from .lattice import (
     PairParity,
+    _tuple_windows,
     count_lattice,
     count_lattice_interval,
+    empirical_rho,
     verify_parity_swap,
     verify_tuple_identities,
 )

@@ -111,9 +111,6 @@ __all__ = [
     "odd_farey_count",
     "UnitInterval",
     "gap_histogram",
-    "count_delta_tuples",
-    "window_count",
-    "empirical_rho",
 ]
 
 DEFAULT_MAX_Q = 100_000
@@ -235,7 +232,11 @@ class UnitInterval(namedtuple("UnitInterval", "lo hi")):
 
     Window counting uses closed membership ``lo <= f <= hi``; the lattice
     module restricts by the half-open rule ``lo < f <= hi`` so that interval
-    partitions of [0, 1] split counts exactly (see lattice.py).
+    partitions of [0, 1] split counts exactly (see lattice.py).  The two
+    rules disagree on one start at most: the element lo itself, when it is
+    an odd-denominator fraction of F(Q), i.e. lo > 0 and its reduced
+    denominator is odd and at most Q.  A start f other than lo has lo <= f
+    exactly when lo < f, so both rules keep it or neither does.
     """
 
     __slots__ = ()
@@ -276,19 +277,24 @@ def _key_base(q_max: int) -> int:
     return 4 * q_max + 2
 
 
+def _successor_den(q_max: int, a: int, q: int) -> int:
+    """Denominator of the F(q_max)-successor of a/q (of (Q + 1)/Q after
+    1/1): the largest q' <= Q with a*q' = -1 (mod q)."""
+    return q_max - (q_max + pow(a, -1, q)) % q
+
+
 def _pair_at(q_max: int, x, strict: bool) -> tuple[int, int]:
     """Denominators (q, q') of the first odd a/q in F(q_max) that is >= x
     (> x if ``strict``) and of its successor, or (1, Q) if none: the first
     element is the least ceil(x*b)/b (floor(x*b) + 1 if strict) over b <= Q,
-    at the least b, its successor's denominator is the largest q' <= Q with
-    a*q' = -1 (mod q), and an even q is followed by an odd one."""
+    at the least b, and an even q is followed by an odd one."""
     n, d = x.numerator, x.denominator
     a, q = 1, 1
     for b in range(2, q_max + 1):
         c = max((n * b - (not strict)) // d + 1, 1)
         if c * q < a * b:
             a, q = c, b
-    q2 = q_max - (q_max + pow(a, -1, q)) % q
+    q2 = _successor_den(q_max, a, q)
     return (q, q2) if q & 1 else (q2, (q_max + q) // q2 * q2 - q)
 
 
@@ -561,59 +567,3 @@ def _stream_histograms(
         _histogram(_read_pass(q_max, j, counted, kept), q_max, j, with_steps)
         for j in range(1, h + 1)
     ]
-
-
-def _gap_tuple(deltas: Sequence[int]) -> tuple[int, ...]:
-    target = tuple(int(d) for d in deltas)
-    if not target or any(d < 1 for d in target):
-        raise ValueError(f"gap tuple must be nonempty positive integers, got {deltas}")
-    return target
-
-
-def count_delta_tuples(
-    q_max: int,
-    deltas: Sequence[int],
-    interval: Optional[UnitInterval] = None,
-) -> int:
-    """Count windows of h+1 consecutive odd-denominator fractions whose gap
-    tuple equals ``deltas`` (first fraction in ``interval`` when given, closed
-    membership).  One pass of ``gap_histogram``.
-    """
-    target = _gap_tuple(deltas)
-    hist, _ = gap_histogram(q_max, len(target), interval)
-    return hist[target]
-
-
-def window_count(
-    q_max: int, h: int, interval: Optional[UnitInterval] = None
-) -> int:
-    """Number of length-(h+1) windows with first fraction in ``interval``."""
-    interval = _restriction(q_max, h, interval)
-    if interval is None:
-        return max(odd_farey_count(q_max) - h, 0)
-    _, windows = gap_histogram(q_max, h, interval=interval)
-    return windows
-
-
-def _tuple_windows(q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval]):
-    """(matching windows, all windows) for ``empirical_rho``, from one pass;
-    a ValueError when there is no window."""
-    target = _gap_tuple(deltas)
-    hist, windows = gap_histogram(q_max, len(target), interval)
-    if windows == 0:
-        where = "" if interval is None else f" with first fraction in {interval}"
-        raise ValueError(
-            f"no length-{len(target) + 1} windows{where} in the odd subsequence of F({q_max})"
-        )
-    return hist[target], windows
-
-
-def empirical_rho(
-    q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval] = None
-) -> Fraction:
-    """Exact ratio (matching windows) / (all windows) for the gap tuple.
-
-    The denominator is the number of length-(h+1) windows, h = len(deltas),
-    with the first fraction in ``interval`` when one is given.
-    """
-    return Fraction(*_tuple_windows(q_max, deltas, interval))

@@ -47,28 +47,71 @@ Python's pow(b, -1, 1) gives); it equals a*(1 - gamma0) for the window's
 first fraction gamma0.  Membership in I = [lo, hi] is taken as
 a*(1 - hi) <= b_bar < a*(1 - lo), i.e. the half-open rule lo < gamma0 <= hi,
 so interval partitions of [0, 1] induce exact partitions of counts.  (The
-streaming side uses closed membership; the two agree unless some
-odd-denominator fraction equals an interval endpoint, which the verifiers
-flag.)  ``_inverse_rule`` states the rule once per column: the kept b_bar
-form range(ceil(a*(1 - hi)), ceil(a*(1 - lo))), and the walls are the
-integers among a*(1 - hi), a*(1 - lo) below a.  As b -> b_bar is an
+streaming side uses closed membership; the two differ only when lo itself
+is an odd-denominator fraction of F(Q), see ``_lo_pair``: the verifiers
+flag that case, and the counts below correct for it.)  ``_inverse_rule``
+states the rule once per column: the kept b_bar form range(ceil(a*(1 -
+hi)), ceil(a*(1 - lo))), and the walls are the integers among a*(1 - hi),
+a*(1 - lo) below a.  As b -> b_bar is an
 involution on the units mod a, the kept b of a column that spans less than
 a (every column of a region inside T: column a of Q*T is (Q - a, Q]) are
 the lifts of the kept units, one b = b_bar^-1 mod a each.  So ``_walk``
 walks the shorter of the two ranges, min(#b, a*|I| + 1) values per column:
 at most |I|*Q^2/4 + Q to decode Q*T, against about Q^2/4 point by point.
-No value costs a gcd or an inverse of its own: ``_units`` sieves the range
-by a's primes, and ``_inverses`` inverts the units left in one batch, at 3
-multiplications mod a each and one inversion per column.  Wall hits take at
-most two more units and inversions per column.
+On a walk of more than 8 values no value costs a gcd or an inverse of its
+own: ``_units`` sieves the range by a's primes, and ``_inverses`` inverts
+the units left in one batch, at 3 multiplications mod a each and one
+inversion per column.  A walk of at most 8 values (every wall, and every
+column with a*|I| <= 7) tests each value by one gcd and one inversion,
+which costs less than the bytearray and the two batch passes.
+
+One gap tuple.  ``count_delta_tuples``, ``window_count`` and
+``empirical_rho`` count without a pass when they can.  Take a tuple whose
+walk families (paths.py) are all certified finite (density.py) and none of
+arity 0 (that family of (1,) is all of T).  Its windows start at the
+primitive points (a, b) of Q*C(ks), a odd and b of the parity of the
+family's first vertex, over each family of arity r and each label tuple
+ks that has the family's fixed labels and, in each free slot, a value of
+the slot's parity up to 4r + 1 (``_label_ranges``).  The cut loses no
+point: a point of Q*C(ks) makes C(ks) nonempty, and density's escape lemma
+is about nonempty cylinders, not only those of positive area; a free label
+m >= 4r + 2 in a nonempty cylinder forces the labels next to it to be 1 and
+all others 2, and a certified-finite family contradicts that at every free
+slot.  Nor does a cylinder of zero area hold a point, as every nonempty
+cylinder has positive area: its only non-strict constraints are L_i <= 1
+with linear L_i, and at a point p of it every L_i is > 0, so at (1 - e)*p
+every L_i is < 1 while, for small e > 0, every strict constraint still
+holds; all constraints then hold strictly, so a disc around (1 - e)*p lies
+in the cylinder.  So ``_family_cylinders`` walks density's tree of label
+prefixes (geometry's ``_index_cells``), which never extends a prefix of
+zero area, and counts each leaf's columns against one sieve per call.
+
+The closed/half-open bridge.  The cylinders' points are the starts of the
+periodic sequence's windows, kept when lo < gamma0 <= hi; the pass counts
+the full windows (not running past 1/1) with lo <= gamma0 <= hi.  A start
+kept by one rule and not the other has gamma0 = lo, and there is one
+exactly when lo is an odd-denominator element of F(Q): lo > 0, with odd
+reduced denominator at most Q (``_lo_pair``).  The windows that run past
+1/1 are the tail windows, and the half-open rule keeps the same ones among
+them as among the points (``boundary_window_histogram``).  Hence the pass
+counts the points, less the kept tail windows with the target gaps, plus
+the window at lo when it is full and has the target gaps
+(``_lo_window``).  The same holds with every gap tuple at once, so with an
+interval the window total is the odd-denominator elements in (lo, hi],
+less the kept tail starts, plus the full window at lo; each odd q adds the
+a in (lo*q, hi*q] coprime to q, by Moebius inversion over q's squarefree
+divisors.  Other tuples, ``stats`` and the verifiers keep their routes.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from fractions import Fraction
 from itertools import compress, repeat
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .density import _slot_values, family_is_certified_finite
 from .farey import (
     UnitInterval,
     _block_keys,
@@ -78,11 +121,23 @@ from .farey import (
     _smallest_prime_factors,
     _squarefree_divisors,
     _stream_histograms,
+    _successor_den,
     _tail_starts,
     _window_keys,
+    gap_histogram,
+    odd_farey_count,
 )
-from .geometry import ConvexRegion, _functional, cylinder, farey_triangle, refine, unimodular_image
-from .paths import _PARITIES, arrow_text, families
+from .geometry import (
+    _TRIANGLE,
+    ConvexRegion,
+    _functional,
+    _index_cells,
+    cylinder,
+    farey_triangle,
+    refine,
+    unimodular_image,
+)
+from .paths import _PARITIES, MAX_WINDOW, PathFamily, arrow_text, families
 
 __all__ = [
     "PairParity",
@@ -92,6 +147,9 @@ __all__ = [
     "parity_profile",
     "decode_histogram",
     "boundary_window_histogram",
+    "count_delta_tuples",
+    "window_count",
+    "empirical_rho",
     "FamilyCheck",
     "VerifyResult",
     "verify_tuple_identities",
@@ -213,6 +271,12 @@ def _coprime_count(divs: Sequence[tuple[int, int]], bs: range) -> int:
     return count
 
 
+def _primitive_count(cols: Sequence[tuple[int, range]], spf: Sequence[int]) -> int:
+    """The primitive points of ``_columns`` output, each column counted whole
+    by ``_coprime_count``; the sieve ``spf`` must reach the last column."""
+    return sum(_coprime_count(_squarefree_divisors(a, spf), bs) for a, bs in cols)
+
+
 def count_lattice(
     region: ConvexRegion,
     q_max: int,
@@ -230,9 +294,8 @@ def count_lattice(
     cols = list(_columns(region, q_max, parity))
     if not primitive:
         count = sum(len(bs) for _, bs in cols)
-    else:
-        spf = _smallest_prime_factors(cols[-1][0] if cols else 1)  # a increases
-        count = sum(_coprime_count(_squarefree_divisors(a, spf), bs) for a, bs in cols)
+    else:  # a increases, so the last column's sieve reaches them all
+        count = _primitive_count(cols, _smallest_prime_factors(cols[-1][0] if cols else 1))
     return CountReport(count, region, q_max, parity, primitive)
 
 
@@ -286,9 +349,27 @@ def _walk(a: int, bs: range, bbars: range, spf: Sequence[int]) -> tuple[list[int
     lift changes no membership."""
     by_bbar = len(bbars) < len(bs) and bs[-1] - bs[0] < a
     walked, other = (bbars, bs) if by_bbar else (bs, bbars)
-    units = _units(a, walked, spf)
-    lifts = _inverses(units, a, other.start)
+    if len(walked) <= 8:  # a gcd and an inverse per value cost less up to here
+        units = [v for v in walked if gcd(a, v) == 1]
+        lifts = [(pow(v, -1, a) - other.start) % a + other.start for v in units]
+    else:
+        units = _units(a, walked, spf)
+        lifts = _inverses(units, a, other.start)
     return lifts if by_bbar else units, map(other.__contains__, lifts)
+
+
+def _interval_count(
+    cols: Sequence[tuple[int, range]], interval: UnitInterval, spf: Sequence[int]
+) -> tuple[int, int]:
+    """The primitive points of ``_columns`` output that the inverse rule
+    keeps, and the points whose inverse lies on a wall; the sieve ``spf``
+    must reach the last column."""
+    count = hits = 0
+    for a, bs in cols:
+        bbars, walls = _inverse_rule(a, interval)
+        count += sum(_walk(a, bs, bbars, spf)[1])
+        hits += sum(sum(_walk(a, bs, range(w, w + 1), spf)[1]) for w in walls)
+    return count, hits
 
 
 def count_lattice_interval(
@@ -306,11 +387,7 @@ def count_lattice_interval(
     _check_order(q_max)
     cols = list(_columns(region, q_max, parity))
     spf = _smallest_prime_factors(cols[-1][0] if cols else 1)  # a increases
-    count = hits = 0
-    for a, bs in cols:
-        bbars, walls = _inverse_rule(a, interval)
-        count += sum(_walk(a, bs, bbars, spf)[1])
-        hits += sum(sum(_walk(a, bs, range(w, w + 1), spf)[1]) for w in walls)
+    count, hits = _interval_count(cols, interval, spf)
     return CountReport(count, region, q_max, parity, True, interval, hits)
 
 
@@ -380,16 +457,191 @@ def _truncated(hist: Counter, h: int) -> Counter:
     return out
 
 
+def _tail_windows(
+    q_max: int, h: int, interval: Optional[UnitInterval]
+) -> list[tuple[int, int]]:
+    """The start pairs of the decoded windows that start in F(Q) but end
+    past 1/1 (at most h): farey's tail starts, kept by the half-open rule
+    when there is an interval (a start pair is coprime, so its b_bar is
+    one inverse)."""
+    starts = _tail_starts(q_max, h)
+    if interval is None:
+        return starts
+    return [(q, q2) for q, q2 in starts if pow(q2, -1, q) in _inverse_rule(q, interval)[0]]
+
+
 def boundary_window_histogram(
     q_max: int, h: int, interval: Optional[UnitInterval] = None
 ) -> Counter:
     """The decoded windows that start in F(Q) but end past 1/1 (at most h):
     farey's tail windows, kept by the half-open rule when there is an interval."""
-    interval = _restriction(q_max, h, interval)
-    starts = _tail_starts(q_max, h)
-    if interval is not None:
-        starts = _starts(interval, ((q, range(q2, q2 + 1)) for q, q2 in starts))
+    starts = _tail_windows(q_max, h, _restriction(q_max, h, interval))
     return _histogram(_window_keys(q_max, h, starts), q_max, h, with_steps=True)[0]
+
+
+def _lo_pair(q_max: int, interval: Optional[UnitInterval]) -> Optional[tuple[int, int]]:
+    """The start pair (q, q') of lo when lo is an odd-denominator element of
+    F(q_max), else None: the one start that the closed rule keeps and the
+    half-open rule drops (see ``UnitInterval``)."""
+    if interval is None:
+        return None
+    lo, q = interval.lo, interval.lo.denominator
+    if lo == 0 or not q & 1 or q > q_max:
+        return None
+    return q, _successor_den(q_max, lo.numerator, q)
+
+
+# ---------------------------------------------------------------------------
+# window counts of one gap tuple
+# ---------------------------------------------------------------------------
+
+
+def _gap_tuple(deltas: Sequence[int]) -> tuple[int, ...]:
+    target = tuple(int(d) for d in deltas)
+    if not target or any(d < 1 for d in target):
+        raise ValueError(f"gap tuple must be nonempty positive integers, got {deltas}")
+    return target
+
+
+def _counted_families(target: tuple[int, ...]) -> Optional[tuple[PathFamily, ...]]:
+    """The walk families of ``target`` when its windows are counted over
+    their cylinders: every family is certified finite and none has arity 0
+    (the whole triangle).  None when the histogram counts them."""
+    if len(target) > MAX_WINDOW:
+        return None
+    fams = families(target)
+    return fams if all(f.arity and family_is_certified_finite(f) for f in fams) else None
+
+
+def _label_ranges(family: PathFamily) -> list[range]:
+    """The values that each cylinder label of ``family`` takes at a point: a
+    fixed label its value, a free one the values of its parity up to 4r + 1
+    (r the arity; see the module docstring)."""
+    cut = 4 * family.arity + 1
+    return [
+        _slot_values(lab.parity, cut) if lab.is_free else range(lab.value, lab.value + 1)
+        for lab in family.path.labels[: family.arity]
+    ]
+
+
+def _family_cylinders(family: PathFamily) -> Iterator[ConvexRegion]:
+    """The cylinders of positive area with labels in ``_label_ranges``, found
+    by density's tree of label prefixes: a cylinder of zero area is empty,
+    and so is every cylinder below it (see the module docstring)."""
+    ranges = _label_ranges(family)
+
+    def walk(ks: tuple[int, ...], points) -> Iterator[ConvexRegion]:
+        if len(ks) == len(ranges):
+            yield cylinder(ks)
+            return
+        for k, image, _ in _index_cells(points, ranges[len(ks)]):
+            yield from walk(ks + (k,), image)
+
+    return walk((), _TRIANGLE)
+
+
+def _lo_window(q_max: int, h: int, interval: Optional[UnitInterval]) -> Optional[tuple[int, ...]]:
+    """The gaps of the window at lo when the closed rule counts it and the
+    half-open rule does not: lo is an odd-denominator element of F(Q) and
+    its window does not run past 1/1.  None otherwise."""
+    pair = _lo_pair(q_max, interval)
+    if pair is None or pair in _tail_starts(q_max, h):
+        return None
+    (gaps,) = _histogram(_window_keys(q_max, h, [pair]), q_max, h, with_steps=False)[0]
+    return gaps
+
+
+def _cylinder_windows(
+    q_max: int,
+    target: tuple[int, ...],
+    fams: Sequence[PathFamily],
+    interval: Optional[UnitInterval],
+    spf: Sequence[int],
+) -> int:
+    """The windows with gap tuple ``target`` and first fraction in the
+    closed ``interval``: the primitive points of its families' cylinders,
+    kept by the half-open rule, less the tail windows, plus the window at lo
+    (see the module docstring).  The sieve ``spf`` must reach q_max."""
+    count = 0
+    for fam in fams:
+        parity = PairParity("odd", fam.first_vertex_parity)
+        for region in _family_cylinders(fam):
+            cols = _columns(region, q_max, parity)
+            if interval is None:
+                count += _primitive_count(cols, spf)
+            else:
+                count += _interval_count(cols, interval, spf)[0]
+    bound = boundary_window_histogram(q_max, len(target), interval)
+    count -= sum(n for (gaps, _), n in bound.items() if gaps == target)
+    return count + (_lo_window(q_max, len(target), interval) == target)
+
+
+def count_delta_tuples(
+    q_max: int,
+    deltas: Sequence[int],
+    interval: Optional[UnitInterval] = None,
+) -> int:
+    """Count windows of h+1 consecutive odd-denominator fractions whose gap
+    tuple equals ``deltas`` (first fraction in ``interval`` when given, closed
+    membership).  Counted over the tuple's cylinders when every walk family
+    is certified finite and none is the whole triangle, else read off
+    ``gap_histogram``.
+    """
+    target = _gap_tuple(deltas)
+    interval = _restriction(q_max, len(target), interval)
+    fams = _counted_families(target)
+    if fams is None:
+        return gap_histogram(q_max, len(target), interval)[0][target]
+    return _cylinder_windows(q_max, target, fams, interval, _smallest_prime_factors(q_max))
+
+
+def window_count(
+    q_max: int, h: int, interval: Optional[UnitInterval] = None
+) -> int:
+    """Number of length-(h+1) windows with first fraction in ``interval``,
+    counted: the odd-denominator elements of F(Q) in it less the tail
+    starts in it (see the module docstring for the rule at lo)."""
+    interval = _restriction(q_max, h, interval)
+    if interval is None:
+        return max(odd_farey_count(q_max) - h, 0)
+    spf = _smallest_prime_factors(q_max)
+    (ln, ld), (hn, hd) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
+    starts = sum(  # the a in (lo*q, hi*q] coprime to q
+        _coprime_count(_squarefree_divisors(q, spf), range(ln * q // ld + 1, hn * q // hd + 1))
+        for q in range(1, q_max + 1, 2)
+    )
+    tails = len(_tail_windows(q_max, h, interval))
+    return starts - tails + (_lo_window(q_max, h, interval) is not None)
+
+
+def _tuple_windows(q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval]):
+    """(matching windows, all windows) for ``empirical_rho``, counted when
+    the tuple's windows are, else from one ``gap_histogram``; a ValueError
+    when there is no window."""
+    target = _gap_tuple(deltas)
+    h = len(target)
+    if _counted_families(target) is None:
+        hist, windows = gap_histogram(q_max, h, interval)
+        count = hist[target]
+    else:
+        count, windows = count_delta_tuples(q_max, target, interval), window_count(q_max, h, interval)
+    if windows == 0:
+        where = "" if interval is None else f" with first fraction in {interval}"
+        raise ValueError(
+            f"no length-{h + 1} windows{where} in the odd subsequence of F({q_max})"
+        )
+    return count, windows
+
+
+def empirical_rho(
+    q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval] = None
+) -> Fraction:
+    """Exact ratio (matching windows) / (all windows) for the gap tuple.
+
+    The denominator is the number of length-(h+1) windows, h = len(deltas),
+    with the first fraction in ``interval`` when one is given.
+    """
+    return Fraction(*_tuple_windows(q_max, deltas, interval))
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +702,10 @@ def verify_tuple_identities(
     top = max(map(len, targets))
     streams = _stream_histograms(q_max, top, ikey, with_steps=True)
     decoded = decode_histogram(q_max, top, ikey)
-    lo = 0 if ikey is None else ikey.lo
     notes = ()
-    if lo > 0 and lo.denominator % 2 == 1 and lo.denominator <= q_max:
+    if _lo_pair(q_max, ikey) is not None:
         notes = (
-            f"lower endpoint {lo} is an odd-denominator fraction of F({q_max}): "
+            f"lower endpoint {ikey.lo} is an odd-denominator fraction of F({q_max}): "
             "closed (streaming) and half-open (lattice) memberships may differ",
         )
     results = []

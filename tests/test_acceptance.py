@@ -15,17 +15,16 @@ from oddfarey.density import gap_density, rho_odd
 from oddfarey.farey import (
     UnitInterval,
     _stream_histograms,
-    empirical_rho,
     farey_fractions,
     gap_histogram,
     odd_farey_count,
     odd_farey_fractions,
-    window_count,
 )
 from oddfarey.geometry import cylinder, cylinder_area, stabilized_quadrangle
 from oddfarey.lattice import (
     boundary_window_histogram,
     decode_histogram,
+    empirical_rho,
     verify_parity_swap,
 )
 

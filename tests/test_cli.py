@@ -343,6 +343,24 @@ def test_nonpositive_order_cap(monkeypatch, capsys, cap):
     assert "FAREY_MAX_Q" in _bad_input(capsys, "stats", "--q", "10")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--delta", "2", "--q", "51"],
+        ["compare", "--delta", "1", "--q", "51"],
+        ["short-interval", "--q", "51", "--delta", "2,3", "--interval", "1/3,1/2"],
+        ["short-interval", "--q", "51", "--delta", "1,1", "--interval", "1/3,1/2"],
+    ],
+)
+def test_counted_and_streamed_commands_keep_the_order_cap(monkeypatch, capsys, argv):
+    """Windows counted over cylinders obey the order cap as the pass does."""
+    monkeypatch.setenv("FAREY_MAX_Q", "50")
+    assert "exceeds the configured cap 50" in _bad_input(capsys, *argv)
+    monkeypatch.delenv("FAREY_MAX_Q")
+    argv[argv.index("--q") + 1] = "0"
+    assert "Farey order must be a positive integer" in _bad_input(capsys, *argv)
+
+
 def test_argument_errors_exit_two(capsys):
     assert "bad gap tuple" in _bad_input(capsys, "rho", "--delta", "x")
     err = _bad_input(capsys, "stats", "--q", "10", "--delta-max", "-1")

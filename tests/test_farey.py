@@ -21,9 +21,7 @@ from oddfarey.farey import (
     DEFAULT_MAX_Q,
     UnitInterval,
     _stream_histograms,
-    count_delta_tuples,
     delta,
-    empirical_rho,
     farey_count,
     farey_fractions,
     farey_index,
@@ -32,8 +30,8 @@ from oddfarey.farey import (
     odd_farey_count,
     odd_farey_fractions,
     totients,
-    window_count,
 )
+from oddfarey.lattice import count_delta_tuples, empirical_rho, window_count
 
 
 def test_order_8_reference_listings():

@@ -17,6 +17,7 @@ from conftest import (
     small_intervals,
     swept_lattice_counts,
 )
+from oddfarey.density import family_is_certified_finite
 from oddfarey.farey import (
     UnitInterval,
     _histogram,
@@ -45,16 +46,20 @@ from oddfarey.lattice import (
     _columns,
     _inverse_rule,
     _inverses,
+    _label_ranges,
     _truncated,
     _units,
     _walk,
     boundary_window_histogram,
+    count_delta_tuples,
     count_lattice,
     count_lattice_interval,
     decode_histogram,
+    empirical_rho,
     parity_profile,
     verify_parity_swap,
     verify_tuple_identities,
+    window_count,
 )
 from oddfarey.paths import families
 
@@ -424,7 +429,8 @@ def test_both_walks_keep_the_same_points(ks, monkeypatch):
     """The walk by b and the walk by b_bar (the two branches of ``_walk``)
     keep the b's of the per-point oracle on every column of the cylinder
     (each spans less than a), among them a = 1, even a with step-2 columns
-    and prime powers; both branches occur."""
+    and prime powers; both branches occur on sieved walks, and short walks
+    that test each value directly occur too."""
     import oddfarey.lattice as lattice
 
     walked, units = [], lattice._units
@@ -454,8 +460,11 @@ def test_both_walks_keep_the_same_points(ks, monkeypatch):
                     visited, flags = _walk(a, bs, bbars, spf)
                     kept = sorted(itertools.compress(visited, flags))
                     assert kept == _by_point(a, bs, bbars), (ks, q, parity, a, interval)
-                    kinds.add("by b" if walked.pop() is bs else "by b_bar")
-    assert kinds >= {"by b", "by b_bar", "even a, step 2", "prime power"} | (
+                    if walked:
+                        kinds.add("by b" if walked.pop() is bs else "by b_bar")
+                    else:
+                        kinds.add("direct")
+    assert kinds >= {"by b", "by b_bar", "direct", "even a, step 2", "prime power"} | (
         {"a = 1"} if ks in [(), (1,)] else set())
 
 
@@ -541,9 +550,11 @@ def test_short_interval_counts_match_the_point_oracle(q, h, inv_length, den, num
 
 def test_short_interval_count_costs_its_share(monkeypatch):
     """An interval count inverts about |I| * Q^2 / 2 + 3Q units, not one per
-    primitive point: each column walks the shorter of b and b_bar.  Each
-    batch of units costs one pow: at most three per column, one for the
-    kept range and one for each wall."""
+    primitive point: each column walks the shorter of b and b_bar.  A pow
+    inverts a batch of units, or one unit of a walk of at most 8 values;
+    batches take at most three per column, one for the kept range and one
+    for each wall.  The shorter interval walks only short columns, the
+    longer one both kinds."""
     import oddfarey.lattice as lattice
 
     batches, pows = [], []
@@ -559,19 +570,106 @@ def test_short_interval_count_costs_its_share(monkeypatch):
 
     monkeypatch.setattr(lattice, "_inverses", counted_inverses)
     monkeypatch.setattr(lattice, "pow", counted_pow, raising=False)
-    q, interval = 2000, UnitInterval(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 1000))
-    parity = PairParity("odd", "any")
-    rep = count_lattice_interval(T, q, parity, interval)
-    assert rep.count == len(point_starts(q, interval)[0])
-    assert 0 < sum(batches) <= (interval.hi - interval.lo) * q * q / 2 + 3 * q
+    q, parity = 2000, PairParity("odd", "any")
     columns = len(list(_columns(T, q, parity)))
-    assert len(pows) == len(batches) <= 3 * columns
+    for length in (Fraction(1, 1000), Fraction(1, 100)):
+        batches.clear()
+        pows.clear()
+        interval = UnitInterval(Fraction(1, 4), Fraction(1, 4) + length)
+        rep = count_lattice_interval(T, q, parity, interval)
+        assert rep.count == len(point_starts(q, interval)[0])
+        inverted = sum(batches) + len(pows) - len(batches)
+        assert 0 < inverted <= length * q * q / 2 + 3 * q
+        assert len(pows) > len(batches) <= 3 * columns
+        assert (len(batches) > 0) == (length == Fraction(1, 100))
 
 
 def test_boundary_hits_flagged():
     # with x parity free, b_bar can land exactly on a cell wall
     rep = count_lattice_interval(T, 12, PairParity(), UnitInterval(0, Fraction(1, 2)))
     assert rep.boundary_hits > 0
+
+
+# ---------------------------------------------------------------------------
+# windows of one gap tuple, counted over its cylinders
+# ---------------------------------------------------------------------------
+
+_CERTIFIED = [
+    ds
+    for h in (1, 2, 3)
+    for ds in itertools.product(range(1, 5), repeat=h)
+    if all(family_is_certified_finite(f) for f in families(ds))
+]
+
+
+@seed(20030)
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 200), interval=st.none() | small_intervals)
+@example(q=199, interval=None)  # odd Q: the window from 1/1 has gaps (1, 2)
+@example(q=200, interval=None)
+@example(q=101, interval=UnitInterval(Fraction(1, 3), 1))  # odd lo, hi = 1
+@example(q=150, interval=UnitInterval(0, Fraction(2, 5)))  # [0, x]
+@example(q=97, interval=UnitInterval(Fraction(1, 5), Fraction(1, 5)))  # [a, a] at an odd element
+@example(q=96, interval=UnitInterval(Fraction(1, 2), Fraction(1, 2)))  # [a, a] at an even one
+@example(q=4, interval=UnitInterval(Fraction(1, 3), Fraction(2, 3)))  # fewer odd elements than h
+def test_counted_windows_match_the_pass(q, interval):
+    """Every certified-finite tuple in {1..4}^h, h <= 3, has as many windows
+    as the streaming pass finds, and the window totals are the pass's."""
+    assert len(_CERTIFIED) == 81
+    streams = _stream_histograms(q, 3, interval)
+    for h in (1, 2, 3):
+        assert window_count(q, h, interval) == streams[h - 1][1], (q, h, interval)
+    for ds in _CERTIFIED:
+        expected = streams[len(ds) - 1][0][ds]
+        assert count_delta_tuples(q, ds, interval) == expected, (q, ds, interval)
+
+
+def test_counted_tuples_take_no_pass(monkeypatch):
+    """A tuple whose families are all certified finite and of positive arity
+    is counted without a pass or the row blocks; (1,) and the open (1, 1)
+    still read the histogram: the row blocks without an interval, the pass
+    with one."""
+    import oddfarey.farey as farey
+    import oddfarey.lattice as lattice
+
+    calls = []
+
+    def recording(name, fn):
+        def recorded(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return recorded
+
+    for mod in (farey, lattice):
+        for name in ("_gap_pass", "_block_keys"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, recording(name, getattr(mod, name)))
+    half = UnitInterval(Fraction(1, 3), Fraction(4, 5))
+    for interval in (None, half):
+        for ds in [(2,), (5,), (1, 2), (2, 3), (3, 1, 2)]:
+            count_delta_tuples(60, ds, interval)
+            window_count(60, len(ds), interval)
+            empirical_rho(60, ds, interval)
+            assert calls == [], (ds, interval)
+        for ds in [(1,), (1, 1)]:
+            count_delta_tuples(60, ds, interval)
+            assert calls == ["_block_keys" if interval is None else "_gap_pass"], (ds, interval)
+            calls.clear()
+
+
+def test_label_ranges_reach_the_escape_bound():
+    """A free label ranges over every value of its parity up to 4r + 1:
+    density's escape lemma rules out only labels >= 4r + 2 at a point.  (No
+    count would notice a lower cut: the free labels of these families' points
+    stay below 4r - 3.)"""
+    for ds in _CERTIFIED:
+        for fam in families(ds):
+            for lab, values in zip(fam.path.labels, _label_ranges(fam)):
+                if lab.is_free:
+                    assert list(values) == [v for v in range(1, 4 * fam.arity + 2) if lab.admits(v)]
+                else:
+                    assert list(values) == [lab.value]
 
 
 # ---------------------------------------------------------------------------
