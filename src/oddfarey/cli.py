@@ -70,18 +70,22 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_deltas(text: str) -> tuple[int, ...]:
+def _positive_ints(text: str, name: str, like: str) -> tuple[int, ...]:
     try:
         out = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise SystemExit(f"error: bad gap tuple {text!r}, expected like '2,3'") from exc
+        raise SystemExit(f"error: bad {name} {text!r}, expected like {like!r}") from exc
     if not out or any(d < 1 for d in out):
-        raise SystemExit(f"error: gap tuple entries must be positive, got {text!r}")
+        raise SystemExit(f"error: {name} entries must be positive, got {text!r}")
     return out
 
 
+def _parse_deltas(text: str) -> tuple[int, ...]:
+    return _positive_ints(text, "gap tuple", "2,3")
+
+
 def _parse_ks(text: str) -> tuple[int, ...]:
-    return _parse_deltas(text.strip()) if text.strip() else ()
+    return _positive_ints(text.strip(), "label tuple", "2,1,3") if text.strip() else ()
 
 
 def _parse_interval(text: Optional[str]) -> Optional[UnitInterval]:

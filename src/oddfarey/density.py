@@ -20,15 +20,23 @@ Many families have certifiably finite sums: if a slot value m >= 4r + 2
 (r = cylinder arity) gives a nonempty cylinder, the labels adjacent to that
 slot must equal 1 and all remaining labels must equal 2.  When the fixed
 labels and the other slots' parities contradict that pattern for every free
-slot, all terms beyond 4r + 1 vanish and the enclosure is exact (lo == hi).
+slot, all terms beyond the cut 4r + 1 (``_escape_cut``) vanish and the
+enclosure is exact (lo == hi).  The cut loses no point either, which is
+what lattice.py counts: the lemma is about nonempty cylinders, not only
+those of positive area, and every nonempty cylinder has positive area.  Its
+only non-strict constraints are L_i <= 1 with linear L_i, and at a point p
+of it every L_i is > 0, so at (1 - e)*p every L_i is < 1 while, for small
+e > 0, every strict constraint still holds; all constraints then hold
+strictly, so a disc around (1 - e)*p lies in the cylinder.
 
-A family's sum is taken over a tree of label prefixes rather than cylinder
-by cylinder.  C(k1, ..., kj, k) is a subset of C(k1, ..., kj), so each node
-clips its parent's polygon by the one new cell (see geometry._index_cells).
-A prefix whose closure polygon is empty or has zero area is not extended:
-every cylinder below it lies inside that null set and has area 0.  Cells
-that the index range of a polygon's vertices rules out are null in the same
-way.  The skipped terms are all zero, so the sum stays exact.
+A family's cylinders are found over a tree of label prefixes rather than
+one by one (``_cylinder_labels``).  C(k1, ..., kj, k) is a subset of
+C(k1, ..., kj), so each node clips its parent's polygon by the one new cell
+(see geometry._index_cells).  A prefix whose closure polygon is empty or
+has zero area is not extended: every cylinder below it lies inside that
+null set, so it has area 0 and, by the above, no point.  Cells that the
+index range of a polygon's vertices rules out are null in the same way.
+The skipped terms are all zero, so the sum stays exact.
 
 Stabilized shells.  The open families are clipped only up to S = 4r + 1, r
 the largest arity among them; beyond S their shells have a closed form.
@@ -62,10 +70,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .geometry import _TRIANGLE, _index_cells, _signed_area2
-from .paths import PathFamily, families
+from .paths import PathFamily, _parity_range, families
 
 __all__ = [
     "Enclosure",
@@ -163,38 +171,35 @@ def family_is_certified_finite(family: PathFamily) -> bool:
     return not _escape_parities(family)
 
 
-def _slot_values(parity: str, k_cut: int, above: int = 0) -> range:
-    """The values in (above, k_cut] that a free slot of this parity admits."""
-    if parity == "any":
-        return range(above + 1, k_cut + 1)
-    first = above + 1
-    if first % 2 != (1 if parity == "odd" else 0):
-        first += 1
-    return range(first, k_cut + 1, 2)
+def _escape_cut(family: PathFamily) -> int:
+    """4r + 1, r the family's arity: no free label above it occurs in a
+    nonempty cylinder of a certified-finite family (see the module docstring)."""
+    return 4 * family.arity + 1
+
+
+def _cylinder_labels(family: PathFamily, k_cut: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Yield (ks, twice the area of C(ks)) for each cylinder of ``family`` of
+    positive area whose free labels are at most k_cut, depth first over the
+    label prefixes, carrying each prefix's polygon; a prefix whose polygon
+    is null is not extended."""
+    ranges = [
+        _parity_range(lab.parity, 1, k_cut) if lab.is_free else range(lab.value, lab.value + 1)
+        for lab in family.path.labels[: family.arity]
+    ]
+
+    def walk(ks: tuple[int, ...], points, area2: Fraction):
+        if len(ks) == len(ranges):
+            yield ks, area2
+            return
+        for k, image, image_area2 in _index_cells(points, ranges[len(ks)]):
+            yield from walk(ks + (k,), image, image_area2)
+
+    return walk((), _TRIANGLE, _signed_area2(_TRIANGLE))
 
 
 def family_sum_upto(family: PathFamily, k_cut: int) -> Fraction:
-    """Exact sum of cylinder areas over free-slot values <= k_cut.
-
-    Walks the label prefixes depth first, carrying each prefix's polygon;
-    a prefix whose polygon is null is not extended.
-    """
-    labels = family.path.labels[: family.arity]
-
-    def walk(pos: int, points, area2: Fraction) -> Fraction:
-        if pos == len(labels):
-            return area2
-        lab = labels[pos]
-        if not lab.is_free:
-            ks = range(lab.value, lab.value + 1)
-        else:
-            ks = _slot_values(lab.parity, k_cut)
-        total = Fraction(0)
-        for _, image, image_area2 in _index_cells(points, ks):
-            total += walk(pos + 1, image, image_area2)
-        return total
-
-    return walk(0, _TRIANGLE, _signed_area2(_TRIANGLE)) / 2
+    """Exact sum of cylinder areas over free-slot values <= k_cut."""
+    return sum((area2 for _, area2 in _cylinder_labels(family, k_cut)), Fraction(0)) / 2
 
 
 def _stable_shells(parities: Sequence[str], above: int, k_cut: int) -> Fraction:
@@ -213,7 +218,7 @@ def _stable_shells(parities: Sequence[str], above: int, k_cut: int) -> Fraction:
     total = full * (tail_after(above) - tail_after(k_cut))
     if n_odd != n_even:
         left = "odd" if n_odd > n_even else "even"
-        terms = (gap_density(m) for m in _slot_values(left, k_cut, above))
+        terms = (gap_density(m) for m in _parity_range(left, above + 1, k_cut))
         total += abs(n_odd - n_even) * sum(terms, Fraction(0))
     return total
 
@@ -250,7 +255,7 @@ def rho_odd(
     max_cut = 0
     for fam in fams:
         if family_is_certified_finite(fam):
-            cut = 4 * fam.arity + 1 if fam.free_slots else 0
+            cut = _escape_cut(fam) if fam.free_slots else 0
             exact_part += family_sum_upto(fam, cut)
             max_cut = max(max_cut, cut)
         else:
@@ -261,7 +266,7 @@ def rho_odd(
     n_slots = sum(len(f.free_slots) for f in open_fams)
     # The heads are clipped once, up to min(K, stable): K starts at or above
     # min(stable, k_max) and never falls.
-    stable = 4 * max(f.arity for f in open_fams) + 1
+    stable = max(map(_escape_cut, open_fams))
     escapes = [p for f in open_fams for p in _escape_parities(f)]
     head_cut = min(stable, k_max)
     head = exact_part + sum(family_sum_upto(f, head_cut) for f in open_fams)

@@ -7,8 +7,8 @@ coordinate parities, primitivity gcd(a, b) = 1, and the short-interval rule
 below.  They go column by column with exact integer bounds per column:
 ``_columns`` is the one place that turns the region's constraints (scaled
 by geometry's ``_functional``, the one half-plane-to-integer rule) into
-each column's b-range, skips columns of the wrong x-parity and aligns the
-range to the y-parity.
+each column's b-range, keeping the a and the b of the asked parities
+(paths' ``_parity_range``); ``_sweep`` adds the sieve that reaches them.
 
 Counted columns.  ``count_lattice`` and ``parity_profile`` (all three
 classes in one sweep) never visit a point.  Column a's primitive points are
@@ -66,25 +66,16 @@ column with a*|I| <= 7) tests each value by one gcd and one inversion,
 which costs less than the bytearray and the two batch passes.
 
 One gap tuple.  ``count_delta_tuples``, ``window_count`` and
-``empirical_rho`` count without a pass when they can.  Take a tuple whose
-walk families (paths.py) are all certified finite (density.py) and none of
+``empirical_rho`` count without a pass when they can (``_route`` decides
+once per call, and one sieve serves the call).  Take a tuple whose walk
+families (paths.py) are all certified finite (density.py) and none of
 arity 0 (that family of (1,) is all of T).  Its windows start at the
 primitive points (a, b) of Q*C(ks), a odd and b of the parity of the
-family's first vertex, over each family of arity r and each label tuple
-ks that has the family's fixed labels and, in each free slot, a value of
-the slot's parity up to 4r + 1 (``_label_ranges``).  The cut loses no
-point: a point of Q*C(ks) makes C(ks) nonempty, and density's escape lemma
-is about nonempty cylinders, not only those of positive area; a free label
-m >= 4r + 2 in a nonempty cylinder forces the labels next to it to be 1 and
-all others 2, and a certified-finite family contradicts that at every free
-slot.  Nor does a cylinder of zero area hold a point, as every nonempty
-cylinder has positive area: its only non-strict constraints are L_i <= 1
-with linear L_i, and at a point p of it every L_i is > 0, so at (1 - e)*p
-every L_i is < 1 while, for small e > 0, every strict constraint still
-holds; all constraints then hold strictly, so a disc around (1 - e)*p lies
-in the cylinder.  So ``_family_cylinders`` walks density's tree of label
-prefixes (geometry's ``_index_cells``), which never extends a prefix of
-zero area, and counts each leaf's columns against one sieve per call.
+family's first vertex, over each family and each label tuple ks that
+density's walk (``_cylinder_labels``) yields at the family's cut 4r + 1
+(``_escape_cut``, r the arity).  Density proves that neither the cut nor
+the walk's skipping of null prefixes loses a point; each cylinder's
+columns are counted against the one sieve.
 
 The closed/half-open bridge.  The cylinders' points are the starts of the
 periodic sequence's windows, kept when lo < gamma0 <= hi; the pass counts
@@ -94,13 +85,13 @@ exactly when lo is an odd-denominator element of F(Q): lo > 0, with odd
 reduced denominator at most Q (``_lo_pair``).  The windows that run past
 1/1 are the tail windows, and the half-open rule keeps the same ones among
 them as among the points (``boundary_window_histogram``).  Hence the pass
-counts the points, less the kept tail windows with the target gaps, plus
-the window at lo when it is full and has the target gaps
-(``_lo_window``).  The same holds with every gap tuple at once, so with an
-interval the window total is the odd-denominator elements in (lo, hi],
-less the kept tail starts, plus the full window at lo; each odd q adds the
-a in (lo*q, hi*q] coprime to q, by Moebius inversion over q's squarefree
-divisors.  Other tuples, ``stats`` and the verifiers keep their routes.
+counts the points plus the bridge (``_bridge``, per gap tuple): minus each
+kept tail window, plus the window at lo when it is full.  Summed over every
+gap tuple, with an interval the window total is the odd-denominator
+elements in (lo, hi] plus the whole bridge; each odd q adds the a in
+(lo*q, hi*q] coprime to q, which is ``_primitive_count`` over the columns
+(q, (lo*q, hi*q]).  Other tuples, ``stats`` and the verifiers keep their
+routes.
 """
 
 from __future__ import annotations
@@ -111,7 +102,7 @@ from itertools import compress, repeat
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .density import _slot_values, family_is_certified_finite
+from .density import _cylinder_labels, _escape_cut, family_is_certified_finite
 from .farey import (
     UnitInterval,
     _block_keys,
@@ -128,16 +119,23 @@ from .farey import (
     odd_farey_count,
 )
 from .geometry import (
-    _TRIANGLE,
     ConvexRegion,
     _functional,
-    _index_cells,
     cylinder,
     farey_triangle,
     refine,
     unimodular_image,
 )
-from .paths import _PARITIES, MAX_WINDOW, PathFamily, arrow_text, families
+from .paths import (
+    _PARITIES,
+    MAX_WINDOW,
+    PathFamily,
+    _fits,
+    _gap_tuple,
+    _parity_range,
+    arrow_text,
+    families,
+)
 
 __all__ = [
     "PairParity",
@@ -155,11 +153,6 @@ __all__ = [
     "verify_tuple_identities",
     "verify_parity_swap",
 ]
-
-
-def _fits(n: int, parity: str) -> bool:
-    """Whether n has the given parity ('odd' / 'even' / 'any')."""
-    return parity == "any" or n % 2 == (parity == "odd")
 
 
 class PairParity(namedtuple("PairParity", "x y", defaults=("any", "any"))):
@@ -223,11 +216,6 @@ def _column_range(
     return lo, hi
 
 
-def _align(lo: int, parity: str) -> int:
-    """The least integer >= lo of the given parity."""
-    return lo if _fits(lo, parity) else lo + 1
-
-
 def _columns(
     region: ConvexRegion, q_max: int, parity: PairParity
 ) -> Iterator[tuple[int, range]]:
@@ -244,14 +232,11 @@ def _columns(
         gx, gy, gw = _functional(hp)
         cons.append((gx, gy, -gw * q_max, hp.sense in ("<", ">")))
     xmin, xmax, _, _ = bounds
-    xlo = _align(max(-(-q_max * xmin.numerator // xmin.denominator), 1), parity.x)
-    xhi = q_max * xmax.numerator // xmax.denominator
-    xstep = 1 if parity.x == "any" else 2
-    ystep = 1 if parity.y == "any" else 2
-    for a in range(xlo, xhi + 1, xstep):
+    xlo = max(-(-q_max * xmin.numerator // xmin.denominator), 1)
+    for a in _parity_range(parity.x, xlo, q_max * xmax.numerator // xmax.denominator):
         rng = _column_range(cons, a)
         if rng is not None:
-            yield a, range(_align(rng[0], parity.y), rng[1] + 1, ystep)
+            yield a, _parity_range(parity.y, *rng)
 
 
 def _coprime_count(divs: Sequence[tuple[int, int]], bs: range) -> int:
@@ -271,10 +256,20 @@ def _coprime_count(divs: Sequence[tuple[int, int]], bs: range) -> int:
     return count
 
 
-def _primitive_count(cols: Sequence[tuple[int, range]], spf: Sequence[int]) -> int:
+def _primitive_count(cols: Iterable[tuple[int, range]], spf: Sequence[int]) -> int:
     """The primitive points of ``_columns`` output, each column counted whole
     by ``_coprime_count``; the sieve ``spf`` must reach the last column."""
     return sum(_coprime_count(_squarefree_divisors(a, spf), bs) for a, bs in cols)
+
+
+def _sweep(
+    region: ConvexRegion, q_max: int, parity: PairParity
+) -> tuple[list[tuple[int, range]], list[int]]:
+    """The columns of the scaled region (``_columns``) and the sieve that
+    reaches them all: a increases, so the last column's sieve."""
+    _check_order(q_max)
+    cols = list(_columns(region, q_max, parity))
+    return cols, _smallest_prime_factors(cols[-1][0] if cols else 1)
 
 
 def count_lattice(
@@ -290,12 +285,11 @@ def count_lattice(
     is counted whole: by its length, or by ``_coprime_count`` when the
     points must be primitive.
     """
-    _check_order(q_max)
-    cols = list(_columns(region, q_max, parity))
     if not primitive:
-        count = sum(len(bs) for _, bs in cols)
-    else:  # a increases, so the last column's sieve reaches them all
-        count = _primitive_count(cols, _smallest_prime_factors(cols[-1][0] if cols else 1))
+        _check_order(q_max)
+        count = sum(len(bs) for _, bs in _columns(region, q_max, parity))
+    else:
+        count = _primitive_count(*_sweep(region, q_max, parity))
     return CountReport(count, region, q_max, parity, primitive)
 
 
@@ -359,7 +353,7 @@ def _walk(a: int, bs: range, bbars: range, spf: Sequence[int]) -> tuple[list[int
 
 
 def _interval_count(
-    cols: Sequence[tuple[int, range]], interval: UnitInterval, spf: Sequence[int]
+    cols: Iterable[tuple[int, range]], spf: Sequence[int], interval: UnitInterval
 ) -> tuple[int, int]:
     """The primitive points of ``_columns`` output that the inverse rule
     keeps, and the points whose inverse lies on a wall; the sieve ``spf``
@@ -384,10 +378,7 @@ def count_lattice_interval(
     membership rule is a*(1 - hi) <= b_bar < a*(1 - lo).  Points whose b_bar
     lands exactly on either wall are tallied in ``boundary_hits``.
     """
-    _check_order(q_max)
-    cols = list(_columns(region, q_max, parity))
-    spf = _smallest_prime_factors(cols[-1][0] if cols else 1)  # a increases
-    count, hits = _interval_count(cols, interval, spf)
+    count, hits = _interval_count(*_sweep(region, q_max, parity), interval)
     return CountReport(count, region, q_max, parity, True, interval, hits)
 
 
@@ -398,16 +389,14 @@ def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], in
     coordinates are never coprime.  An odd column counts its odd and its
     even b, an even column its odd b, each by ``_coprime_count``.
     """
-    _check_order(q_max)
-    cols = list(_columns(region, q_max, PairParity()))
-    spf = _smallest_prime_factors(cols[-1][0] if cols else 1)  # a increases
+    cols, spf = _sweep(region, q_max, PairParity())
     oo = oe = eo = 0
     for a, bs in cols:
         divs = _squarefree_divisors(a, spf)
-        odd_bs = range(_align(bs.start, "odd"), bs.stop, 2)
+        odd_bs = _parity_range("odd", bs.start, bs.stop - 1)
         if a & 1:
             oo += _coprime_count(divs, odd_bs)
-            oe += _coprime_count(divs, range(_align(bs.start, "even"), bs.stop, 2))
+            oe += _coprime_count(divs, _parity_range("even", bs.start, bs.stop - 1))
         else:
             eo += _coprime_count(divs, odd_bs)
     return {("odd", "odd"): oo, ("odd", "even"): oe, ("even", "odd"): eo}
@@ -419,13 +408,11 @@ def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], in
 
 
 def _starts(
-    interval: UnitInterval, columns: Iterable[tuple[int, range]]
+    cols: Iterable[tuple[int, range]], spf: Sequence[int], interval: UnitInterval
 ) -> Iterator[tuple[int, int]]:
     """The pairs (a, b), b in bs, of the columns (a, bs) that are primitive
-    and kept by the interval."""
-    columns = list(columns)
-    spf = _smallest_prime_factors(max((a for a, _ in columns), default=1))
-    for a, bs in columns:
+    and kept by the interval; the sieve ``spf`` must reach the last column."""
+    for a, bs in cols:
         yield from zip(repeat(a), compress(*_walk(a, bs, _inverse_rule(a, interval)[0], spf)))
 
 
@@ -442,8 +429,8 @@ def decode_histogram(
     if interval is None:  # the start pairs are farey's row-block points
         keys = _block_keys(q_max, h)
     else:
-        columns = _columns(farey_triangle(), q_max, PairParity("odd", "any"))
-        keys = _window_keys(q_max, h, _starts(interval, columns))
+        starts = _starts(*_sweep(farey_triangle(), q_max, PairParity("odd", "any")), interval)
+        keys = _window_keys(q_max, h, starts)
     return _histogram(keys, q_max, h, with_steps=True)[0]
 
 
@@ -496,59 +483,30 @@ def _lo_pair(q_max: int, interval: Optional[UnitInterval]) -> Optional[tuple[int
 # ---------------------------------------------------------------------------
 
 
-def _gap_tuple(deltas: Sequence[int]) -> tuple[int, ...]:
-    target = tuple(int(d) for d in deltas)
-    if not target or any(d < 1 for d in target):
-        raise ValueError(f"gap tuple must be nonempty positive integers, got {deltas}")
-    return target
+def _bridge(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
+    """The closed pass's windows less the half-open points, per gap tuple:
+    minus each kept tail window, plus the window at lo when lo is an
+    odd-denominator element of F(Q) and its window does not run past 1/1
+    (see the module docstring)."""
 
+    def gaps(starts) -> Counter:
+        return _histogram(_window_keys(q_max, h, starts), q_max, h, with_steps=False)[0]
 
-def _counted_families(target: tuple[int, ...]) -> Optional[tuple[PathFamily, ...]]:
-    """The walk families of ``target`` when its windows are counted over
-    their cylinders: every family is certified finite and none has arity 0
-    (the whole triangle).  None when the histogram counts them."""
-    if len(target) > MAX_WINDOW:
-        return None
-    fams = families(target)
-    return fams if all(f.arity and family_is_certified_finite(f) for f in fams) else None
-
-
-def _label_ranges(family: PathFamily) -> list[range]:
-    """The values that each cylinder label of ``family`` takes at a point: a
-    fixed label its value, a free one the values of its parity up to 4r + 1
-    (r the arity; see the module docstring)."""
-    cut = 4 * family.arity + 1
-    return [
-        _slot_values(lab.parity, cut) if lab.is_free else range(lab.value, lab.value + 1)
-        for lab in family.path.labels[: family.arity]
-    ]
-
-
-def _family_cylinders(family: PathFamily) -> Iterator[ConvexRegion]:
-    """The cylinders of positive area with labels in ``_label_ranges``, found
-    by density's tree of label prefixes: a cylinder of zero area is empty,
-    and so is every cylinder below it (see the module docstring)."""
-    ranges = _label_ranges(family)
-
-    def walk(ks: tuple[int, ...], points) -> Iterator[ConvexRegion]:
-        if len(ks) == len(ranges):
-            yield cylinder(ks)
-            return
-        for k, image, _ in _index_cells(points, ranges[len(ks)]):
-            yield from walk(ks + (k,), image)
-
-    return walk((), _TRIANGLE)
-
-
-def _lo_window(q_max: int, h: int, interval: Optional[UnitInterval]) -> Optional[tuple[int, ...]]:
-    """The gaps of the window at lo when the closed rule counts it and the
-    half-open rule does not: lo is an odd-denominator element of F(Q) and
-    its window does not run past 1/1.  None otherwise."""
     pair = _lo_pair(q_max, interval)
-    if pair is None or pair in _tail_starts(q_max, h):
-        return None
-    (gaps,) = _histogram(_window_keys(q_max, h, [pair]), q_max, h, with_steps=False)[0]
-    return gaps
+    bridge = gaps([] if pair is None or pair in _tail_starts(q_max, h) else [pair])
+    bridge.subtract(gaps(_tail_windows(q_max, h, interval)))
+    return bridge
+
+
+def _route(deltas: Sequence[int]) -> tuple[tuple[int, ...], Optional[tuple[PathFamily, ...]]]:
+    """The checked gap tuple, and its walk families when its windows are
+    counted over their cylinders: every family is certified finite and none
+    has arity 0 (the whole triangle).  None when the histogram counts them."""
+    target = _gap_tuple(deltas)
+    if len(target) > MAX_WINDOW:
+        return target, None
+    fams = families(target)
+    return target, fams if all(f.arity and family_is_certified_finite(f) for f in fams) else None
 
 
 def _cylinder_windows(
@@ -559,21 +517,29 @@ def _cylinder_windows(
     spf: Sequence[int],
 ) -> int:
     """The windows with gap tuple ``target`` and first fraction in the
-    closed ``interval``: the primitive points of its families' cylinders,
-    kept by the half-open rule, less the tail windows, plus the window at lo
+    closed ``interval``: the primitive points of its families' cylinders
+    (density's walk at its cut), kept by the half-open rule, plus the bridge
     (see the module docstring).  The sieve ``spf`` must reach q_max."""
     count = 0
     for fam in fams:
         parity = PairParity("odd", fam.first_vertex_parity)
-        for region in _family_cylinders(fam):
-            cols = _columns(region, q_max, parity)
+        for ks, _ in _cylinder_labels(fam, _escape_cut(fam)):
+            cols = _columns(cylinder(ks), q_max, parity)
             if interval is None:
                 count += _primitive_count(cols, spf)
             else:
-                count += _interval_count(cols, interval, spf)[0]
-    bound = boundary_window_histogram(q_max, len(target), interval)
-    count -= sum(n for (gaps, _), n in bound.items() if gaps == target)
-    return count + (_lo_window(q_max, len(target), interval) == target)
+                count += _interval_count(cols, spf, interval)[0]
+    return count + _bridge(q_max, len(target), interval)[target]
+
+
+def _window_total(q_max: int, h: int, interval: UnitInterval, spf: Sequence[int]) -> int:
+    """The windows with first fraction in the closed ``interval``: the
+    odd-denominator elements in (lo, hi], each odd q adding the a in
+    (lo*q, hi*q] coprime to q, plus the bridge.  The sieve ``spf`` must
+    reach q_max."""
+    (ln, ld), (hn, hd) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
+    cols = ((q, range(ln * q // ld + 1, hn * q // hd + 1)) for q in range(1, q_max + 1, 2))
+    return _primitive_count(cols, spf) + sum(_bridge(q_max, h, interval).values())
 
 
 def count_delta_tuples(
@@ -587,9 +553,8 @@ def count_delta_tuples(
     is certified finite and none is the whole triangle, else read off
     ``gap_histogram``.
     """
-    target = _gap_tuple(deltas)
+    target, fams = _route(deltas)
     interval = _restriction(q_max, len(target), interval)
-    fams = _counted_families(target)
     if fams is None:
         return gap_histogram(q_max, len(target), interval)[0][target]
     return _cylinder_windows(q_max, target, fams, interval, _smallest_prime_factors(q_max))
@@ -604,27 +569,23 @@ def window_count(
     interval = _restriction(q_max, h, interval)
     if interval is None:
         return max(odd_farey_count(q_max) - h, 0)
-    spf = _smallest_prime_factors(q_max)
-    (ln, ld), (hn, hd) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
-    starts = sum(  # the a in (lo*q, hi*q] coprime to q
-        _coprime_count(_squarefree_divisors(q, spf), range(ln * q // ld + 1, hn * q // hd + 1))
-        for q in range(1, q_max + 1, 2)
-    )
-    tails = len(_tail_windows(q_max, h, interval))
-    return starts - tails + (_lo_window(q_max, h, interval) is not None)
+    return _window_total(q_max, h, interval, _smallest_prime_factors(q_max))
 
 
 def _tuple_windows(q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval]):
-    """(matching windows, all windows) for ``empirical_rho``, counted when
-    the tuple's windows are, else from one ``gap_histogram``; a ValueError
-    when there is no window."""
-    target = _gap_tuple(deltas)
+    """(matching windows, all windows) for ``empirical_rho``, counted over
+    one sieve when the tuple's windows are, else from one ``gap_histogram``;
+    a ValueError when there is no window."""
+    target, fams = _route(deltas)
     h = len(target)
-    if _counted_families(target) is None:
-        hist, windows = gap_histogram(q_max, h, interval)
+    ikey = _restriction(q_max, h, interval)
+    if fams is None:
+        hist, windows = gap_histogram(q_max, h, ikey)
         count = hist[target]
     else:
-        count, windows = count_delta_tuples(q_max, target, interval), window_count(q_max, h, interval)
+        spf = _smallest_prime_factors(q_max)
+        count = _cylinder_windows(q_max, target, fams, ikey, spf)
+        windows = window_count(q_max, h) if ikey is None else _window_total(q_max, h, ikey, spf)
     if windows == 0:
         where = "" if interval is None else f" with first fraction in {interval}"
         raise ValueError(

@@ -16,6 +16,10 @@ right after its target, and odd otherwise.  (The final label of a walk is a
 dummy: it is summed out and carries no constraint.)  Each family contributes
 the lattice/area weight of the cylinder on its first |w| - 1 labels, counted
 with x odd and y matching the parity of the walk's first vertex.
+
+This module owns two rules that the others read: which integers a parity
+admits (``_fits``, and ``_parity_range`` for the ones in [lo, hi]) and what
+a gap tuple is (``_gap_tuple``: nonempty, positive).
 """
 
 from __future__ import annotations
@@ -39,6 +43,25 @@ MAX_WINDOW = 8  # walks are generated implicitly; longer windows are out of scop
 _PARITIES = ("odd", "even", "any")
 
 
+def _fits(n: int, parity: str) -> bool:
+    """Whether n has the given parity ('odd' / 'even' / 'any')."""
+    return parity == "any" or n % 2 == (parity == "odd")
+
+
+def _parity_range(parity: str, lo: int, hi: int) -> range:
+    """The integers in [lo, hi] of the given parity, ascending (empty when
+    lo > hi)."""
+    return range(lo if _fits(lo, parity) else lo + 1, hi + 1, 1 if parity == "any" else 2)
+
+
+def _gap_tuple(deltas: Sequence[int]) -> tuple[int, ...]:
+    """``deltas`` as a tuple of ints, checked nonempty and positive."""
+    ds = tuple(int(d) for d in deltas)
+    if not ds or any(d < 1 for d in ds):
+        raise ValueError(f"gap tuple must be nonempty positive integers, got {deltas}")
+    return ds
+
+
 class LabelSlot(namedtuple("LabelSlot", "value parity", defaults=(None, "any"))):
     """One edge label: a fixed positive integer, or free with a parity."""
 
@@ -56,13 +79,7 @@ class LabelSlot(namedtuple("LabelSlot", "value parity", defaults=(None, "any")))
         return self.value is None
 
     def admits(self, v: int) -> bool:
-        if self.value is not None:
-            return v == self.value
-        if self.parity == "odd":
-            return v % 2 == 1
-        if self.parity == "even":
-            return v % 2 == 0
-        return True
+        return v == self.value if self.value is not None else _fits(v, self.parity)
 
     def __str__(self) -> str:
         if self.value is not None:
@@ -129,9 +146,7 @@ def families(deltas: Sequence[int]) -> tuple[PathFamily, ...]:
     O->E->O block with the O->E label fixed to deltas[j].  There are
     2^(number of 1s) families.
     """
-    ds = tuple(int(d) for d in deltas)
-    if not ds or any(d < 1 for d in ds):
-        raise ValueError(f"gap tuple must be nonempty positive integers, got {deltas}")
+    ds = _gap_tuple(deltas)
     if len(ds) > MAX_WINDOW:
         raise ValueError(f"windows longer than {MAX_WINDOW} are not supported")
 

@@ -368,6 +368,17 @@ def test_argument_errors_exit_two(capsys):
     _bad_input(capsys, "short-interval", "--q", "10", "--delta", "1", "--interval", "1/2,1/4")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["region", "--ks", "0"], "error: label tuple entries must be positive, got '0'\n"),
+        (["lattice", "--ks", "x", "--q", "5"], "error: bad label tuple 'x', expected like '2,1,3'\n"),
+    ],
+)
+def test_label_errors_name_labels(capsys, argv, message):
+    assert _bad_input(capsys, *argv) == message
+
+
 def test_small_cutoff_limit(capsys):
     code, out = run(capsys, "rho", "--delta", "1,1", "--tol", "1/1000000000", "--k-max", "100")
     assert code == 1

@@ -17,7 +17,7 @@ from conftest import (
     small_intervals,
     swept_lattice_counts,
 )
-from oddfarey.density import family_is_certified_finite
+from oddfarey.density import _cylinder_labels, _escape_cut, family_is_certified_finite
 from oddfarey.farey import (
     UnitInterval,
     _histogram,
@@ -46,7 +46,6 @@ from oddfarey.lattice import (
     _columns,
     _inverse_rule,
     _inverses,
-    _label_ranges,
     _truncated,
     _units,
     _walk,
@@ -659,17 +658,22 @@ def test_counted_tuples_take_no_pass(monkeypatch):
 
 
 def test_label_ranges_reach_the_escape_bound():
-    """A free label ranges over every value of its parity up to 4r + 1:
-    density's escape lemma rules out only labels >= 4r + 2 at a point.  (No
-    count would notice a lower cut: the free labels of these families' points
-    stay below 4r - 3.)"""
+    """The cut is 4r + 1 for every family with a free slot, as density's
+    escape lemma rules out only labels >= 4r + 2 at a point, and density's
+    walk at that cut yields exactly the label tuples, each free label of its
+    parity, whose cylinders have positive area.  (No count would notice a
+    lower cut: the free labels of these families' points stay below 4r - 3.)"""
     for ds in _CERTIFIED:
         for fam in families(ds):
-            for lab, values in zip(fam.path.labels, _label_ranges(fam)):
-                if lab.is_free:
-                    assert list(values) == [v for v in range(1, 4 * fam.arity + 2) if lab.admits(v)]
-                else:
-                    assert list(values) == [lab.value]
+            if fam.free_slots:
+                assert _escape_cut(fam) == 4 * fam.arity + 1
+            ranges = [
+                [v for v in range(1, 4 * fam.arity + 2) if lab.admits(v)] if lab.is_free else [lab.value]
+                for lab in fam.path.labels[: fam.arity]
+            ]
+            brute = {ks for ks in itertools.product(*ranges) if cylinder(ks).area() > 0}
+            walked = [ks for ks, _ in _cylinder_labels(fam, _escape_cut(fam))]
+            assert len(walked) == len(brute) and set(walked) == brute, (ds, fam)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from oddfarey.paths import (
+    _PARITIES,
     LabeledPath,
     LabelSlot,
+    _fits,
+    _parity_range,
     arrow_text,
     families,
     instantiate,
@@ -131,3 +136,25 @@ def test_validation():
         LabelSlot(None, "weird")
     with pytest.raises(ValueError):
         LabeledPath(("O", "E"), (LabelSlot(1), LabelSlot(1)))  # must end at O
+
+
+_BRUTE_PARITY = {"odd": lambda n: n % 2 == 1, "even": lambda n: n % 2 == 0, "any": lambda n: True}
+
+
+@seed(20040)
+@settings(max_examples=300, deadline=None)
+@given(
+    parity=st.sampled_from(_PARITIES),
+    lo=st.integers(-3, 40),
+    hi=st.integers(-3, 40),
+    value=st.integers(1, 40),
+)
+def test_parity_rule_is_the_brute_filter(parity, lo, hi, value):
+    """``_parity_range``, ``_fits`` and ``LabelSlot.admits`` keep exactly the
+    integers in [lo, hi] that a plain filter keeps (none when lo > hi)."""
+    span = range(lo, hi + 1)
+    want = [n for n in span if _BRUTE_PARITY[parity](n)]
+    assert list(_parity_range(parity, lo, hi)) == want
+    assert [n for n in span if _fits(n, parity)] == want
+    assert [n for n in span if LabelSlot(None, parity).admits(n)] == want
+    assert [n for n in span if LabelSlot(value).admits(n)] == [n for n in span if n == value]
