@@ -26,7 +26,7 @@ from . import __version__
 from .density import gap_density, rho_odd, rho_table
 from .dynamics import TrianglePoint, next_pair, orbit_kappas
 from .farey import UnitInterval, farey_fractions, gap_histogram, odd_farey_fractions
-from .geometry import cylinder, cylinder_area, stabilized_quadrangle
+from .geometry import _escape_bound, cylinder, cylinder_area, stabilized_quadrangle
 from .lattice import (
     PairParity,
     _tuple_windows,
@@ -424,7 +424,7 @@ def _cmd_verify(args) -> int:
         ok = True
         for r in (1, 2, 3):
             for i in range(1, r + 1):
-                for m in (4 * r + 2, 4 * r + 3):
+                for m in (_escape_bound(r) + 1, _escape_bound(r) + 2):
                     quad = stabilized_quadrangle(m, i, r)
                     clipped = cylinder((2,) * (i - 1) + (1, m))
                     ok = ok and quad.same_polygon(clipped)

@@ -72,7 +72,18 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .geometry import _TRIANGLE, _index_cells, _signed_area2
+from .geometry import (
+    _TRIANGLE,
+    ConvexRegion,
+    HalfPlane,
+    LinearForm,
+    _escape_bound,
+    _index_cells,
+    _signed_area2,
+    cylinder,
+    cylinder_forms,
+    refine,
+)
 from .paths import PathFamily, _parity_range, families
 
 __all__ = [
@@ -157,24 +168,83 @@ def _escape_pattern_consistent(family: PathFamily, slot: int) -> bool:
     return True
 
 
+def _escape_slots(family: PathFamily) -> list[int]:
+    """The free slots whose escape pattern is consistent."""
+    return [s for s in family.free_slots if _escape_pattern_consistent(family, s)]
+
+
 def _escape_parities(family: PathFamily) -> list[str]:
-    """The parities of the free slots whose escape pattern is consistent."""
-    return [
-        family.path.labels[s].parity
-        for s in family.free_slots
-        if _escape_pattern_consistent(family, s)
-    ]
+    """The parities of the escape slots."""
+    return [family.path.labels[s].parity for s in _escape_slots(family)]
 
 
 def family_is_certified_finite(family: PathFamily) -> bool:
     """True when every free slot's escape pattern is contradicted."""
-    return not _escape_parities(family)
+    return not _escape_slots(family)
 
 
 def _escape_cut(family: PathFamily) -> int:
-    """4r + 1, r the family's arity: no free label above it occurs in a
-    nonempty cylinder of a certified-finite family (see the module docstring)."""
-    return 4 * family.arity + 1
+    """4r + 1 (geometry's ``_escape_bound``), r the family's arity: no free
+    label above it occurs in a nonempty cylinder of a certified-finite family
+    (see the module docstring)."""
+    return _escape_bound(family.arity)
+
+
+def _shell(s: int, above: int) -> ConvexRegion:
+    """The points whose labels before step s are (2, ..., 2, 1) and whose
+    index at step s is above ``above``: C(p), p = (2,)*(s-1) + (1,) (p = ()
+    when s = 0), cut by (above + 1)*L_{s+1} - L_s <= 1 with the forms L of
+    p; the index at step s is the k with k*L_{s+1} - L_s <= 1 < (k+1)*L_{s+1}
+    - L_s (the constraints on L_{s+2} of geometry's cylinders)."""
+    prefix = (2,) * (s - 1) + (1,) if s else ()
+    ls, ls1 = cylinder_forms(prefix)[s:]
+    n = above + 1
+    wall = LinearForm(n * ls1.cx - ls.cx, n * ls1.cy - ls.cy, n * ls1.c0 - ls.c0)
+    return refine(cylinder(prefix), [HalfPlane(wall, "<=", 1)])
+
+
+def _tuple_regions(deltas: Sequence[int]) -> list[tuple[ConvexRegion, str]]:
+    """The (region, first-vertex parity) pairs of a gap tuple: the primitive
+    points (a, b) of Q*region, a odd and b of the parity, over the list are
+    the window starts of the periodic odd subsequence of F(Q) whose gap
+    tuple is ``deltas``, each once, at every order Q.
+
+    The list holds each family's cylinders as ``_cylinder_labels`` yields
+    them, a certified-finite family's at its own cut and an open family's at
+    S, the largest cut among the open families; and one shell (``_shell(s,
+    S)``) per first vertex and step s at which an odd and an even escape slot
+    of the open families meet.  It is exact:
+
+      * A point is a window start of one walk, so the families of one first
+        vertex have disjoint cylinders; a point of a certified-finite
+        family lies in one of its listed cylinders (module docstring), and
+        so does a point of an open family whose free labels are all <= S.
+      * A point of an open family f with a free label m > S at slot s has
+        m >= 4r + 2, r the arity of f, so by the escape lemma it carries 1
+        next to s and 2 elsewhere: s is an escape slot of f, and the point
+        lies in the shell at (first vertex of f, s) and in none of the
+        listed cylinders.  Shells of one first vertex are disjoint: every
+        other label of such a point is 1 or 2.
+      * Conversely, a point of the shell at (v, s) has an index m > S at
+        step s, so the same lemma, applied at the arity of each family of
+        the pair, gives it that pattern.  Both families admit the pattern
+        off s, and m's parity admits exactly one of them.
+
+    Each shell has area tail_after(S) (module docstring), the count-side
+    twin of the value-side shells.  Every open tuple (all are in {1, 2}^h,
+    h <= MAX_WINDOW, and the tests check each) meets one odd and one even
+    escape slot at each first vertex and step where it has one.
+    """
+    fams = families(deltas)
+    open_fams = [f for f in fams if not family_is_certified_finite(f)]
+    stable = max(map(_escape_cut, open_fams), default=0)
+    regions = [
+        (cylinder(ks), f.first_vertex_parity)
+        for f in fams
+        for ks, _ in _cylinder_labels(f, stable if f in open_fams else _escape_cut(f))
+    ]
+    meets = dict.fromkeys((f.first_vertex_parity, s) for f in open_fams for s in _escape_slots(f))
+    return regions + [(_shell(s, stable), first) for first, s in meets]
 
 
 def _cylinder_labels(family: PathFamily, k_cut: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:

@@ -428,6 +428,13 @@ def halfplanes_from_polygon(points: Sequence[Point]) -> tuple[HalfPlane, ...]:
     return tuple(cons)
 
 
+def _escape_bound(r: int) -> int:
+    """4r + 1: a nonempty cylinder of arity r with a label m above it carries
+    1 next to that label and 2 elsewhere (density.py's escape lemma), which
+    is the regime of ``stabilized_quadrangle``."""
+    return 4 * r + 1
+
+
 def stabilized_quadrangle(m: int, i: int, r: int) -> ConvexRegion:
     """The i-th backward image of the index-m cell, in the stabilized regime.
 
@@ -442,8 +449,8 @@ def stabilized_quadrangle(m: int, i: int, r: int) -> ConvexRegion:
     """
     if r < 1 or not (1 <= i <= r):
         raise ValueError(f"need 1 <= i <= r with r >= 1, got i={i}, r={r}")
-    if m < 4 * r + 2:
-        raise ValueError(f"stabilization needs m >= 4r + 2 = {4 * r + 2}, got m={m}")
+    if m <= _escape_bound(r):
+        raise ValueError(f"stabilization needs m >= 4r + 2 = {_escape_bound(r) + 1}, got m={m}")
     pts = [
         (1 - Fraction(2 * i, m), 1 - Fraction(2 * (i - 1), m)),
         (1 - Fraction(2 * i, m + 1), 1 - Fraction(2 * (i - 1), m + 1)),

@@ -66,18 +66,14 @@ column with a*|I| <= 7) tests each value by one gcd and one inversion,
 which costs less than the bytearray and the two batch passes.
 
 One gap tuple.  ``count_delta_tuples``, ``window_count`` and
-``empirical_rho`` count without a pass when they can (``_route`` decides
-once per call, and one sieve serves the call).  Take a tuple whose walk
-families (paths.py) are all certified finite (density.py) and none of
-arity 0 (that family of (1,) is all of T).  Its windows start at the
-primitive points (a, b) of Q*C(ks), a odd and b of the parity of the
-family's first vertex, over each family and each label tuple ks that
-density's walk (``_cylinder_labels``) yields at the family's cut 4r + 1
-(``_escape_cut``, r the arity).  Density proves that neither the cut nor
-the walk's skipping of null prefixes loses a point; each cylinder's
-columns are counted against the one sieve.
+``empirical_rho`` count without a pass, against one sieve per call.  A
+gap tuple's windows start at the primitive points (a, b) of Q*R, a odd and
+b of the given parity, over the (region R, first-vertex parity) pairs of
+its region list: its walk families' cylinders and, for an open tuple, one
+shell per pair of escape slots.  density.py builds the list
+(``_tuple_regions``) and proves it exact at every order.
 
-The closed/half-open bridge.  The cylinders' points are the starts of the
+The closed/half-open bridge.  The region list's points are the starts of the
 periodic sequence's windows, kept when lo < gamma0 <= hi; the pass counts
 the full windows (not running past 1/1) with lo <= gamma0 <= hi.  A start
 kept by one rule and not the other has gamma0 = lo, and there is one
@@ -90,8 +86,7 @@ kept tail window, plus the window at lo when it is full.  Summed over every
 gap tuple, with an interval the window total is the odd-denominator
 elements in (lo, hi] plus the whole bridge; each odd q adds the a in
 (lo*q, hi*q] coprime to q, which is ``_primitive_count`` over the columns
-(q, (lo*q, hi*q]).  Other tuples, ``stats`` and the verifiers keep their
-routes.
+(q, (lo*q, hi*q]).  ``stats`` and the verifiers keep their routes.
 """
 
 from __future__ import annotations
@@ -102,7 +97,7 @@ from itertools import compress, repeat
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .density import _cylinder_labels, _escape_cut, family_is_certified_finite
+from .density import _tuple_regions
 from .farey import (
     UnitInterval,
     _block_keys,
@@ -115,7 +110,6 @@ from .farey import (
     _successor_den,
     _tail_starts,
     _window_keys,
-    gap_histogram,
     odd_farey_count,
 )
 from .geometry import (
@@ -128,8 +122,6 @@ from .geometry import (
 )
 from .paths import (
     _PARITIES,
-    MAX_WINDOW,
-    PathFamily,
     _fits,
     _gap_tuple,
     _parity_range,
@@ -498,37 +490,20 @@ def _bridge(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
     return bridge
 
 
-def _route(deltas: Sequence[int]) -> tuple[tuple[int, ...], Optional[tuple[PathFamily, ...]]]:
-    """The checked gap tuple, and its walk families when its windows are
-    counted over their cylinders: every family is certified finite and none
-    has arity 0 (the whole triangle).  None when the histogram counts them."""
-    target = _gap_tuple(deltas)
-    if len(target) > MAX_WINDOW:
-        return target, None
-    fams = families(target)
-    return target, fams if all(f.arity and family_is_certified_finite(f) for f in fams) else None
-
-
 def _cylinder_windows(
-    q_max: int,
-    target: tuple[int, ...],
-    fams: Sequence[PathFamily],
-    interval: Optional[UnitInterval],
-    spf: Sequence[int],
+    q_max: int, target: tuple[int, ...], interval: Optional[UnitInterval], spf: Sequence[int]
 ) -> int:
     """The windows with gap tuple ``target`` and first fraction in the
-    closed ``interval``: the primitive points of its families' cylinders
-    (density's walk at its cut), kept by the half-open rule, plus the bridge
-    (see the module docstring).  The sieve ``spf`` must reach q_max."""
+    closed ``interval``: the primitive points of its region list (density's
+    ``_tuple_regions``), kept by the half-open rule, plus the bridge (see
+    the module docstring).  The sieve ``spf`` must reach q_max."""
     count = 0
-    for fam in fams:
-        parity = PairParity("odd", fam.first_vertex_parity)
-        for ks, _ in _cylinder_labels(fam, _escape_cut(fam)):
-            cols = _columns(cylinder(ks), q_max, parity)
-            if interval is None:
-                count += _primitive_count(cols, spf)
-            else:
-                count += _interval_count(cols, spf, interval)[0]
+    for region, first in _tuple_regions(target):
+        cols = _columns(region, q_max, PairParity("odd", first))
+        if interval is None:
+            count += _primitive_count(cols, spf)
+        else:
+            count += _interval_count(cols, spf, interval)[0]
     return count + _bridge(q_max, len(target), interval)[target]
 
 
@@ -549,15 +524,11 @@ def count_delta_tuples(
 ) -> int:
     """Count windows of h+1 consecutive odd-denominator fractions whose gap
     tuple equals ``deltas`` (first fraction in ``interval`` when given, closed
-    membership).  Counted over the tuple's cylinders when every walk family
-    is certified finite and none is the whole triangle, else read off
-    ``gap_histogram``.
+    membership), counted over the tuple's region list.
     """
-    target, fams = _route(deltas)
+    target = _gap_tuple(deltas)
     interval = _restriction(q_max, len(target), interval)
-    if fams is None:
-        return gap_histogram(q_max, len(target), interval)[0][target]
-    return _cylinder_windows(q_max, target, fams, interval, _smallest_prime_factors(q_max))
+    return _cylinder_windows(q_max, target, interval, _smallest_prime_factors(q_max))
 
 
 def window_count(
@@ -574,18 +545,13 @@ def window_count(
 
 def _tuple_windows(q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval]):
     """(matching windows, all windows) for ``empirical_rho``, counted over
-    one sieve when the tuple's windows are, else from one ``gap_histogram``;
-    a ValueError when there is no window."""
-    target, fams = _route(deltas)
+    one sieve; a ValueError when there is no window."""
+    target = _gap_tuple(deltas)
     h = len(target)
     ikey = _restriction(q_max, h, interval)
-    if fams is None:
-        hist, windows = gap_histogram(q_max, h, ikey)
-        count = hist[target]
-    else:
-        spf = _smallest_prime_factors(q_max)
-        count = _cylinder_windows(q_max, target, fams, ikey, spf)
-        windows = window_count(q_max, h) if ikey is None else _window_total(q_max, h, ikey, spf)
+    spf = _smallest_prime_factors(q_max)
+    count = _cylinder_windows(q_max, target, ikey, spf)
+    windows = window_count(q_max, h) if ikey is None else _window_total(q_max, h, ikey, spf)
     if windows == 0:
         where = "" if interval is None else f" with first fraction in {interval}"
         raise ValueError(

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import log
 
@@ -18,7 +19,14 @@ from oddfarey.density import (
     rho_table,
     tail_after,
 )
-from oddfarey.density import _escape_parities, _stable_shells
+from oddfarey.density import (
+    _cylinder_labels,
+    _escape_cut,
+    _escape_parities,
+    _escape_slots,
+    _stable_shells,
+    _tuple_regions,
+)
 from oddfarey.geometry import cylinder_area
 from oddfarey.paths import MAX_WINDOW, arrow_text, families, instantiate
 
@@ -266,6 +274,42 @@ def test_open_slots_pair_up():
         for ds in itertools.product((1, 2), repeat=h):
             escapes = [p for f in families(ds) for p in _escape_parities(f)]
             assert escapes.count("odd") == escapes.count("even"), ds
+
+
+def test_region_lists_pair_their_shells_and_sum_to_rho():
+    """The 28 open tuples up to the longest window, all in {1, 2}^h, meet
+    one odd and one even escape slot at each (first vertex, step), so a
+    region list holds its families' cylinders (at S, the largest cut of the
+    open families, for an open family) and one shell per such pair.  Over
+    {1..4}^h, h <= 3, the areas of a tuple's list sum to a value inside
+    rho_odd's enclosure, and to its value when the enclosure is exact."""
+    n_open = 0
+    for h in range(1, MAX_WINDOW + 1):
+        for ds in itertools.product((1, 2), repeat=h):
+            fams = families(ds)
+            meets = Counter(
+                (f.first_vertex, s, f.path.labels[s].parity) for f in fams for s in _escape_slots(f)
+            )
+            if not meets:
+                continue
+            n_open += 1
+            steps = {(v, s) for v, s, _ in meets}
+            assert all(meets[v, s, "odd"] == meets[v, s, "even"] == 1 for v, s in steps), ds
+            assert sum(meets.values()) == 2 * len(steps), ds
+            stable = max(_escape_cut(f) for f in fams if _escape_slots(f))
+            cylinders = sum(
+                len(list(_cylinder_labels(f, stable if _escape_slots(f) else _escape_cut(f))))
+                for f in fams
+            )
+            assert len(_tuple_regions(ds)) == cylinders + len(steps), ds
+    assert n_open == 28
+    for ds in itertools.chain.from_iterable(
+        itertools.product(range(1, 5), repeat=h) for h in (1, 2, 3)
+    ):
+        enc = rho_odd(ds)
+        area = sum((region.area() for region, _ in _tuple_regions(ds)), Fraction(0))
+        assert area in enc, ds
+        assert not enc.exact or area == enc.lo, ds
 
 
 @settings(max_examples=60, deadline=None)

@@ -60,7 +60,7 @@ from oddfarey.lattice import (
     verify_tuple_identities,
     window_count,
 )
-from oddfarey.paths import families
+from oddfarey.paths import MAX_WINDOW, families
 
 T = farey_triangle()
 
@@ -590,14 +590,16 @@ def test_boundary_hits_flagged():
 
 
 # ---------------------------------------------------------------------------
-# windows of one gap tuple, counted over its cylinders
+# windows of one gap tuple, counted over its region list
 # ---------------------------------------------------------------------------
 
-_CERTIFIED = [
+_SHORT = [ds for h in (1, 2, 3) for ds in itertools.product(range(1, 5), repeat=h)]
+_CERTIFIED = [ds for ds in _SHORT if all(family_is_certified_finite(f) for f in families(ds))]
+_OPEN = [  # only entries 1 and 2 admit the escape pattern
     ds
-    for h in (1, 2, 3)
-    for ds in itertools.product(range(1, 5), repeat=h)
-    if all(family_is_certified_finite(f) for f in families(ds))
+    for h in (2, 3, 4, 5)
+    for ds in itertools.product((1, 2), repeat=h)
+    if not all(family_is_certified_finite(f) for f in families(ds))
 ]
 
 
@@ -611,23 +613,25 @@ _CERTIFIED = [
 @example(q=97, interval=UnitInterval(Fraction(1, 5), Fraction(1, 5)))  # [a, a] at an odd element
 @example(q=96, interval=UnitInterval(Fraction(1, 2), Fraction(1, 2)))  # [a, a] at an even one
 @example(q=4, interval=UnitInterval(Fraction(1, 3), Fraction(2, 3)))  # fewer odd elements than h
+@example(q=301, interval=UnitInterval(Fraction(4, 5), 1))  # above the hypothesis range
 def test_counted_windows_match_the_pass(q, interval):
-    """Every certified-finite tuple in {1..4}^h, h <= 3, has as many windows
-    as the streaming pass finds, and the window totals are the pass's."""
-    assert len(_CERTIFIED) == 81
-    streams = _stream_histograms(q, 3, interval)
-    for h in (1, 2, 3):
+    """Every tuple in {1..4}^h, h <= 3, and every open tuple with h <= 5 has
+    as many windows as the streaming pass finds, and the window totals are
+    the pass's."""
+    assert (len(_SHORT), len(_CERTIFIED), len(_OPEN)) == (84, 81, 10)
+    streams = _stream_histograms(q, 5, interval)
+    for h in (1, 2, 3, 4, 5):
         assert window_count(q, h, interval) == streams[h - 1][1], (q, h, interval)
-    for ds in _CERTIFIED:
+    for ds in _SHORT + [ds for ds in _OPEN if len(ds) > 3]:
         expected = streams[len(ds) - 1][0][ds]
         assert count_delta_tuples(q, ds, interval) == expected, (q, ds, interval)
 
 
 def test_counted_tuples_take_no_pass(monkeypatch):
-    """A tuple whose families are all certified finite and of positive arity
-    is counted without a pass or the row blocks; (1,) and the open (1, 1)
-    still read the histogram: the row blocks without an interval, the pass
-    with one."""
+    """Every tuple is counted over its region list, without a pass or the
+    row blocks: (1,), whose region list holds all of T, and the open (1, 1)
+    and (2, 1, 1, 2) too.  A tuple longer than the longest window has no
+    walk families, and the counts refuse it."""
     import oddfarey.farey as farey
     import oddfarey.lattice as lattice
 
@@ -646,15 +650,15 @@ def test_counted_tuples_take_no_pass(monkeypatch):
                 monkeypatch.setattr(mod, name, recording(name, getattr(mod, name)))
     half = UnitInterval(Fraction(1, 3), Fraction(4, 5))
     for interval in (None, half):
-        for ds in [(2,), (5,), (1, 2), (2, 3), (3, 1, 2)]:
+        for ds in [(1,), (2,), (5,), (1, 1), (1, 2), (2, 3), (3, 1, 2), (2, 1, 1, 2)]:
             count_delta_tuples(60, ds, interval)
             window_count(60, len(ds), interval)
             empirical_rho(60, ds, interval)
             assert calls == [], (ds, interval)
-        for ds in [(1,), (1, 1)]:
-            count_delta_tuples(60, ds, interval)
-            assert calls == ["_block_keys" if interval is None else "_gap_pass"], (ds, interval)
-            calls.clear()
+        too_long = (1,) * (MAX_WINDOW + 1)
+        for count in (count_delta_tuples, empirical_rho):
+            with pytest.raises(ValueError, match=f"windows longer than {MAX_WINDOW}"):
+                count(60, too_long, interval)
 
 
 def test_label_ranges_reach_the_escape_bound():
