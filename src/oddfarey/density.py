@@ -19,15 +19,16 @@ engine returns a certified enclosure [lo, hi]:
 Many families have certifiably finite sums: if a slot value m >= 4r + 2
 (r = cylinder arity) gives a nonempty cylinder, the labels adjacent to that
 slot must equal 1 and all remaining labels must equal 2.  When the fixed
-labels and the other slots' parities contradict that pattern for every free
-slot, all terms beyond the cut 4r + 1 (``_escape_cut``) vanish and the
-enclosure is exact (lo == hi).  The cut loses no point either, which is
-what lattice.py counts: the lemma is about nonempty cylinders, not only
-those of positive area, and every nonempty cylinder has positive area.  Its
-only non-strict constraints are L_i <= 1 with linear L_i, and at a point p
-of it every L_i is > 0, so at (1 - e)*p every L_i is < 1 while, for small
-e > 0, every strict constraint still holds; all constraints then hold
-strictly, so a disc around (1 - e)*p lies in the cylinder.
+labels and the other slots' parities contradict that pattern for every
+free slot, all terms beyond the cut 4r + 1 (geometry's ``_escape_bound``)
+vanish and the enclosure is exact (lo == hi).  The cut loses no point
+either, which is what lattice.py counts: the lemma is about nonempty
+cylinders, not only those of positive area, and every nonempty cylinder
+has positive area.  Its only non-strict constraints are L_i <= 1 with
+linear L_i, and at a point p of it every L_i is > 0, so at (1 - e)*p every
+L_i is < 1 while, for small e > 0, every strict constraint still holds;
+all constraints then hold strictly, so a disc around (1 - e)*p lies in the
+cylinder.
 
 A family's cylinders are found over a tree of label prefixes rather than
 one by one (``_cylinder_labels``).  C(k1, ..., kj, k) is a subset of
@@ -38,31 +39,19 @@ null set, so it has area 0 and, by the above, no point.  Cells that the
 index range of a polygon's vertices rules out are null in the same way.
 The skipped terms are all zero, so the sum stays exact.
 
-Stabilized shells.  The open families are clipped only up to S = 4r + 1, r
-the largest arity among them; beyond S their shells have a closed form.
-Take an open family f (arity at most r), a free slot s of f and a value
-m > S, so m >= 4r + 2:
+Values from the region list.  ``_decomposition`` splits a gap tuple once:
+each family's cylinders at its cut, the open families' at S, the largest
+cut among them, and one shell per first vertex and step s at which an odd
+and an even escape slot meet (``_tuple_regions`` turns the same split into
+regions and proves the list exact at every order).  For m > S the points of
+the shell with index m at step s are, up to a null set, T^{-s} of the
+index-m cell, of area gap_density(m) since T preserves area; so each shell
+has area tail_after(S), the density is V = (the cylinders' areas) + n_shells
+* tail_after(S), and for K >= S the clipped partial sum at K
+(family_sum_upto, the oracle) drops just the shells' points with index above
+K:
 
-  * The set of points whose index at step s is m is T^{-s} of the index-m
-    cell.  Up to a null set it is the union of the cylinders (of f's arity)
-    with label m at s, and its area is gap_density(m), since T preserves
-    area.  By the lemma above, every such cylinder is null except the one
-    that carries the forced pattern (1 next to s, 2 elsewhere), so that one
-    cylinder has area gap_density(m).
-  * That cylinder belongs to f exactly when s is escape-consistent (f's
-    fixed labels and the other slots' parities admit the pattern) and the
-    parity of s admits m.
-  * Every other label of a non-null tuple with m at s is 1 or 2 < m, so no
-    tuple has values above S in two slots: the tuples with free values in
-    (S, K] at some slot split disjointly by that slot and its value.
-
-Hence, for K > S, lo(K) = the clipped heads at S plus the sum over m in
-(S, K] of c(m) * gap_density(m), where c(m) counts the escape-consistent
-free slots of the open families whose parity admits m (_stable_shells).
-An even and an odd slot together admit every m once and telescope to
-tail_after(S) - tail_after(K); a slot left without a partner is summed
-term by term.  This is the same rational as the clipped partial sum at K,
-which family_sum_upto still computes as the oracle.
+    lo(K) = V - n_shells * tail_after(K).
 """
 
 from __future__ import annotations
@@ -149,33 +138,17 @@ def parity_tail_after(k_cut: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _escape_pattern_consistent(family: PathFamily, slot: int) -> bool:
-    """Can ``slot`` grow without bound while the cylinder stays nonempty?
-
-    A label m >= 4r + 2 at position ``slot`` forces neighbours of the slot to
-    carry 1 and every other position to carry 2; check that requirement
-    against the family's fixed labels and the other free slots' parities.
-    """
-    r = family.arity
-    labels = family.path.labels
-    for pos in range(r):
-        if pos == slot:
-            continue
-        required = 1 if abs(pos - slot) == 1 else 2
-        lab = labels[pos]
-        if not lab.admits(required):
-            return False
-    return True
-
-
 def _escape_slots(family: PathFamily) -> list[int]:
-    """The free slots whose escape pattern is consistent."""
-    return [s for s in family.free_slots if _escape_pattern_consistent(family, s)]
-
-
-def _escape_parities(family: PathFamily) -> list[str]:
-    """The parities of the escape slots."""
-    return [family.path.labels[s].parity for s in _escape_slots(family)]
+    """The free slots that can grow without bound while the cylinder stays
+    nonempty.  A label m >= 4r + 2 at slot s forces 1 next to s and 2 at
+    every other position (module docstring), so s is kept when the family's
+    fixed labels and the other free slots' parities admit that pattern."""
+    labels = family.path.labels
+    return [
+        s
+        for s in family.free_slots
+        if all(labels[p].admits(1 if abs(p - s) == 1 else 2) for p in range(family.arity) if p != s)
+    ]
 
 
 def family_is_certified_finite(family: PathFamily) -> bool:
@@ -183,11 +156,41 @@ def family_is_certified_finite(family: PathFamily) -> bool:
     return not _escape_slots(family)
 
 
-def _escape_cut(family: PathFamily) -> int:
-    """4r + 1 (geometry's ``_escape_bound``), r the family's arity: no free
-    label above it occurs in a nonempty cylinder of a certified-finite family
-    (see the module docstring)."""
-    return _escape_bound(family.arity)
+def _decomposition(deltas: Sequence[int], cap: Optional[int] = None):
+    """A gap tuple's families, split once into what ``_tuple_regions`` lists
+    and ``rho_odd`` sums: the tuple (cylinders, shells, n_slots, S).
+
+      * cylinders: (ks, twice the area of C(ks), first-vertex parity) for
+        each cylinder ``_cylinder_labels`` yields, a certified-finite
+        family's at its own cut 4r + 1 and an open family's at S, the
+        largest cut among the open families, or at min(S, cap) when ``cap``
+        is given;
+      * shells: the (first-vertex parity, step s) at which the open
+        families meet an escape slot;
+      * n_slots: the number of free slots of the open families.
+
+    With no open family, S is the largest cut the walk used (0 when no
+    family has a free slot).  Each (first vertex, step) must meet exactly
+    one odd and one even escape slot, as the proofs in ``_tuple_regions``
+    and ``rho_odd`` need; every open tuple up to the longest window does
+    (the tests check each), and any other split raises ValueError.
+    """
+    fams = families(deltas)
+    open_fams = [f for f in fams if _escape_slots(f)]
+    stable = max((_escape_bound(f.arity) for f in open_fams or fams if f.free_slots), default=0)
+    head = stable if cap is None else min(stable, cap)
+    cylinders = [
+        (ks, area2, f.first_vertex_parity)
+        for f in fams
+        for ks, area2 in _cylinder_labels(f, head if f in open_fams else _escape_bound(f.arity))
+    ]
+    meets: dict[tuple[str, int], list[str]] = {}
+    for f in open_fams:
+        for s in _escape_slots(f):
+            meets.setdefault((f.first_vertex_parity, s), []).append(f.path.labels[s].parity)
+    if any(sorted(parities) != ["even", "odd"] for parities in meets.values()):
+        raise ValueError(f"gap tuple {tuple(deltas)}: escape slots that do not pair by parity")
+    return cylinders, list(meets), sum(len(f.free_slots) for f in open_fams), stable
 
 
 def _shell(s: int, above: int) -> ConvexRegion:
@@ -209,11 +212,11 @@ def _tuple_regions(deltas: Sequence[int]) -> list[tuple[ConvexRegion, str]]:
     the window starts of the periodic odd subsequence of F(Q) whose gap
     tuple is ``deltas``, each once, at every order Q.
 
-    The list holds each family's cylinders as ``_cylinder_labels`` yields
-    them, a certified-finite family's at its own cut and an open family's at
-    S, the largest cut among the open families; and one shell (``_shell(s,
-    S)``) per first vertex and step s at which an odd and an even escape slot
-    of the open families meet.  It is exact:
+    The list holds ``_decomposition``'s cylinders, a certified-finite
+    family's at its own cut and an open family's at S, the largest cut
+    among the open families; and one shell (``_shell(s, S)``) per first
+    vertex and step s at which an odd and an even escape slot of the open
+    families meet.  It is exact:
 
       * A point is a window start of one walk, so the families of one first
         vertex have disjoint cylinders; a point of a certified-finite
@@ -230,21 +233,12 @@ def _tuple_regions(deltas: Sequence[int]) -> list[tuple[ConvexRegion, str]]:
         the pair, gives it that pattern.  Both families admit the pattern
         off s, and m's parity admits exactly one of them.
 
-    Each shell has area tail_after(S) (module docstring), the count-side
-    twin of the value-side shells.  Every open tuple (all are in {1, 2}^h,
-    h <= MAX_WINDOW, and the tests check each) meets one odd and one even
-    escape slot at each first vertex and step where it has one.
+    Each shell has area tail_after(S) (module docstring), so the list's
+    area is the density that ``rho_odd`` encloses.
     """
-    fams = families(deltas)
-    open_fams = [f for f in fams if not family_is_certified_finite(f)]
-    stable = max(map(_escape_cut, open_fams), default=0)
-    regions = [
-        (cylinder(ks), f.first_vertex_parity)
-        for f in fams
-        for ks, _ in _cylinder_labels(f, stable if f in open_fams else _escape_cut(f))
-    ]
-    meets = dict.fromkeys((f.first_vertex_parity, s) for f in open_fams for s in _escape_slots(f))
-    return regions + [(_shell(s, stable), first) for first, s in meets]
+    cylinders, shells, _, stable = _decomposition(deltas)
+    regions = [(cylinder(ks), first) for ks, _, first in cylinders]
+    return regions + [(_shell(s, stable), first) for first, s in shells]
 
 
 def _cylinder_labels(family: PathFamily, k_cut: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
@@ -272,27 +266,6 @@ def family_sum_upto(family: PathFamily, k_cut: int) -> Fraction:
     return sum((area2 for _, area2 in _cylinder_labels(family, k_cut)), Fraction(0)) / 2
 
 
-def _stable_shells(parities: Sequence[str], above: int, k_cut: int) -> Fraction:
-    """Sum over m in (above, k_cut] of c(m) * gap_density(m), where c(m) is
-    the number of ``parities`` that admit m.
-
-    An even and an odd slot together admit every m once, so each such pair
-    (and each slot of parity "any") telescopes to tail_after(above) -
-    tail_after(k_cut); only the slots left without a partner are summed term
-    by term.
-    """
-    if k_cut <= above:
-        return Fraction(0)
-    n_odd, n_even = parities.count("odd"), parities.count("even")
-    full = len(parities) - n_odd - n_even + min(n_odd, n_even)
-    total = full * (tail_after(above) - tail_after(k_cut))
-    if n_odd != n_even:
-        left = "odd" if n_odd > n_even else "even"
-        terms = (gap_density(m) for m in _parity_range(left, above + 1, k_cut))
-        total += abs(n_odd - n_even) * sum(terms, Fraction(0))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # enclosures
 # ---------------------------------------------------------------------------
@@ -307,51 +280,43 @@ def rho_odd(
 ) -> Enclosure:
     """Certified enclosure of the limiting frequency of a gap tuple.
 
-    Families whose free sums are certified finite contribute exactly; the
-    remaining families are summed over free values up to a growing cutoff K
-    with a per-slot parity tail bound: clipped up to 4 * (largest arity) + 1,
-    in closed form beyond (the stabilized shells of the module docstring).  K
-    grows (doubling) until the width is at most ``tol`` or K reaches
-    ``k_max`` (then ``converged`` is False); K never exceeds ``k_max``.
+    A tuple without open families is exact: lo = hi = the area of its
+    cylinders.  Otherwise lo is the clipped partial sum at a cutoff K, read
+    off ``_decomposition``'s areas as lo(K) = V - n_shells * tail_after(K)
+    (module docstring), and hi(K) = lo(K) + n_slots * parity_tail_after(K),
+    one parity tail per free slot of the open families.  K starts at 125
+    and doubles until the width is at most ``tol`` or K reaches ``k_max``
+    (then ``converged`` is False); K never exceeds ``k_max``.  When k_max <
+    S the open families are clipped at K = k_max itself.
+
+    hi(K) strictly decreases in K, so the last hi is the tightest.  Each
+    shell pairs two escape slots, so n_slots = 2 n_shells + e, e the open
+    free slots that are not escape slots; with parity_tail_after(K) =
+    (tail_after(K) + gap_density(K + 1)) / 2,
+
+        hi(K) = V + n_shells * gap_density(K + 1) + e * parity_tail_after(K),
+
+    whose terms both decrease, the first strictly since n_shells >= 1.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if k_max < 1:
         raise ValueError(f"cutoff limit k_max must be >= 1, got {k_max}")
-    fams = families(deltas)
-    exact_part = Fraction(0)
-    open_fams: list[PathFamily] = []
-    max_cut = 0
-    for fam in fams:
-        if family_is_certified_finite(fam):
-            cut = _escape_cut(fam) if fam.free_slots else 0
-            exact_part += family_sum_upto(fam, cut)
-            max_cut = max(max_cut, cut)
-        else:
-            open_fams.append(fam)
-    if not open_fams:
-        return Enclosure(exact_part, exact_part, True, max_cut, True)
-
-    n_slots = sum(len(f.free_slots) for f in open_fams)
-    # The heads are clipped once, up to min(K, stable): K starts at or above
-    # min(stable, k_max) and never falls.
-    stable = max(map(_escape_cut, open_fams))
-    escapes = [p for f in open_fams for p in _escape_parities(f)]
-    head_cut = min(stable, k_max)
-    head = exact_part + sum(family_sum_upto(f, head_cut) for f in open_fams)
-    k_cut = min(max(_FIRST_CUTOFF, head_cut), k_max)
-    best_hi: Optional[Fraction] = None
-    while True:
-        lo = head + _stable_shells(escapes, stable, k_cut)
-        hi = lo + n_slots * parity_tail_after(k_cut)
-        if best_hi is None or hi < best_hi:
-            best_hi = hi
-        if best_hi - lo <= tol:
-            return Enclosure(lo, best_hi, False, k_cut, True)
-        if k_cut >= k_max:
-            return Enclosure(lo, best_hi, False, k_cut, False)
-        k_cut = min(2 * k_cut, k_max)
+    cylinders, shells, n_slots, stable = _decomposition(deltas, k_max)
+    head = sum((area2 for _, area2, _ in cylinders), Fraction(0)) / 2
+    if not n_slots:
+        return Enclosure(head, head, True, stable, True)
+    if k_max < stable:
+        lo, k_cut = head, k_max
+    else:
+        value = head + len(shells) * tail_after(stable)
+        k_cut = min(max(_FIRST_CUTOFF, stable), k_max)
+        while n_slots * parity_tail_after(k_cut) > tol and k_cut < k_max:
+            k_cut = min(2 * k_cut, k_max)
+        lo = value - len(shells) * tail_after(k_cut)
+    width = n_slots * parity_tail_after(k_cut)
+    return Enclosure(lo, lo + width, False, k_cut, width <= tol)
 
 
 class RhoRow(NamedTuple):

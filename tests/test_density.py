@@ -19,27 +19,20 @@ from oddfarey.density import (
     rho_table,
     tail_after,
 )
-from oddfarey.density import (
-    _cylinder_labels,
-    _escape_cut,
-    _escape_parities,
-    _escape_slots,
-    _stable_shells,
-    _tuple_regions,
-)
-from oddfarey.geometry import cylinder_area
+from oddfarey.density import _cylinder_labels, _decomposition, _escape_slots, _tuple_regions
+from oddfarey.geometry import _escape_bound, cylinder_area
 from oddfarey.paths import MAX_WINDOW, arrow_text, families, instantiate
 
 SMALL_TUPLES = [
     ds for h in (1, 2, 3) for ds in itertools.product((1, 2, 3), repeat=h)
 ]
-OPEN_FAMILIES = [
-    f
+OPEN_TUPLES = [
+    ds
     for h in (1, 2, 3, 4)
     for ds in itertools.product((1, 2, 3, 4), repeat=h)
-    for f in families(ds)
-    if not family_is_certified_finite(f)
+    if not all(family_is_certified_finite(f) for f in families(ds))
 ]
+OPEN_FAMILIES = [f for ds in OPEN_TUPLES for f in families(ds) if not family_is_certified_finite(f)]
 
 
 def _brute_family_sum(family, k_cut):
@@ -116,6 +109,9 @@ def test_family_sum_upto_matches_direct_areas():
 
 
 def test_one_one_enclosure_tightens_monotonically():
+    """Tighter tolerances tighten (1, 1)'s enclosure; and for each open tuple
+    of {1..4}^h, h <= 4, hi strictly falls and lo strictly rises along the
+    cutoffs S, 125, 250, ..., 8000, so the last hi is the tightest."""
     tols = [Fraction(1, 10**e) for e in (2, 3, 4, 5)]
     encs = [rho_odd((1, 1), tol=t) for t in tols]
     for a, b in zip(encs, encs[1:]):
@@ -124,6 +120,13 @@ def test_one_one_enclosure_tightens_monotonically():
         assert b.lo <= b.hi
     assert all(e.converged for e in encs)
     assert encs[-1].width <= Fraction(1, 10**5)
+    for ds in OPEN_TUPLES:
+        stable = _decomposition(ds)[3]
+        cutoffs = [stable] + [125 * 2**i for i in range(7)]
+        encs = [rho_odd(ds, tol=Fraction(1, 10**12), k_max=k) for k in cutoffs]
+        assert [e.cutoff for e in encs] == cutoffs, ds
+        for a, b in zip(encs, encs[1:]):
+            assert a.lo < b.lo and a.hi > b.hi, (ds, a, b)
 
 
 def test_unconverged_is_flagged():
@@ -229,40 +232,20 @@ def test_benchmark_enclosures_are_pinned():
 
 def test_open_families_of_small_tuples():
     """The open families of {1..4}^h, h <= 4: 24 of them, in 6 tuples."""
+    assert OPEN_TUPLES == [(1, 1), (1, 1, 2), (2, 1, 1), (1, 1, 2, 2), (2, 1, 1, 2), (2, 2, 1, 1)]
     assert len(OPEN_FAMILIES) == 24
-    assert all(len(_escape_parities(f)) == 1 for f in OPEN_FAMILIES)
+    assert all(len(_escape_slots(f)) == 1 for f in OPEN_FAMILIES)
 
 
 @pytest.mark.parametrize("fam", OPEN_FAMILIES, ids=arrow_text)
 def test_stable_shells_are_gap_densities(fam):
     """Beyond 4r + 1 the clipped shell at m is gap_density(m) once per
-    escape-consistent slot whose parity admits m (the closed form)."""
-    escapes = _escape_parities(fam)
+    escape slot whose parity admits m."""
+    escapes = [fam.path.labels[s].parity for s in _escape_slots(fam)]
     start = 4 * fam.arity + 2
     for m in range(start, start + 30):
         shell = family_sum_upto(fam, m) - family_sum_upto(fam, m - 1)
         assert shell == sum(1 for p in escapes if p == ("even", "odd")[m % 2]) * gap_density(m)
-        assert shell == _stable_shells(escapes, m - 1, m)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    parities=st.lists(st.sampled_from(("odd", "even", "any")), max_size=5),
-    above=st.integers(1, 60),
-    extra=st.integers(0, 120),
-)
-def test_stable_shells_match_the_term_by_term_sum(parities, above, extra):
-    k_cut = above + extra
-    direct = sum(
-        (
-            gap_density(m)
-            for m in range(above + 1, k_cut + 1)
-            for p in parities
-            if p == "any" or p == ("even", "odd")[m % 2]
-        ),
-        Fraction(0),
-    )
-    assert _stable_shells(parities, above, k_cut) == direct
 
 
 def test_open_slots_pair_up():
@@ -272,7 +255,7 @@ def test_open_slots_pair_up():
     with open families."""
     for h in range(1, MAX_WINDOW + 1):
         for ds in itertools.product((1, 2), repeat=h):
-            escapes = [p for f in families(ds) for p in _escape_parities(f)]
+            escapes = [f.path.labels[s].parity for f in families(ds) for s in _escape_slots(f)]
             assert escapes.count("odd") == escapes.count("even"), ds
 
 
@@ -296,9 +279,9 @@ def test_region_lists_pair_their_shells_and_sum_to_rho():
             steps = {(v, s) for v, s, _ in meets}
             assert all(meets[v, s, "odd"] == meets[v, s, "even"] == 1 for v, s in steps), ds
             assert sum(meets.values()) == 2 * len(steps), ds
-            stable = max(_escape_cut(f) for f in fams if _escape_slots(f))
+            stable = max(_escape_bound(f.arity) for f in fams if _escape_slots(f))
             cylinders = sum(
-                len(list(_cylinder_labels(f, stable if _escape_slots(f) else _escape_cut(f))))
+                len(list(_cylinder_labels(f, stable if _escape_slots(f) else _escape_bound(f.arity))))
                 for f in fams
             )
             assert len(_tuple_regions(ds)) == cylinders + len(steps), ds
@@ -308,22 +291,39 @@ def test_region_lists_pair_their_shells_and_sum_to_rho():
     ):
         enc = rho_odd(ds)
         area = sum((region.area() for region, _ in _tuple_regions(ds)), Fraction(0))
+        cylinders, shells, _, stable = _decomposition(ds)
+        shell_area = len(shells) * tail_after(stable) if shells else 0
+        assert area == sum(area2 for _, area2, _ in cylinders) / 2 + shell_area, ds
         assert area in enc, ds
         assert not enc.exact or area == enc.lo, ds
+
+
+def test_unpaired_escape_slots_are_refused(monkeypatch):
+    """A split whose escape slot meets no partner of the other parity at its
+    (first vertex, step), or meets two of one parity, has no shell that
+    stands for it, so the decomposition refuses it."""
+    import oddfarey.density as density
+
+    fams = families((1, 1))
+    open_fams = [f for f in fams if not family_is_certified_finite(f)]
+    for split in ([f for f in fams if f != open_fams[0]], [*fams, open_fams[0]]):
+        monkeypatch.setattr(density, "families", lambda deltas, split=split: split)
+        with pytest.raises(ValueError, match="do not pair"):
+            _decomposition((1, 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     deltas=st.one_of(
-        st.sampled_from([(1, 1), (1, 1, 2), (2, 1, 1)]),  # the open ones, often
+        st.sampled_from(OPEN_TUPLES),  # the open ones, often
         st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
     ),
     k_max=st.integers(1, 300),
 )
 def test_lo_is_the_clipped_partial_sum(deltas, k_max):
     """lo at the cutoff k_max is the clipped sum of every family of a tuple
-    in {1..4}^h, h <= 3; a certified finite family adds nothing beyond
-    4 * arity + 1."""
+    in {1..4}^h, h <= 3, or of an open tuple with h = 4; a certified finite
+    family adds nothing beyond 4 * arity + 1."""
     enc = rho_odd(deltas, tol=Fraction(1, 10**12), k_max=k_max)
     expected = sum(
         family_sum_upto(f, max(k_max, 4 * f.arity + 1) if family_is_certified_finite(f) else k_max)

@@ -17,7 +17,7 @@ from conftest import (
     small_intervals,
     swept_lattice_counts,
 )
-from oddfarey.density import _cylinder_labels, _escape_cut, family_is_certified_finite
+from oddfarey.density import _cylinder_labels, family_is_certified_finite
 from oddfarey.farey import (
     UnitInterval,
     _histogram,
@@ -33,6 +33,7 @@ from oddfarey.geometry import (
     ConvexRegion,
     HalfPlane,
     LinearForm,
+    _escape_bound,
     convex_hull,
     cylinder,
     farey_triangle,
@@ -670,13 +671,13 @@ def test_label_ranges_reach_the_escape_bound():
     for ds in _CERTIFIED:
         for fam in families(ds):
             if fam.free_slots:
-                assert _escape_cut(fam) == 4 * fam.arity + 1
+                assert _escape_bound(fam.arity) == 4 * fam.arity + 1
             ranges = [
                 [v for v in range(1, 4 * fam.arity + 2) if lab.admits(v)] if lab.is_free else [lab.value]
                 for lab in fam.path.labels[: fam.arity]
             ]
             brute = {ks for ks in itertools.product(*ranges) if cylinder(ks).area() > 0}
-            walked = [ks for ks, _ in _cylinder_labels(fam, _escape_cut(fam))]
+            walked = [ks for ks, _ in _cylinder_labels(fam, _escape_bound(fam.arity))]
             assert len(walked) == len(brute) and set(walked) == brute, (ds, fam)
 
 
