@@ -33,7 +33,7 @@ there is an interval.  Without an interval the windows are counted, not
 decoded one point at a time: the start points are exactly the ones that
 ``farey._block_keys`` counts in row blocks, so the decoder takes its keys
 (``farey._counted_keys`` is the same count less the tail windows).  With an
-interval the kept start pairs flow from ``_starts`` into
+interval the kept start pairs flow from ``_kept`` into
 ``farey._window_keys``.  Every window key is decoded by
 ``farey._histogram``, so the recurrence and the key format live only in
 farey.  ``verify_tuple_identities`` streams and decodes once per (Q,
@@ -55,15 +55,21 @@ hi)), ceil(a*(1 - lo))), and the walls are the integers among a*(1 - hi),
 a*(1 - lo) below a.  As b -> b_bar is an
 involution on the units mod a, the kept b of a column that spans less than
 a (every column of a region inside T: column a of Q*T is (Q - a, Q]) are
-the lifts of the kept units, one b = b_bar^-1 mod a each.  So ``_walk``
-walks the shorter of the two ranges, min(#b, a*|I| + 1) values per column:
-at most |I|*Q^2/4 + Q to decode Q*T, against about Q^2/4 point by point.
-On a walk of more than 8 values no value costs a gcd or an inverse of its
-own: ``_units`` sieves the range by a's primes, and ``_inverses`` inverts
-the units left in one batch, at 3 multiplications mod a each and one
-inversion per column.  A walk of at most 8 values (every wall, and every
-column with a*|I| <= 7) tests each value by one gcd and one inversion,
-which costs less than the bytearray and the two batch passes.
+the lifts of the kept units, one b = b_bar^-1 mod a each.  ``_kept`` is the
+one kernel that applies the rule to points: it walks the shorter of the two
+ranges, min(#b, a*|I| + 1) values per column (at most |I|*Q^2/4 + Q to
+decode Q*T, against about Q^2/4 point by point), and keeps a unit when its
+inverse's offset from the other range's start lands in that range.  On a
+walk of more than 8 values no value costs a gcd or an inverse of its own:
+``_units`` sieves the range by a's primes, and the units left are inverted
+in one batch (Montgomery's trick), at 3 multiplications mod a each and one
+inversion per column, inside the pass that tests them.  A walk of at most 8
+values (every wall, and every column with a*|I| <= 7) tests each value by
+one gcd and one inversion, which costs less than the bytearray and the
+batch.  An interval count needs no point at all from a column that holds
+one b of every unit class mod a (all of Q*T's columns when b's parity is
+free): it counts the units among the kept inverses by Moebius inversion
+(``_interval_count``).
 
 One gap tuple.  ``count_delta_tuples``, ``window_count`` and
 ``empirical_rho`` count without a pass, against one sieve per call.  A
@@ -93,7 +99,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -122,7 +128,6 @@ from .geometry import (
 )
 from .paths import (
     _PARITIES,
-    _fits,
     _gap_tuple,
     _parity_range,
     arrow_text,
@@ -156,9 +161,6 @@ class PairParity(namedtuple("PairParity", "x y", defaults=("any", "any"))):
         if x not in _PARITIES or y not in _PARITIES:
             raise ValueError(f"parities must be in {_PARITIES}")
         return super().__new__(cls, x, y)
-
-    def matches(self, a: int, b: int) -> bool:
-        return _fits(a, self.x) and _fits(b, self.y)
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"
@@ -233,8 +235,8 @@ def _columns(
 
 def _coprime_count(divs: Sequence[tuple[int, int]], bs: range) -> int:
     """#{b in bs : gcd(a, b) = 1}, by Moebius inversion over the squarefree
-    divisors (d, mu(d)) of a.  ``bs`` is a column range of ``_columns``: of
-    step 1, or of step 2 starting at the parity it keeps."""
+    divisors (d, mu(d)) of a.  ``bs`` has step 1, or step 2 from the parity
+    it keeps: a column range of ``_columns``, or a column's kept inverses."""
     lo, hi = bs.start - 1, bs.stop - 1  # the b in (lo, hi]
     if bs.step == 1:
         return sum(mu * (hi // d - lo // d) for d, mu in divs)
@@ -312,36 +314,39 @@ def _units(a: int, vals: range, spf: Sequence[int]) -> list[int]:
     return list(compress(vals, keep[::vals.step]))
 
 
-def _inverses(units: list[int], a: int, lo: int) -> list[int]:
-    """The inverse mod a of each of the ``units``, as the integer in [lo, lo +
-    a), with one inversion for them all (Montgomery's trick)."""
+def _kept(a: int, bs: range, bbars: range, spf: Sequence[int]) -> list[int]:
+    """The b in ``bs`` with gcd(a, b) = 1 and b_bar in ``bbars``, in walk order.
+
+    The kernel walks the shorter of ``bs`` and ``bbars`` (by b_bar only when
+    ``bs`` spans less than a) and keeps a unit of the walked range when the
+    offset ``off`` in [0, a) of its inverse mod a from the other range's
+    start reaches no further than that range's last value and, when that
+    range has step 2, is even.  As ``bbars`` lies in [0, a) and the walk by
+    b_bar needs ``bs`` to span less than a, start + off is the inverse's one
+    candidate in the other range.  A walk of more than 8 values is sieved
+    (``_units``) and inverted by Montgomery's trick: the units' suffix
+    products, one inversion per column, and one pass that finds each unit's
+    inverse at 3 multiplications mod a and tests it there."""
+    by_bbar = len(bbars) < len(bs) and bs[-1] - bs[0] < a
+    walked, other = (bbars, bs) if by_bbar else (bs, bbars)
+    if not other:  # no value to keep, and no last one
+        return []
+    start, last, odd = other.start, other[-1] - other.start, other.step - 1
+    if len(walked) <= 8:  # a gcd and an inverse per value cost less up to here
+        offs = ((v, (pow(v, -1, a) - start) % a) for v in walked if gcd(a, v) == 1)
+        return [start + off if by_bbar else v for v, off in offs if off <= last and not off & odd]
+    units = _units(a, walked, spf)
     after, p = [], 1
     for u in reversed(units):
         after.append(p)  # the product of the units after u
         p = p * u % a
-    inv, out = pow(p, -1, a), []
+    inv, kept = pow(p, -1, a), []
     for u, p in zip(units, reversed(after)):  # inv = 1 / (u * p) mod a
-        out.append((inv * p - lo) % a + lo)
+        off = (inv * p - start) % a
+        if off <= last and not off & odd:
+            kept.append(start + off if by_bbar else u)
         inv = inv * u % a
-    return out
-
-
-def _walk(a: int, bs: range, bbars: range, spf: Sequence[int]) -> tuple[list[int], Iterator[bool]]:
-    """The b that column a visits, and for each whether it is kept (gcd(a, b)
-    = 1, b in ``bs``, b_bar in ``bbars``): the kept b are ``compress`` of the
-    two, their count the sum of the flags.  The walk inverts the units of the
-    shorter of ``bs`` and ``bbars`` and lifts each inverse into the other
-    range's window [start, start + a); as ``bbars`` lies in [0, a], that
-    lift changes no membership."""
-    by_bbar = len(bbars) < len(bs) and bs[-1] - bs[0] < a
-    walked, other = (bbars, bs) if by_bbar else (bs, bbars)
-    if len(walked) <= 8:  # a gcd and an inverse per value cost less up to here
-        units = [v for v in walked if gcd(a, v) == 1]
-        lifts = [(pow(v, -1, a) - other.start) % a + other.start for v in units]
-    else:
-        units = _units(a, walked, spf)
-        lifts = _inverses(units, a, other.start)
-    return lifts if by_bbar else units, map(other.__contains__, lifts)
+    return kept
 
 
 def _interval_count(
@@ -349,12 +354,28 @@ def _interval_count(
 ) -> tuple[int, int]:
     """The primitive points of ``_columns`` output that the inverse rule
     keeps, and the points whose inverse lies on a wall; the sieve ``spf``
-    must reach the last column."""
+    must reach the last column.
+
+    A column is walked by ``_kept`` unless its b-range holds exactly one b
+    of every unit class mod a: a values of step 1 (a consecutive integers),
+    or, for an even a, a // 2 odd values of step 2 (they meet every odd
+    class once, and every unit of an even a is odd).  The primitive b of
+    such a column are then one per unit class, and b -> b_bar is a
+    bijection on the units mod a, so its kept b are as many as the units
+    among the kept inverses in [0, a): ``_coprime_count`` of ``bbars``, and
+    of each wall, with no inversion.  (``_window_total`` counts the a
+    coprime to q in (lo*q, hi*q] on the same ground.)"""
     count = hits = 0
     for a, bs in cols:
         bbars, walls = _inverse_rule(a, interval)
-        count += sum(_walk(a, bs, bbars, spf)[1])
-        hits += sum(sum(_walk(a, bs, range(w, w + 1), spf)[1]) for w in walls)
+        ranges = [range(w, w + 1) for w in walls]
+        if len(bs) == a if bs.step == 1 else not a & 1 and bs.start & 1 and len(bs) == a >> 1:
+            divs = _squarefree_divisors(a, spf)
+            count += _coprime_count(divs, bbars)
+            hits += sum(_coprime_count(divs, r) for r in ranges)
+        else:
+            count += len(_kept(a, bs, bbars, spf))
+            hits += sum(len(_kept(a, bs, r, spf)) for r in ranges)
     return count, hits
 
 
@@ -399,15 +420,6 @@ def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], in
 # ---------------------------------------------------------------------------
 
 
-def _starts(
-    cols: Iterable[tuple[int, range]], spf: Sequence[int], interval: UnitInterval
-) -> Iterator[tuple[int, int]]:
-    """The pairs (a, b), b in bs, of the columns (a, bs) that are primitive
-    and kept by the interval; the sieve ``spf`` must reach the last column."""
-    for a, bs in cols:
-        yield from zip(repeat(a), compress(*_walk(a, bs, _inverse_rule(a, interval)[0], spf)))
-
-
 def decode_histogram(
     q_max: int, h: int, interval: Optional[UnitInterval] = None
 ) -> Counter:
@@ -421,7 +433,8 @@ def decode_histogram(
     if interval is None:  # the start pairs are farey's row-block points
         keys = _block_keys(q_max, h)
     else:
-        starts = _starts(*_sweep(farey_triangle(), q_max, PairParity("odd", "any")), interval)
+        cols, spf = _sweep(farey_triangle(), q_max, PairParity("odd", "any"))
+        starts = ((a, b) for a, bs in cols for b in _kept(a, bs, _inverse_rule(a, interval)[0], spf))
         keys = _window_keys(q_max, h, starts)
     return _histogram(keys, q_max, h, with_steps=True)[0]
 

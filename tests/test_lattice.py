@@ -46,10 +46,9 @@ from oddfarey.lattice import (
     PairParity,
     _columns,
     _inverse_rule,
-    _inverses,
+    _kept,
     _truncated,
     _units,
-    _walk,
     boundary_window_histogram,
     count_delta_tuples,
     count_lattice,
@@ -61,9 +60,15 @@ from oddfarey.lattice import (
     verify_tuple_identities,
     window_count,
 )
-from oddfarey.paths import MAX_WINDOW, families
+from oddfarey.paths import MAX_WINDOW, _fits, families
 
 T = farey_triangle()
+_PARITY_NAMES = ("odd", "even", "any")
+
+
+def _matches(parity, a, b):
+    """Whether (a, b) has the coordinate parities of ``parity``."""
+    return _fits(a, parity.x) and _fits(b, parity.y)
 
 
 def test_triangle_counts():
@@ -391,14 +396,84 @@ def test_full_interval_equals_unrestricted():
     assert a == b
 
 
-def test_interval_partition_of_counts():
-    cells = [UnitInterval(Fraction(i, 4), Fraction(i + 1, 4)) for i in range(4)]
-    q = 50
-    parts = [
-        count_lattice_interval(T, q, PairParity("odd", "any"), c).count for c in cells
-    ]
-    total = count_lattice(T, q, PairParity("odd", "any")).count
-    assert sum(parts) == total
+_ALL_PARITIES = [PairParity(x, y) for x in _PARITY_NAMES for y in _PARITY_NAMES]
+
+
+@seed(20031)
+@settings(max_examples=40, deadline=None)
+@given(
+    ks=st.lists(st.integers(1, 6), max_size=2),
+    q=st.integers(1, 300),
+    parity=st.sampled_from(_ALL_PARITIES),
+    cuts=st.lists(small_fractions, min_size=1, max_size=4),
+)
+@example(ks=[], q=50, parity=PairParity("odd", "any"), cuts=[Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+@example(ks=[1], q=60, parity=PairParity(), cuts=[Fraction(1, 2)])  # columns of a - 1 values
+@example(ks=[1], q=300, parity=PairParity("even", "odd"), cuts=[Fraction(6, 11)])
+@example(ks=[], q=299, parity=PairParity("odd", "odd"), cuts=[Fraction(1, 50)])  # odd a, step 2
+def test_interval_partition_of_counts(ks, q, parity, cuts):
+    """Under the half-open rule, the interval counts of the cells of any
+    partition of [0, 1] add up to the primitive count, for T and cylinders
+    of arity at most 2 under all nine parities."""
+    region = cylinder(tuple(ks))
+    ends = sorted({Fraction(0), Fraction(1), *cuts})
+    parts = [count_lattice_interval(region, q, parity, UnitInterval(lo, hi)).count
+             for lo, hi in zip(ends, ends[1:])]
+    assert sum(parts) == count_lattice(region, q, parity).count, (ks, q, parity, ends)
+
+
+def _interval_points(region, q, parity, interval):
+    """(kept, on a wall) for the primitive points of Q*region with the given
+    parities, one gcd and one inverse per point: kept when the first
+    fraction 1 - b_bar/a lies in (lo, hi], on a wall when it is lo or hi."""
+    (ln, ld), (hn, hd) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
+    kept = hits = 0
+    for a, bs in _columns(region, q, parity):
+        for b in bs:
+            if gcd(a, b) == 1:
+                bbar = pow(b, -1, a)  # 1 - bbar/a > lo iff bbar*ld < a*(ld - ln)
+                kept += bbar * ld < a * (ld - ln) and bbar * hd >= a * (hd - hn)
+                hits += bbar * ld == a * (ld - ln) or bbar * hd == a * (hd - hn)
+    return kept, hits
+
+
+_FULL_CLASS = [(T, PairParity()), (T, PairParity("odd", "any")), (T, PairParity("even", "odd")),
+               (cylinder((1,)), PairParity("even", "odd"))]
+
+
+@seed(20032)
+@settings(max_examples=30, deadline=None)
+@given(q=st.integers(1, 300), interval=small_intervals)
+@example(q=300, interval=UnitInterval(0, 1))
+@example(q=299, interval=UnitInterval(Fraction(1, 3), Fraction(1, 3)))  # [a, a] at a wall
+@example(q=300, interval=UnitInterval(Fraction(1, 2), Fraction(1, 2)))
+@example(q=240, interval=UnitInterval(Fraction(1, 4), Fraction(3, 4)))  # walls where 4 divides a
+@example(q=300, interval=UnitInterval(0, Fraction(6, 11)))
+def test_full_class_columns_count_the_point_oracle(q, interval):
+    """The columns that hold one b of every unit class mod a are counted
+    without a walk, and the counts and wall hits are the point oracle's: on
+    T under (any, any), (odd, any) and (even, odd) every column is such a
+    column, on C(1) under (even, odd) some are."""
+    import oddfarey.lattice as lattice
+
+    walks = []
+    kept = lattice._kept
+
+    def recorded_kept(a, bs, bbars, spf):
+        walks.append(a)
+        return kept(a, bs, bbars, spf)
+
+    for region, parity in _FULL_CLASS:
+        walks.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "_kept", recorded_kept)
+            rep = count_lattice_interval(region, q, parity, interval)
+        assert (rep.count, rep.boundary_hits) == _interval_points(region, q, parity, interval)
+        columns = {a for a, _ in _columns(region, q, parity)}
+        if region is T:
+            assert walks == []
+        elif q >= 30:
+            assert columns - set(walks) and set(walks), (q, parity)
 
 
 def test_interval_proportionality():
@@ -426,11 +501,11 @@ def _by_point(a, bs, bbars):
 
 @pytest.mark.parametrize("ks", [(), (1,), (2,), (1, 2)])
 def test_both_walks_keep_the_same_points(ks, monkeypatch):
-    """The walk by b and the walk by b_bar (the two branches of ``_walk``)
-    keep the b's of the per-point oracle on every column of the cylinder
-    (each spans less than a), among them a = 1, even a with step-2 columns
-    and prime powers; both branches occur on sieved walks, and short walks
-    that test each value directly occur too."""
+    """The walk by b and the walk by b_bar (the two sides ``_kept`` chooses
+    between) keep the b's of the per-point oracle on every column of the
+    cylinder (each spans less than a), among them a = 1, even a with step-2
+    columns and prime powers; both sides occur on sieved walks, and short
+    walks that test each value directly occur too."""
     import oddfarey.lattice as lattice
 
     walked, units = [], lattice._units
@@ -457,9 +532,8 @@ def test_both_walks_keep_the_same_points(ks, monkeypatch):
                     kinds.add("prime power")
                 for interval in _RULE_INTERVALS:
                     bbars, _ = _inverse_rule(a, interval)
-                    visited, flags = _walk(a, bs, bbars, spf)
-                    kept = sorted(itertools.compress(visited, flags))
-                    assert kept == _by_point(a, bs, bbars), (ks, q, parity, a, interval)
+                    kept = _kept(a, bs, bbars, spf)
+                    assert sorted(kept) == _by_point(a, bs, bbars), (ks, q, parity, a, interval)
                     if walked:
                         kinds.add("by b" if walked.pop() is bs else "by b_bar")
                     else:
@@ -492,25 +566,48 @@ def test_unit_sieve_is_the_gcd_filter(a, start, length, step, shift):
     assert _units(a, vals, _smallest_prime_factors(a)) == [v for v in vals if gcd(a, v) == 1]
 
 
+@st.composite
+def _kernel_columns(draw):
+    """A modulus a, a b-range of step 1 or 2 spanning less than a, and a
+    range of inverses in [0, a]: empty, one value (a wall) or longer, often
+    placed around the inverse of one of the b so that some b are kept."""
+    a = draw(st.one_of(st.integers(1, 10**6), st.sampled_from([1, 2, *_PRIME_POWERS])))
+    step = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(0, min(40, (a - 1) // step + 1)))
+    first = draw(st.integers(-a, 2 * a))
+    bs = range(first, first + n * step, step)
+    units = [b for b in bs if gcd(a, b) == 1]
+    centre = draw(st.integers(0, a - 1))
+    if units and draw(st.booleans()):
+        centre = pow(draw(st.sampled_from(units)), -1, a)
+    length = draw(st.sampled_from([0, 1, 1]) | st.integers(0, 40))
+    lo = max(0, min(centre - draw(st.integers(0, length)), a - length))
+    return a, bs, range(lo, min(lo + length, a))
+
+
 @seed(20027)
-@settings(max_examples=200, deadline=None)
-@given(
-    a=st.one_of(st.integers(1, 10**6), st.sampled_from([1, 2, *_PRIME_POWERS])),
-    xs=st.lists(st.integers(-10**6, 10**6), max_size=40),
-    lo=st.integers(-10**6, 10**6),
-)
-@example(a=1, xs=[0, 1, 5], lo=0)  # b_bar = 0 when a = 1, as Python's pow gives
-@example(a=1, xs=[], lo=3)
-@example(a=2, xs=[1, 3, -1], lo=5)
-@example(a=9, xs=[7], lo=-4)  # one element
-@example(a=3**12, xs=[], lo=0)  # the empty list
-@example(a=2**10, xs=list(range(1, 2**10, 2)), lo=2**9)
-def test_batch_inverses_are_the_modular_inverses(a, xs, lo):
-    """One inversion per batch gives pow(x, -1, a) for every unit x, in order,
-    and its lift into [lo, lo + a)."""
-    units = [x for x in xs if gcd(a, x) == 1]
-    assert _inverses(units, a, 0) == [pow(x, -1, a) for x in units]
-    assert _inverses(units, a, lo) == [lo + (pow(x, -1, a) - lo) % a for x in units]
+@settings(max_examples=300, deadline=None)
+@given(column=_kernel_columns())
+@example(column=(1, range(5, 6), range(0, 1)))  # b_bar = 0 when a = 1, as Python's pow gives
+@example(column=(1, range(5, 6), range(0, 0)))
+@example(column=(2, range(1, 2), range(1, 2)))
+@example(column=(9, range(7, 8), range(4, 5)))  # one value each
+@example(column=(3**12, range(0, 0), range(0, 3**12)))  # no b
+@example(column=(2**10, range(1, 2**10, 2), range(2**9, 2**10)))  # even a, every odd b: by b_bar
+@example(column=(2**10, range(2, 2**10, 2), range(0, 2**9)))  # even a, even b: no unit
+@example(column=(1001, range(3, 1001, 2), range(0, 30)))  # odd a, step 2: by b_bar, odd offsets dropped
+@example(column=(1001, range(0, 20), range(0, 1001)))  # by b
+def test_batch_inverses_are_the_modular_inverses(column):
+    """The kernel's inverses, one inversion per sieved walk, are the modular
+    inverses: ``_kept`` keeps the b's of the per-point oracle, each b once,
+    in walk order (increasing b when it walks by b), on walks of at most 8
+    values and sieved ones, by b and by b_bar."""
+    a, bs, bbars = column
+    spf = _smallest_prime_factors(a)
+    kept = _kept(a, bs, bbars, spf)
+    assert sorted(kept) == _by_point(a, bs, bbars), column
+    if not (len(bbars) < len(bs) and bs[-1] - bs[0] < a):
+        assert kept == _by_point(a, bs, bbars)
 
 
 def _short_interval(q, inv_length, den, num, from_lo):
@@ -551,37 +648,43 @@ def test_short_interval_counts_match_the_point_oracle(q, h, inv_length, den, num
 def test_short_interval_count_costs_its_share(monkeypatch):
     """An interval count inverts about |I| * Q^2 / 2 + 3Q units, not one per
     primitive point: each column walks the shorter of b and b_bar.  A pow
-    inverts a batch of units, or one unit of a walk of at most 8 values;
-    batches take at most three per column, one for the kept range and one
-    for each wall.  The shorter interval walks only short columns, the
-    longer one both kinds."""
+    inverts a sieved walk's units (one ``_units`` call each), or one unit of
+    a walk of at most 8 values; sieved walks take at most three per column,
+    one for the kept range and one for each wall.  The shorter interval
+    walks only short columns, the longer one both kinds.  The (odd, any)
+    columns of Q*T hold every unit class and invert nothing."""
     import oddfarey.lattice as lattice
 
-    batches, pows = [], []
-    batch_inverses = lattice._inverses
+    sieved, pows = [], []
+    units = lattice._units
 
-    def counted_inverses(units, a, lo):
-        batches.append(len(units))
-        return batch_inverses(units, a, lo)
+    def counted_units(a, vals, spf):
+        sieved.append(units(a, vals, spf))
+        return sieved[-1]
 
     def counted_pow(*args):
         pows.append(args)
         return pow(*args)
 
-    monkeypatch.setattr(lattice, "_inverses", counted_inverses)
+    monkeypatch.setattr(lattice, "_units", counted_units)
     monkeypatch.setattr(lattice, "pow", counted_pow, raising=False)
-    q, parity = 2000, PairParity("odd", "any")
-    columns = len(list(_columns(T, q, parity)))
+    q = 2000
     for length in (Fraction(1, 1000), Fraction(1, 100)):
-        batches.clear()
-        pows.clear()
         interval = UnitInterval(Fraction(1, 4), Fraction(1, 4) + length)
-        rep = count_lattice_interval(T, q, parity, interval)
-        assert rep.count == len(point_starts(q, interval)[0])
-        inverted = sum(batches) + len(pows) - len(batches)
-        assert 0 < inverted <= length * q * q / 2 + 3 * q
-        assert len(pows) > len(batches) <= 3 * columns
-        assert (len(batches) > 0) == (length == Fraction(1, 100))
+        starts = point_starts(q, interval)[0]
+        for parity in (PairParity("odd", "even"), PairParity("odd", "any")):
+            sieved.clear()
+            pows.clear()
+            rep = count_lattice_interval(T, q, parity, interval)
+            assert rep.count == sum(_matches(parity, a, b) for a, b in starts)
+            if parity.y == "any":
+                assert sieved == pows == []
+                continue
+            columns = len(list(_columns(T, q, parity)))
+            inverted = sum(map(len, sieved)) + len(pows) - len(sieved)
+            assert 0 < inverted <= length * q * q / 2 + 3 * q
+            assert len(pows) > len(sieved) <= 3 * columns
+            assert (len(sieved) > 0) == (length == Fraction(1, 100))
 
 
 def test_boundary_hits_flagged():
@@ -778,7 +881,7 @@ def test_sweep_matches_naive_membership(rng):
                 expected = 0
                 for a in range(1, q + 1):
                     for b in range(1, q + 1):
-                        if not parity.matches(a, b):
+                        if not _matches(parity, a, b):
                             continue
                         if primitive and gcd(a, b) != 1:
                             continue
@@ -787,8 +890,6 @@ def test_sweep_matches_naive_membership(rng):
                 got = count_lattice(region, q, parity, primitive).count
                 assert got == expected, (region.constraints, q, parity, primitive)
 
-
-_PARITY_NAMES = ("odd", "even", "any")
 
 
 def _parity_class(n: int) -> str:
@@ -825,8 +926,8 @@ def _assert_sweeps_match_the_grid(region, q, intervals):
 
     for px, py in itertools.product(_PARITY_NAMES, repeat=2):
         parity = PairParity(px, py)
-        pts = [p for p in inside if parity.matches(*p)]
-        prim = [p for p in primitive if parity.matches(*p)]
+        pts = [p for p in inside if _matches(parity, *p)]
+        prim = [p for p in primitive if _matches(parity, *p)]
         assert count_lattice(region, q, parity, primitive=False).count == len(pts)
         assert count_lattice(region, q, parity).count == len(prim)
         firsts = [first_fraction(a, b) for a, b in prim]
