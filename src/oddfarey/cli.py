@@ -47,16 +47,19 @@ _ENCLOSURE_OPTIONS = {  # rho_odd argument: (parser, bad-value message)
 
 def _enclosure_options(args) -> dict:
     """The ``tol`` and ``k_max`` arguments of rho_odd that its flag, else the
-    config file, sets, parsed; rho_odd's own defaults stand for the rest."""
+    config file, sets, parsed; rho_odd's own defaults stand for the rest.  A
+    config value that is not a string is parsed from its JSON text, as a flag
+    from its own: 0.001 is 1/1000, and neither 1.5 nor true is a cutoff limit."""
     out = {}
     for name, (parse, bad) in _ENCLOSURE_OPTIONS.items():
-        value = getattr(args, name)
+        value = text = getattr(args, name)
         if value is None:
             if name not in args._config:
                 continue
             value = args._config[name]
+            text = value if isinstance(value, str) else json.dumps(value)
         try:
-            out[name] = parse(value)
+            out[name] = parse(text)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise SystemExit("error: " + bad.format(value)) from exc
     return out

@@ -80,7 +80,6 @@ __all__ = [
     "gap_density",
     "tail_after",
     "parity_tail_after",
-    "family_is_certified_finite",
     "family_sum_upto",
     "rho_odd",
     "RhoRow",
@@ -149,11 +148,6 @@ def _escape_slots(family: PathFamily) -> list[int]:
         for s in family.free_slots
         if all(labels[p].admits(1 if abs(p - s) == 1 else 2) for p in range(family.arity) if p != s)
     ]
-
-
-def family_is_certified_finite(family: PathFamily) -> bool:
-    """True when every free slot's escape pattern is contradicted."""
-    return not _escape_slots(family)
 
 
 def _decomposition(deltas: Sequence[int], cap: Optional[int] = None):

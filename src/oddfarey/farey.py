@@ -57,7 +57,7 @@ at the last h odd elements, or at all of them when there are at most h.
 ``_block_keys`` counts the windows of all the points (the lattice decoder
 takes them as they are), ``_tail_starts`` finds the start pairs of the
 windows past 1/1 by walking the recurrence back from the last pair (Q, 1)
-(the denominators of (Q - 1)/Q and 1/1), and ``_counted_keys`` takes their
+(the denominators of (Q - 1)/Q and 1/1), and ``gap_histogram`` takes their
 keys away.  ``_window_keys`` codes the window of each start pair; it is the
 one window coder, shared by the count's tail and the lattice decoder, whose
 boundary windows are these tail windows.
@@ -87,8 +87,8 @@ block counts the q coprime to 2b, i.e. odd and coprime to b, by
 inclusion-exclusion over the odd squarefree divisors of b
 (``_squarefree_divisors``, from one smallest-prime-factor sieve; the
 lattice module counts its columns with the same two functions).
-``_counted_keys`` returns the keys that ``_read_pass`` reads off
-``_gap_pass(Q, h, None)``, which stays the oracle.
+``gap_histogram`` counts, with no interval, the keys that ``_read_pass``
+reads off ``_gap_pass(Q, h, None)``, which stays the oracle.
 """
 
 from __future__ import annotations
@@ -489,15 +489,6 @@ def _block_keys(q_max: int, h: int) -> dict[int, int]:
     return keys
 
 
-def _counted_keys(q_max: int, h: int) -> dict[int, int]:
-    """The h-windows of ``_gap_pass(q_max, h, None)`` by counting: the
-    row-block keys of ``_block_keys`` less the windows that run past 1/1."""
-    keys = _block_keys(q_max, h)
-    for key, count in _window_keys(q_max, h, _tail_starts(q_max, h)).items():
-        keys[key] -= count
-    return {k: c for k, c in keys.items() if c}
-
-
 def _histogram(
     keys: dict[int, int], q_max: int, h: int, with_steps: bool
 ) -> tuple[Counter, int]:
@@ -549,8 +540,11 @@ def gap_histogram(
     an interval come from one streaming pass over its stretch of F(Q).
     """
     interval = _restriction(q_max, h, interval)
-    if interval is None:
-        keys = _counted_keys(q_max, h)
+    if interval is None:  # the row-block keys less the windows past 1/1
+        keys = _block_keys(q_max, h)
+        for key, count in _window_keys(q_max, h, _tail_starts(q_max, h)).items():
+            keys[key] -= count
+        keys = {k: c for k, c in keys.items() if c}
     else:
         keys = _read_pass(q_max, h, *_gap_pass(q_max, h, interval))
     return _histogram(keys, q_max, h, with_steps)

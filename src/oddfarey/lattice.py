@@ -32,7 +32,7 @@ tail windows (``farey._tail_starts``), kept by the half-open rule below when
 there is an interval.  Without an interval the windows are counted, not
 decoded one point at a time: the start points are exactly the ones that
 ``farey._block_keys`` counts in row blocks, so the decoder takes its keys
-(``farey._counted_keys`` is the same count less the tail windows).  With an
+(``farey.gap_histogram`` takes the same count less the tail windows).  With an
 interval the kept start pairs flow from ``_kept`` into
 ``farey._window_keys``.  Every window key is decoded by
 ``farey._histogram``, so the recurrence and the key format live only in
@@ -71,13 +71,15 @@ one b of every unit class mod a (all of Q*T's columns when b's parity is
 free): it counts the units among the kept inverses by Moebius inversion
 (``_interval_count``).
 
-One gap tuple.  ``count_delta_tuples``, ``window_count`` and
-``empirical_rho`` count without a pass, against one sieve per call.  A
-gap tuple's windows start at the primitive points (a, b) of Q*R, a odd and
-b of the given parity, over the (region R, first-vertex parity) pairs of
-its region list: its walk families' cylinders and, for an open tuple, one
-shell per pair of escape slots.  density.py builds the list
-(``_tuple_regions``) and proves it exact at every order.
+Window counts.  ``empirical_rho`` divides two counts, each one function
+and neither a pass.  ``count_delta_tuples`` counts a gap tuple's windows:
+they start at the primitive points (a, b) of Q*R, a odd and b of the given
+parity, over the (region R, first-vertex parity) pairs of its region list:
+its walk families' cylinders and, for an open tuple, one shell per pair of
+escape slots.  density.py builds the list (``_tuple_regions``) and proves
+it exact at every order.  ``window_count`` counts every window: without an
+interval, the odd-denominator elements of F(Q) less h; with one, by the
+columns below.
 
 The closed/half-open bridge.  The region list's points are the starts of the
 periodic sequence's windows, kept when lo < gamma0 <= hi; the pass counts
@@ -87,11 +89,11 @@ exactly when lo is an odd-denominator element of F(Q): lo > 0, with odd
 reduced denominator at most Q (``_lo_pair``).  The windows that run past
 1/1 are the tail windows, and the half-open rule keeps the same ones among
 them as among the points (``boundary_window_histogram``).  Hence the pass
-counts the points plus the bridge (``_bridge``, per gap tuple): minus each
-kept tail window, plus the window at lo when it is full.  Summed over every
-gap tuple, with an interval the window total is the odd-denominator
-elements in (lo, hi] plus the whole bridge; each odd q adds the a in
-(lo*q, hi*q] coprime to q, which is ``_primitive_count`` over the columns
+counts the points plus the bridge (``_bridge``, per gap tuple): the window
+at lo when it is full, less the kept tail windows read by their gaps.
+``count_delta_tuples`` adds its tuple's entry.  ``window_count`` adds the
+whole bridge to the odd-denominator elements in (lo, hi]: each odd q adds
+the a in (lo*q, hi*q] coprime to q, ``_primitive_count`` over the columns
 (q, (lo*q, hi*q]).  ``stats`` and the verifiers keep their routes.
 """
 
@@ -363,7 +365,7 @@ def _interval_count(
     such a column are then one per unit class, and b -> b_bar is a
     bijection on the units mod a, so its kept b are as many as the units
     among the kept inverses in [0, a): ``_coprime_count`` of ``bbars``, and
-    of each wall, with no inversion.  (``_window_total`` counts the a
+    of each wall, with no inversion.  (``window_count`` counts the a
     coprime to q in (lo*q, hi*q] on the same ground.)"""
     count = hits = 0
     for a, bs in cols:
@@ -449,25 +451,16 @@ def _truncated(hist: Counter, h: int) -> Counter:
     return out
 
 
-def _tail_windows(
-    q_max: int, h: int, interval: Optional[UnitInterval]
-) -> list[tuple[int, int]]:
-    """The start pairs of the decoded windows that start in F(Q) but end
-    past 1/1 (at most h): farey's tail starts, kept by the half-open rule
-    when there is an interval (a start pair is coprime, so its b_bar is
-    one inverse)."""
-    starts = _tail_starts(q_max, h)
-    if interval is None:
-        return starts
-    return [(q, q2) for q, q2 in starts if pow(q2, -1, q) in _inverse_rule(q, interval)[0]]
-
-
 def boundary_window_histogram(
     q_max: int, h: int, interval: Optional[UnitInterval] = None
 ) -> Counter:
     """The decoded windows that start in F(Q) but end past 1/1 (at most h):
-    farey's tail windows, kept by the half-open rule when there is an interval."""
-    starts = _tail_windows(q_max, h, _restriction(q_max, h, interval))
+    farey's tail windows, kept by the half-open rule when there is an
+    interval (a start pair is coprime, so its b_bar is one inverse)."""
+    interval = _restriction(q_max, h, interval)
+    starts = _tail_starts(q_max, h)
+    if interval is not None:
+        starts = [(q, q2) for q, q2 in starts if pow(q2, -1, q) in _inverse_rule(q, interval)[0]]
     return _histogram(_window_keys(q_max, h, starts), q_max, h, with_steps=True)[0]
 
 
@@ -493,23 +486,28 @@ def _bridge(q_max: int, h: int, interval: Optional[UnitInterval]) -> Counter:
     minus each kept tail window, plus the window at lo when lo is an
     odd-denominator element of F(Q) and its window does not run past 1/1
     (see the module docstring)."""
-
-    def gaps(starts) -> Counter:
-        return _histogram(_window_keys(q_max, h, starts), q_max, h, with_steps=False)[0]
-
     pair = _lo_pair(q_max, interval)
-    bridge = gaps([] if pair is None or pair in _tail_starts(q_max, h) else [pair])
-    bridge.subtract(gaps(_tail_windows(q_max, h, interval)))
+    starts = [] if pair is None or pair in _tail_starts(q_max, h) else [pair]
+    bridge = _histogram(_window_keys(q_max, h, starts), q_max, h, with_steps=False)[0]
+    for (gaps, _), count in boundary_window_histogram(q_max, h, interval).items():
+        bridge[gaps] -= count
     return bridge
 
 
-def _cylinder_windows(
-    q_max: int, target: tuple[int, ...], interval: Optional[UnitInterval], spf: Sequence[int]
+def count_delta_tuples(
+    q_max: int,
+    deltas: Sequence[int],
+    interval: Optional[UnitInterval] = None,
 ) -> int:
-    """The windows with gap tuple ``target`` and first fraction in the
-    closed ``interval``: the primitive points of its region list (density's
-    ``_tuple_regions``), kept by the half-open rule, plus the bridge (see
-    the module docstring).  The sieve ``spf`` must reach q_max."""
+    """Count windows of h+1 consecutive odd-denominator fractions whose gap
+    tuple equals ``deltas`` (first fraction in ``interval`` when given, closed
+    membership): the primitive points of the tuple's region list (density's
+    ``_tuple_regions``), kept by the half-open rule, plus the bridge (see the
+    module docstring).
+    """
+    target = _gap_tuple(deltas)
+    interval = _restriction(q_max, len(target), interval)
+    spf = _smallest_prime_factors(q_max)
     count = 0
     for region, first in _tuple_regions(target):
         cols = _columns(region, q_max, PairParity("odd", first))
@@ -520,51 +518,27 @@ def _cylinder_windows(
     return count + _bridge(q_max, len(target), interval)[target]
 
 
-def _window_total(q_max: int, h: int, interval: UnitInterval, spf: Sequence[int]) -> int:
-    """The windows with first fraction in the closed ``interval``: the
-    odd-denominator elements in (lo, hi], each odd q adding the a in
-    (lo*q, hi*q] coprime to q, plus the bridge.  The sieve ``spf`` must
-    reach q_max."""
-    (ln, ld), (hn, hd) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
-    cols = ((q, range(ln * q // ld + 1, hn * q // hd + 1)) for q in range(1, q_max + 1, 2))
-    return _primitive_count(cols, spf) + sum(_bridge(q_max, h, interval).values())
-
-
-def count_delta_tuples(
-    q_max: int,
-    deltas: Sequence[int],
-    interval: Optional[UnitInterval] = None,
-) -> int:
-    """Count windows of h+1 consecutive odd-denominator fractions whose gap
-    tuple equals ``deltas`` (first fraction in ``interval`` when given, closed
-    membership), counted over the tuple's region list.
-    """
-    target = _gap_tuple(deltas)
-    interval = _restriction(q_max, len(target), interval)
-    return _cylinder_windows(q_max, target, interval, _smallest_prime_factors(q_max))
-
-
 def window_count(
     q_max: int, h: int, interval: Optional[UnitInterval] = None
 ) -> int:
     """Number of length-(h+1) windows with first fraction in ``interval``,
-    counted: the odd-denominator elements of F(Q) in it less the tail
-    starts in it (see the module docstring for the rule at lo)."""
+    counted: the odd-denominator elements of F(Q) less h, or those in (lo,
+    hi] by odd q's columns plus the bridge (see the module docstring)."""
     interval = _restriction(q_max, h, interval)
     if interval is None:
         return max(odd_farey_count(q_max) - h, 0)
-    return _window_total(q_max, h, interval, _smallest_prime_factors(q_max))
+    (ln, ld), (hn, hd) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
+    cols = ((q, range(ln * q // ld + 1, hn * q // hd + 1)) for q in range(1, q_max + 1, 2))
+    count = _primitive_count(cols, _smallest_prime_factors(q_max))
+    return count + sum(_bridge(q_max, h, interval).values())
 
 
 def _tuple_windows(q_max: int, deltas: Sequence[int], interval: Optional[UnitInterval]):
-    """(matching windows, all windows) for ``empirical_rho``, counted over
-    one sieve; a ValueError when there is no window."""
-    target = _gap_tuple(deltas)
-    h = len(target)
-    ikey = _restriction(q_max, h, interval)
-    spf = _smallest_prime_factors(q_max)
-    count = _cylinder_windows(q_max, target, ikey, spf)
-    windows = window_count(q_max, h) if ikey is None else _window_total(q_max, h, ikey, spf)
+    """(matching windows, all windows) for ``empirical_rho``; a ValueError
+    when there is no window."""
+    count = count_delta_tuples(q_max, deltas, interval)
+    h = len(deltas)
+    windows = window_count(q_max, h, interval)
     if windows == 0:
         where = "" if interval is None else f" with first fraction in {interval}"
         raise ValueError(

@@ -313,6 +313,19 @@ def test_bad_config_values(tmp_path, capsys):
     assert "bad tolerance" in _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1")
     cfg.write_text(json.dumps({"k_max": [1]}))
     assert "bad cutoff" in _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1")
+    # a value that is not a string parses from its JSON text, as a flag does
+    for config, message in [
+        ({"k_max": 1.5}, "bad cutoff limit 1.5,"),
+        ({"k_max": True}, "bad cutoff limit True,"),
+        ({"tol": True}, "bad tolerance True,"),
+        ({"tol": None}, "bad tolerance None,"),
+    ]:
+        cfg.write_text(json.dumps(config))
+        assert message in _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1,1")
+    cfg.write_text(json.dumps({"tol": 0.001}))
+    from_config = run(capsys, "--config", str(cfg), "rho", "--delta", "1,1")
+    assert from_config == run(capsys, "rho", "--delta", "1,1", "--tol", "0.001")
+    assert from_config == run(capsys, "rho", "--delta", "1,1", "--tol", "1/1000")
 
 
 def test_unknown_config_key(tmp_path, capsys):

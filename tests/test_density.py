@@ -11,7 +11,6 @@ from conftest import cached_gap_histogram
 
 from oddfarey.density import (
     Enclosure,
-    family_is_certified_finite,
     family_sum_upto,
     gap_density,
     parity_tail_after,
@@ -30,9 +29,9 @@ OPEN_TUPLES = [
     ds
     for h in (1, 2, 3, 4)
     for ds in itertools.product((1, 2, 3, 4), repeat=h)
-    if not all(family_is_certified_finite(f) for f in families(ds))
+    if any(_escape_slots(f) for f in families(ds))
 ]
-OPEN_FAMILIES = [f for ds in OPEN_TUPLES for f in families(ds) if not family_is_certified_finite(f)]
+OPEN_FAMILIES = [f for ds in OPEN_TUPLES for f in families(ds) if _escape_slots(f)]
 
 
 def _brute_family_sum(family, k_cut):
@@ -84,11 +83,11 @@ def test_pair_exactness_flags():
 
 def test_certified_finiteness_analysis():
     fams = {f.path.step_types(): f for f in families((1, 1))}
-    assert not family_is_certified_finite(fams[("OO", "OO")])  # sum over even k
-    assert not family_is_certified_finite(fams[("OO", "OEO")])  # C(k odd, 1)
-    assert not family_is_certified_finite(fams[("OEO", "OEO")])  # C(1, k even, 1)
+    assert _escape_slots(fams[("OO", "OO")])  # sum over even k
+    assert _escape_slots(fams[("OO", "OEO")])  # C(k odd, 1)
+    assert _escape_slots(fams[("OEO", "OEO")])  # C(1, k even, 1)
     fams22 = families((2, 2))
-    assert len(fams22) == 1 and family_is_certified_finite(fams22[0])
+    assert len(fams22) == 1 and not _escape_slots(fams22[0])
 
 
 def test_pair_two_two_value():
@@ -305,7 +304,7 @@ def test_unpaired_escape_slots_are_refused(monkeypatch):
     import oddfarey.density as density
 
     fams = families((1, 1))
-    open_fams = [f for f in fams if not family_is_certified_finite(f)]
+    open_fams = [f for f in fams if _escape_slots(f)]
     for split in ([f for f in fams if f != open_fams[0]], [*fams, open_fams[0]]):
         monkeypatch.setattr(density, "families", lambda deltas, split=split: split)
         with pytest.raises(ValueError, match="do not pair"):
@@ -326,7 +325,7 @@ def test_lo_is_the_clipped_partial_sum(deltas, k_max):
     family adds nothing beyond 4 * arity + 1."""
     enc = rho_odd(deltas, tol=Fraction(1, 10**12), k_max=k_max)
     expected = sum(
-        family_sum_upto(f, max(k_max, 4 * f.arity + 1) if family_is_certified_finite(f) else k_max)
+        family_sum_upto(f, k_max if _escape_slots(f) else max(k_max, 4 * f.arity + 1))
         for f in families(deltas)
     )
     assert enc.lo == expected

@@ -17,7 +17,7 @@ from conftest import (
     small_intervals,
     swept_lattice_counts,
 )
-from oddfarey.density import _cylinder_labels, family_is_certified_finite
+from oddfarey.density import _cylinder_labels, _escape_slots
 from oddfarey.farey import (
     UnitInterval,
     _histogram,
@@ -698,12 +698,12 @@ def test_boundary_hits_flagged():
 # ---------------------------------------------------------------------------
 
 _SHORT = [ds for h in (1, 2, 3) for ds in itertools.product(range(1, 5), repeat=h)]
-_CERTIFIED = [ds for ds in _SHORT if all(family_is_certified_finite(f) for f in families(ds))]
+_CERTIFIED = [ds for ds in _SHORT if not any(_escape_slots(f) for f in families(ds))]
 _OPEN = [  # only entries 1 and 2 admit the escape pattern
     ds
     for h in (2, 3, 4, 5)
     for ds in itertools.product((1, 2), repeat=h)
-    if not all(family_is_certified_finite(f) for f in families(ds))
+    if any(_escape_slots(f) for f in families(ds))
 ]
 
 
@@ -729,6 +729,31 @@ def test_counted_windows_match_the_pass(q, interval):
     for ds in _SHORT + [ds for ds in _OPEN if len(ds) > 3]:
         expected = streams[len(ds) - 1][0][ds]
         assert count_delta_tuples(q, ds, interval) == expected, (q, ds, interval)
+
+
+@seed(20031)
+@settings(max_examples=50, deadline=None)
+@given(q=st.integers(1, 150), interval=st.none() | small_intervals)
+@example(q=1, interval=None)
+@example(q=2, interval=None)
+@example(q=3, interval=None)
+@example(q=4, interval=None)
+@example(q=3, interval=UnitInterval(Fraction(1, 3), 1))  # odd lo, hi = 1, at the smallest order
+@example(q=149, interval=UnitInterval(Fraction(1, 3), 1))  # odd lo, hi = 1
+@example(q=150, interval=UnitInterval(Fraction(3, 7), Fraction(3, 7)))  # [a, a] at an odd element
+@example(q=4, interval=UnitInterval(Fraction(1, 3), Fraction(1, 3)))
+@example(q=120, interval=UnitInterval(0, Fraction(5, 8)))  # [0, x]
+@example(q=2, interval=UnitInterval(0, Fraction(1, 2)))
+def test_every_single_gap_is_counted(q, interval):
+    """Every single gap d in 1..2Q + 2 has as many windows as the pass finds
+    (none past 2Q), and the gaps' counts add up to ``window_count`` and to the
+    pass's window total."""
+    hist, windows = _stream_histograms(q, 1, interval)[-1]
+    labels = range(1, 2 * q + 3)
+    counts = [count_delta_tuples(q, (d,), interval) for d in labels]
+    assert counts == [hist[(d,)] for d in labels], (q, interval)
+    assert counts[2 * q :] == [0, 0]
+    assert sum(counts) == window_count(q, 1, interval) == windows, (q, interval)
 
 
 def test_counted_tuples_take_no_pass(monkeypatch):
