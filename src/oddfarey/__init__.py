@@ -26,7 +26,6 @@ from .lattice import (
     PairParity,
     count_delta_tuples,
     count_lattice,
-    count_lattice_interval,
     empirical_rho,
     verify_parity_swap,
     verify_tuple_identities,
@@ -63,7 +62,6 @@ __all__ = [
     "CountReport",
     "PairParity",
     "count_lattice",
-    "count_lattice_interval",
     "verify_parity_swap",
     "verify_tuple_identities",
     "PathFamily",

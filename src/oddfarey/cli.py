@@ -31,7 +31,6 @@ from .lattice import (
     PairParity,
     _tuple_windows,
     count_lattice,
-    count_lattice_interval,
     empirical_rho,
     verify_parity_swap,
     verify_tuple_identities,
@@ -262,10 +261,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    if args.quadrangle is not None:
-        region = stabilized_quadrangle(*_parse_quadrangle(args.quadrangle))
+    if args.quadrangle is None:
+        region = cylinder(_parse_ks(args.ks or ""))
+    elif args.ks is not None:
+        raise SystemExit("error: --ks cannot be used with --quadrangle: give one region")
     else:
-        region = cylinder(_parse_ks(args.ks))
+        region = stabilized_quadrangle(*_parse_quadrangle(args.quadrangle))
     payload = region.to_json_dict()
     if args.format == "csv":  # the vertex table; the record nests lists
         _emit("csv", payload["vertices"], ["x", "y"])
@@ -322,10 +323,7 @@ def _cmd_lattice(args) -> int:
             "error: --all-points cannot be used with --interval: "
             "the inverse rule is defined only for primitive points"
         )
-    if interval is not None:
-        rep = count_lattice_interval(region, args.q, parity, interval)
-    else:
-        rep = count_lattice(region, args.q, parity, primitive=not args.all_points)
+    rep = count_lattice(region, args.q, parity, primitive=not args.all_points, interval=interval)
     row = {
         "ks": args.ks,
         "q": args.q,
@@ -483,8 +481,8 @@ _COMMANDS = {
     "region": (
         _cmd_region, "dump a cylinder region as JSON", "json", False,
         [
-            ("--ks", dict(default="", help="index labels, e.g. '2,1,3' (empty = triangle)")),
-            ("--quadrangle", dict(help="m,i,r for the stabilized backward image")),
+            ("--ks", dict(help="index labels, e.g. '2,1,3' (empty or absent = triangle)")),
+            ("--quadrangle", dict(help="m,i,r for the stabilized backward image (not with --ks)")),
         ],
     ),
     "orbit": (

@@ -10,12 +10,14 @@ by geometry's ``_functional``, the one half-plane-to-integer rule) into
 each column's b-range, keeping the a and the b of the asked parities
 (paths' ``_parity_range``); ``_sweep`` adds the sieve that reaches them.
 
-Counted columns.  ``count_lattice`` and ``parity_profile`` (all three
-classes in one sweep) never visit a point.  Column a's primitive points are
-counted by Moebius inversion over the squarefree divisors d of a, from
-farey's smallest-prime-factor sieve: sum of mu(d) times the multiples of d
-in the b-range that have the right parity (for odd d, d*t has the parity of t; for even d, every multiple is
-even, so the term is 0 when b must be odd).  That costs 2**omega(a) terms
+Counted columns.  One column counter, ``_count_columns``, serves
+``count_lattice``, ``count_delta_tuples`` and ``window_count``; without an
+interval it and ``parity_profile`` (all three classes in one sweep) never
+visit a point.  Column a's primitive points are counted by Moebius inversion
+over the squarefree divisors d of a, from farey's smallest-prime-factor
+sieve: sum of mu(d) times the multiples of d in the b-range that have the
+right parity (for odd d, d*t has the parity of t; for even d, every multiple
+is even, so the term is 0 when b must be odd).  That costs 2**omega(a) terms
 per column instead of one gcd per point.  Counts and decodes restricted to
 an interval walk each column by the inverse rule below.
 
@@ -69,7 +71,7 @@ one gcd and one inversion, which costs less than the bytearray and the
 batch.  An interval count needs no point at all from a column that holds
 one b of every unit class mod a (all of Q*T's columns when b's parity is
 free): it counts the units among the kept inverses by Moebius inversion
-(``_interval_count``).
+(``_count_columns``).
 
 Window counts.  ``empirical_rho`` divides two counts, each one function
 and neither a pass.  ``count_delta_tuples`` counts a gap tuple's windows:
@@ -93,8 +95,9 @@ counts the points plus the bridge (``_bridge``, per gap tuple): the window
 at lo when it is full, less the kept tail windows read by their gaps.
 ``count_delta_tuples`` adds its tuple's entry.  ``window_count`` adds the
 whole bridge to the odd-denominator elements in (lo, hi]: each odd q adds
-the a in (lo*q, hi*q] coprime to q, ``_primitive_count`` over the columns
-(q, (lo*q, hi*q]).  ``stats`` and the verifiers keep their routes.
+the a in (lo*q, hi*q] coprime to q, ``_count_columns`` over the columns
+(q, (lo*q, hi*q]) with no interval.  ``stats`` and the verifiers keep their
+routes.
 """
 
 from __future__ import annotations
@@ -140,7 +143,6 @@ __all__ = [
     "PairParity",
     "CountReport",
     "count_lattice",
-    "count_lattice_interval",
     "parity_profile",
     "decode_histogram",
     "boundary_window_histogram",
@@ -252,12 +254,6 @@ def _coprime_count(divs: Sequence[tuple[int, int]], bs: range) -> int:
     return count
 
 
-def _primitive_count(cols: Iterable[tuple[int, range]], spf: Sequence[int]) -> int:
-    """The primitive points of ``_columns`` output, each column counted whole
-    by ``_coprime_count``; the sieve ``spf`` must reach the last column."""
-    return sum(_coprime_count(_squarefree_divisors(a, spf), bs) for a, bs in cols)
-
-
 def _sweep(
     region: ConvexRegion, q_max: int, parity: PairParity
 ) -> tuple[list[tuple[int, range]], list[int]]:
@@ -266,27 +262,6 @@ def _sweep(
     _check_order(q_max)
     cols = list(_columns(region, q_max, parity))
     return cols, _smallest_prime_factors(cols[-1][0] if cols else 1)
-
-
-def count_lattice(
-    region: ConvexRegion,
-    q_max: int,
-    parity: PairParity = PairParity(),
-    primitive: bool = True,
-) -> CountReport:
-    """Exact count of integer points of the scaled region, with filters.
-
-    Membership honors each constraint's strict/non-strict sense exactly, so
-    boundary lattice points are classified deterministically.  Each column
-    is counted whole: by its length, or by ``_coprime_count`` when the
-    points must be primitive.
-    """
-    if not primitive:
-        _check_order(q_max)
-        count = sum(len(bs) for _, bs in _columns(region, q_max, parity))
-    else:
-        count = _primitive_count(*_sweep(region, q_max, parity))
-    return CountReport(count, region, q_max, parity, primitive)
 
 
 def _inverse_rule(a: int, interval: UnitInterval) -> tuple[range, set[int]]:
@@ -351,24 +326,28 @@ def _kept(a: int, bs: range, bbars: range, spf: Sequence[int]) -> list[int]:
     return kept
 
 
-def _interval_count(
-    cols: Iterable[tuple[int, range]], spf: Sequence[int], interval: UnitInterval
+def _count_columns(
+    cols: Iterable[tuple[int, range]], spf: Sequence[int], interval: Optional[UnitInterval]
 ) -> tuple[int, int]:
-    """The primitive points of ``_columns`` output that the inverse rule
-    keeps, and the points whose inverse lies on a wall; the sieve ``spf``
-    must reach the last column.
+    """The primitive points of ``_columns`` output, those that the inverse
+    rule keeps when there is an interval, and the points whose inverse lies
+    on a wall (0 without one); the sieve ``spf`` must reach the last column.
 
-    A column is walked by ``_kept`` unless its b-range holds exactly one b
-    of every unit class mod a: a values of step 1 (a consecutive integers),
-    or, for an even a, a // 2 odd values of step 2 (they meet every odd
-    class once, and every unit of an even a is odd).  The primitive b of
-    such a column are then one per unit class, and b -> b_bar is a
-    bijection on the units mod a, so its kept b are as many as the units
-    among the kept inverses in [0, a): ``_coprime_count`` of ``bbars``, and
-    of each wall, with no inversion.  (``window_count`` counts the a
-    coprime to q in (lo*q, hi*q] on the same ground.)"""
+    Without an interval each column is counted whole by ``_coprime_count``.
+    With one, a column is walked by ``_kept`` unless its b-range holds
+    exactly one b of every unit class mod a: a values of step 1 (a
+    consecutive integers), or, for an even a, a // 2 odd values of step 2
+    (they meet every odd class once, and every unit of an even a is odd).
+    The primitive b of such a column are then one per unit class, and b ->
+    b_bar is a bijection on the units mod a, so its kept b are as many as
+    the units among the kept inverses in [0, a): ``_coprime_count`` of
+    ``bbars``, and of each wall, with no inversion.  (``window_count``
+    counts the a coprime to q in (lo*q, hi*q] on the same ground.)"""
     count = hits = 0
     for a, bs in cols:
+        if interval is None:
+            count += _coprime_count(_squarefree_divisors(a, spf), bs)
+            continue
         bbars, walls = _inverse_rule(a, interval)
         ranges = [range(w, w + 1) for w in walls]
         if len(bs) == a if bs.step == 1 else not a & 1 and bs.start & 1 and len(bs) == a >> 1:
@@ -381,20 +360,31 @@ def _interval_count(
     return count, hits
 
 
-def count_lattice_interval(
+def count_lattice(
     region: ConvexRegion,
     q_max: int,
-    parity: PairParity,
-    interval: UnitInterval,
+    parity: PairParity = PairParity(),
+    primitive: bool = True,
+    interval: Optional[UnitInterval] = None,
 ) -> CountReport:
-    """Primitive count additionally requiring b_bar in the scaled interval.
+    """Exact count of integer points of the scaled region, with filters.
 
-    b_bar is the inverse of b mod a in {1, ..., a-1} (0 when a = 1), and the
-    membership rule is a*(1 - hi) <= b_bar < a*(1 - lo).  Points whose b_bar
-    lands exactly on either wall are tallied in ``boundary_hits``.
+    Membership honors each constraint's strict/non-strict sense exactly, so
+    boundary lattice points are classified deterministically.  Without
+    ``primitive`` a column counts its length.  An ``interval`` keeps the
+    primitive points whose b_bar (the inverse of b mod a in {1, ..., a-1}, 0
+    when a = 1) has a*(1 - hi) <= b_bar < a*(1 - lo), and tallies those on
+    either wall in ``boundary_hits``; only a primitive point has an inverse,
+    so ``primitive=False`` with an interval is a ValueError.
     """
-    count, hits = _interval_count(*_sweep(region, q_max, parity), interval)
-    return CountReport(count, region, q_max, parity, True, interval, hits)
+    if primitive:
+        count, hits = _count_columns(*_sweep(region, q_max, parity), interval)
+    elif interval is not None:
+        raise ValueError("the inverse rule is defined only for primitive points")
+    else:
+        _check_order(q_max)
+        count, hits = sum(len(bs) for _, bs in _columns(region, q_max, parity)), 0
+    return CountReport(count, region, q_max, parity, primitive, interval, hits)
 
 
 def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], int]:
@@ -508,13 +498,8 @@ def count_delta_tuples(
     target = _gap_tuple(deltas)
     interval = _restriction(q_max, len(target), interval)
     spf = _smallest_prime_factors(q_max)
-    count = 0
-    for region, first in _tuple_regions(target):
-        cols = _columns(region, q_max, PairParity("odd", first))
-        if interval is None:
-            count += _primitive_count(cols, spf)
-        else:
-            count += _interval_count(cols, spf, interval)[0]
+    count = sum(_count_columns(_columns(region, q_max, PairParity("odd", first)), spf, interval)[0]
+                for region, first in _tuple_regions(target))
     return count + _bridge(q_max, len(target), interval)[target]
 
 
@@ -529,7 +514,7 @@ def window_count(
         return max(odd_farey_count(q_max) - h, 0)
     (ln, ld), (hn, hd) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
     cols = ((q, range(ln * q // ld + 1, hn * q // hd + 1)) for q in range(1, q_max + 1, 2))
-    count = _primitive_count(cols, _smallest_prime_factors(q_max))
+    count = _count_columns(cols, _smallest_prime_factors(q_max), None)[0]
     return count + sum(_bridge(q_max, h, interval).values())
 
 
@@ -642,18 +627,6 @@ def verify_tuple_identities(
     return results
 
 
-_SWAP_EVEN = (
-    (("odd", "even"), ("even", "odd")),
-    (("even", "odd"), ("odd", "even")),
-    (("odd", "odd"), ("odd", "odd")),
-)
-_SWAP_ODD = (
-    (("odd", "even"), ("even", "odd")),
-    (("even", "odd"), ("odd", "odd")),
-    (("odd", "odd"), ("odd", "even")),
-)
-
-
 def verify_parity_swap(
     q_max: int, k: int, domain: Optional[ConvexRegion] = None
 ) -> VerifyResult:
@@ -662,7 +635,8 @@ def verify_parity_swap(
     The map (x, y) -> (y, ky - x) is a primitive-point bijection from the
     scaled index-k cell (intersected with ``domain``) onto its image; it
     sends (odd, even) to (even, odd) and, depending on the parity of k,
-    permutes the remaining classes.  All three class equalities are checked.
+    permutes the remaining classes: (px, py) goes to (py, the parity of
+    k*py + px), that of ky - x.  All three class equalities are checked.
     """
     if k < 1:
         raise ValueError("cell index k must be >= 1")
@@ -671,9 +645,10 @@ def verify_parity_swap(
     image = unimodular_image(region, k)
     pa = parity_profile(region, q_max)
     pb = parity_profile(image, q_max)
-    rules = _SWAP_EVEN if k % 2 == 0 else _SWAP_ODD
+    name = ("even", "odd")
     checks = []
-    for left, right in rules:
+    for px, py in ((1, 0), (0, 1), (1, 1)):  # the classes of coprime points, 1 for odd
+        left, right = (name[px], name[py]), (name[py], name[(k * py + px) & 1])
         checks.append(
             FamilyCheck(
                 (f"{left}->{right}",),

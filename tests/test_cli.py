@@ -379,6 +379,9 @@ def test_argument_errors_exit_two(capsys):
     err = _bad_input(capsys, "stats", "--q", "10", "--delta-max", "-1")
     assert err == "error: --delta-max must be >= 0, got -1\n"
     _bad_input(capsys, "short-interval", "--q", "10", "--delta", "1", "--interval", "1/2,1/4")
+    err = _bad_input(capsys, "region", "--ks", "2", "--quadrangle", "10,1,1")
+    assert err == "error: --ks cannot be used with --quadrangle: give one region\n"
+    assert "--quadrangle" in _bad_input(capsys, "region", "--ks", "", "--quadrangle", "10,1,1")
 
 
 @pytest.mark.parametrize(

@@ -52,7 +52,6 @@ from oddfarey.lattice import (
     boundary_window_histogram,
     count_delta_tuples,
     count_lattice,
-    count_lattice_interval,
     decode_histogram,
     empirical_rho,
     parity_profile,
@@ -391,9 +390,15 @@ def test_decode_adds_up_over_interval_partitions(q, h, cuts):
 def test_full_interval_equals_unrestricted():
     region = cylinder((2,))
     full = UnitInterval(0, 1)
-    a = count_lattice_interval(region, 40, PairParity("odd", "any"), full).count
+    a = count_lattice(region, 40, PairParity("odd", "any"), interval=full).count
     b = count_lattice(region, 40, PairParity("odd", "any")).count
     assert a == b
+
+
+def test_all_point_counts_reject_an_interval():
+    """The inverse rule needs an inverse, so only primitive points have one."""
+    with pytest.raises(ValueError, match="primitive points"):
+        count_lattice(T, 10, PairParity(), primitive=False, interval=UnitInterval(0, 1))
 
 
 _ALL_PARITIES = [PairParity(x, y) for x in _PARITY_NAMES for y in _PARITY_NAMES]
@@ -417,7 +422,7 @@ def test_interval_partition_of_counts(ks, q, parity, cuts):
     of arity at most 2 under all nine parities."""
     region = cylinder(tuple(ks))
     ends = sorted({Fraction(0), Fraction(1), *cuts})
-    parts = [count_lattice_interval(region, q, parity, UnitInterval(lo, hi)).count
+    parts = [count_lattice(region, q, parity, interval=UnitInterval(lo, hi)).count
              for lo, hi in zip(ends, ends[1:])]
     assert sum(parts) == count_lattice(region, q, parity).count, (ks, q, parity, ends)
 
@@ -467,7 +472,7 @@ def test_full_class_columns_count_the_point_oracle(q, interval):
         walks.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lattice, "_kept", recorded_kept)
-            rep = count_lattice_interval(region, q, parity, interval)
+            rep = count_lattice(region, q, parity, interval=interval)
         assert (rep.count, rep.boundary_hits) == _interval_points(region, q, parity, interval)
         columns = {a for a, _ in _columns(region, q, parity)}
         if region is T:
@@ -479,7 +484,7 @@ def test_full_class_columns_count_the_point_oracle(q, interval):
 def test_interval_proportionality():
     q = 200
     half = UnitInterval(0, Fraction(1, 2))
-    part = count_lattice_interval(T, q, PairParity("odd", "any"), half).count
+    part = count_lattice(T, q, PairParity("odd", "any"), interval=half).count
     total = count_lattice(T, q, PairParity("odd", "any")).count
     eps = 5 * log(q) / q**0.5
     assert abs(part / total - 0.5) <= eps
@@ -641,7 +646,7 @@ def test_short_interval_counts_match_the_point_oracle(q, h, inv_length, den, num
     starts, hits = point_starts(q, interval)
     expected = _histogram(_window_keys(q, h, starts), q, h, with_steps=True)[0]
     assert decode_histogram(q, h, interval) == expected, (q, h, interval)
-    rep = count_lattice_interval(T, q, PairParity("odd", "any"), interval)
+    rep = count_lattice(T, q, PairParity("odd", "any"), interval=interval)
     assert (rep.count, rep.boundary_hits) == (len(starts), hits), (q, interval)
 
 
@@ -675,7 +680,7 @@ def test_short_interval_count_costs_its_share(monkeypatch):
         for parity in (PairParity("odd", "even"), PairParity("odd", "any")):
             sieved.clear()
             pows.clear()
-            rep = count_lattice_interval(T, q, parity, interval)
+            rep = count_lattice(T, q, parity, interval=interval)
             assert rep.count == sum(_matches(parity, a, b) for a, b in starts)
             if parity.y == "any":
                 assert sieved == pows == []
@@ -689,7 +694,7 @@ def test_short_interval_count_costs_its_share(monkeypatch):
 
 def test_boundary_hits_flagged():
     # with x parity free, b_bar can land exactly on a cell wall
-    rep = count_lattice_interval(T, 12, PairParity(), UnitInterval(0, Fraction(1, 2)))
+    rep = count_lattice(T, 12, PairParity(), interval=UnitInterval(0, Fraction(1, 2)))
     assert rep.boundary_hits > 0
 
 
@@ -934,10 +939,10 @@ def test_column_sweep_matches_double_loop(ks, q, interval):
 
 
 def _assert_sweeps_match_the_grid(region, q, intervals):
-    """count_lattice (primitive or not, every parity), count_lattice_interval
-    in each of ``intervals`` and parity_profile of a region in (0, 1]^2
-    against a membership test of every grid point of [1, q]^2; the scan reads
-    only the constraints, never the vertices that bound the sweeps' columns."""
+    """count_lattice (primitive or not, every parity, and in each of
+    ``intervals``) and parity_profile of a region in (0, 1]^2 against a
+    membership test of every grid point of [1, q]^2; the scan reads only the
+    constraints, never the vertices that bound the sweeps' columns."""
     inside = [
         (a, b)
         for a in range(1, q + 1)
@@ -954,10 +959,11 @@ def _assert_sweeps_match_the_grid(region, q, intervals):
         pts = [p for p in inside if _matches(parity, *p)]
         prim = [p for p in primitive if _matches(parity, *p)]
         assert count_lattice(region, q, parity, primitive=False).count == len(pts)
-        assert count_lattice(region, q, parity).count == len(prim)
+        rep = count_lattice(region, q, parity)
+        assert (rep.count, rep.interval, rep.boundary_hits) == (len(prim), None, 0)
         firsts = [first_fraction(a, b) for a, b in prim]
         for interval in intervals:
-            rep = count_lattice_interval(region, q, parity, interval)
+            rep = count_lattice(region, q, parity, interval=interval)
             assert rep.count == sum(interval.lo < f <= interval.hi for f in firsts)
             assert rep.boundary_hits == sum(f in (interval.lo, interval.hi) for f in firsts)
     expected = Counter((_parity_class(a), _parity_class(b)) for a, b in primitive)
