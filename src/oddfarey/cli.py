@@ -6,8 +6,8 @@ decimal.  Every command but verify builds a record (dict) or a table (list
 of dicts) and prints it through ``_emit``, as JSON, as RFC 4180 CSV (csv
 module) or as the command's text form.  Exit codes reflect verify outcomes,
 bad input prints "error: ..." and exits 2, and a reader that closes the pipe
-early ends the command quietly with status 141.  Option precedence is flags >
-environment (FAREY_MAX_Q) > config file (--config, JSON).
+early ends the command quietly with status 141.  Options come from flags;
+FAREY_MAX_Q sets the order cap.
 """
 
 from __future__ import annotations
@@ -31,36 +31,21 @@ from .lattice import (
     PairParity,
     _tuple_windows,
     count_lattice,
-    empirical_rho,
     verify_parity_swap,
     verify_tuple_identities,
 )
 from .paths import arrow_text, families
 
 
-_ENCLOSURE_OPTIONS = {  # rho_odd argument: (parser, bad-value message)
-    "tol": (Fraction, "bad tolerance {!r}, expected like '1/1000'"),
-    "k_max": (int, "bad cutoff limit {!r}, expected an integer"),
-}
-
-
 def _enclosure_options(args) -> dict:
-    """The ``tol`` and ``k_max`` arguments of rho_odd that its flag, else the
-    config file, sets, parsed; rho_odd's own defaults stand for the rest.  A
-    config value that is not a string is parsed from its JSON text, as a flag
-    from its own: 0.001 is 1/1000, and neither 1.5 nor true is a cutoff limit."""
-    out = {}
-    for name, (parse, bad) in _ENCLOSURE_OPTIONS.items():
-        value = text = getattr(args, name)
-        if value is None:
-            if name not in args._config:
-                continue
-            value = args._config[name]
-            text = value if isinstance(value, str) else json.dumps(value)
+    """The ``tol`` and ``k_max`` arguments of rho_odd that their flags set;
+    rho_odd's own defaults stand for the rest.  0.001 is the tolerance 1/1000."""
+    out = {} if args.k_max is None else {"k_max": args.k_max}
+    if args.tol is not None:
         try:
-            out[name] = parse(text)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise SystemExit("error: " + bad.format(value)) from exc
+            out["tol"] = Fraction(args.tol)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SystemExit(f"error: bad tolerance {args.tol!r}, expected like '1/1000'") from exc
     return out
 
 
@@ -231,12 +216,21 @@ def _cmd_rho_table(args) -> int:
     return 0 if all(r.enclosure.converged for r in rows) else 1
 
 
-def _cmd_compare(args) -> int:
+def _limit(args):
+    """(gap tuple, interval, limit enclosure, matching windows, all windows,
+    their ratio, its distance from the enclosure) for ``compare`` and
+    ``short-interval``."""
     deltas = _parse_deltas(args.delta)
     interval = _parse_interval(args.interval)
     enc = rho_odd(deltas, **_enclosure_options(args))
-    emp = empirical_rho(args.q, deltas, interval)
+    count, windows = _tuple_windows(args.q, deltas, interval)
+    emp = Fraction(count, windows)
     dev = max(enc.lo - emp, emp - enc.hi, Fraction(0))
+    return deltas, interval, enc, count, windows, emp, dev
+
+
+def _cmd_compare(args) -> int:
+    deltas, _, enc, _, _, emp, dev = _limit(args)
     scale = args.q / math.log(args.q) ** 2
     row = {
         "deltas": ",".join(map(str, deltas)),
@@ -338,12 +332,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_short_interval(args) -> int:
-    deltas = _parse_deltas(args.delta)
-    interval = _parse_interval(args.interval)  # a required option
-    enc = rho_odd(deltas, **_enclosure_options(args))
-    count, windows = _tuple_windows(args.q, deltas, interval)
-    emp = Fraction(count, windows)
-    dev = max(enc.lo - emp, emp - enc.hi, Fraction(0))
+    deltas, interval, enc, count, windows, emp, dev = _limit(args)  # --interval is required
     norm = float(dev) * math.sqrt(args.q) / math.log(args.q)
     row = {
         "deltas": ",".join(map(str, deltas)),
@@ -363,6 +352,9 @@ def _cmd_short_interval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag in _SUITES["all"]:
+        if getattr(args, flag) is not None and flag not in _SUITES[args.suite]:
+            raise SystemExit(f"error: verify {args.suite} does not read --{flag}")
     for flag in ("q", "k"):
         value = getattr(args, flag)
         if value is not None and value < 1:
@@ -440,10 +432,16 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_SUITES = (
-    "tuple-identity", "interval-identity", "parity-swap", "areas", "completeness", "stabilization",
-    "all",
-)
+# The verify suites and the flags each reads; `all` reads every flag.
+_SUITES = {
+    "tuple-identity": ("q", "delta"),
+    "interval-identity": ("q", "delta", "interval"),
+    "parity-swap": ("q", "k"),
+    "areas": ("k",),
+    "completeness": ("k",),
+    "stabilization": (),
+    "all": ("q", "delta", "k", "interval"),
+}
 
 # The subcommands, in the order `farey -h` lists them: the handler, the help
 # text, the --format default (None: no --format option), whether rho_odd's
@@ -541,7 +539,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Exact gap statistics of Farey fractions with odd denominators.",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    ap.add_argument("--config", help="JSON file with default option values")
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else [command]:
@@ -558,51 +555,15 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return ap
 
 
-def _command_named(argv: Sequence[str]) -> Optional[str]:
-    """The command that ``argv`` runs, if only ``--config`` options come
-    before it; None for any other input, which takes the full parser."""
-    i = 0
-    while i < len(argv):
-        if argv[i] in _COMMANDS:
-            return argv[i]
-        if argv[i] == "--config":
-            i += 2
-        elif argv[i].startswith("--config="):
-            i += 1
-        else:
-            return None
-    return None
-
-
-def _load_config(path: Optional[str]) -> dict:
-    """Option values from a JSON file (flags still win; see _enclosure_options)."""
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read config {path!r}: {exc}")
-    if not isinstance(data, dict):
-        raise SystemExit(f"error: config {path!r} must be a JSON object")
-    config = {}
-    for key, value in data.items():
-        name = key.replace("-", "_")
-        if name not in _ENCLOSURE_OPTIONS:
-            known = ", ".join(_ENCLOSURE_OPTIONS)
-            raise SystemExit(f"error: config {path!r} has unknown key {key!r} (known: {known})")
-        config[name] = value
-    return config
-
-
 EXIT_BROKEN_PIPE = 141
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser(_command_named(argv)).parse_args(argv)
+    # input that starts with no command (help, --version, an unknown option)
+    # takes the full parser
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        args._config = _load_config(args.config)
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code

@@ -598,6 +598,7 @@ def verify_tuple_identities(
     """
     targets = [tuple(int(d) for d in deltas) for deltas in tuples]
     ikey = _restriction(q_max, min(map(len, targets), default=0), interval)
+    fams = [families(target) for target in targets]  # checks each tuple before the pass
     top = max(map(len, targets))
     streams = _stream_histograms(q_max, top, ikey, with_steps=True)
     decoded = decode_histogram(q_max, top, ikey)
@@ -608,13 +609,13 @@ def verify_tuple_identities(
             "closed (streaming) and half-open (lattice) memberships may differ",
         )
     results = []
-    for target in targets:
+    for target, target_fams in zip(targets, fams):
         h = len(target)
         stream_hist = streams[h - 1][0]
         dec = _truncated(decoded, h)
         bound = boundary_window_histogram(q_max, h, ikey)
         checks = []
-        for fam in families(target):
+        for fam in target_fams:
             sig = fam.path.step_types()
             key = (target, sig)
             checks.append(

@@ -251,20 +251,15 @@ def test_verify_suites(capsys):
     assert code == 0
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tol": "1/100"}))
-    code, out = run(capsys, "--config", str(cfg), "rho", "--delta", "1,1", "--format", "json")
-    assert code == 0
-    row = json.loads(out)
-    assert row["converged"] is True and row["cutoff"] <= 500
-
-
 def test_bad_arguments(capsys):
     with pytest.raises(SystemExit):
         main(["rho", "--delta", "x"])
     with pytest.raises(SystemExit):
         main(["lattice", "--ks", "2", "--q", "10", "--parity", "odd"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", "c.json", "rho", "--delta", "1"])  # no such option
+    assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: farey")
     assert main(["list", "--q", "0"]) == 2  # ValueError path
     capsys.readouterr()
     assert main(["list", "--q", "0", "--format", "csv"]) == 2
@@ -295,48 +290,9 @@ def test_bad_tolerance(capsys, argv):
     assert "bad tolerance" in _bad_input(capsys, *argv)
 
 
-@pytest.mark.parametrize("payload", ["[1, 2]", "3", '"tol"'])
-def test_config_must_be_an_object(tmp_path, capsys, payload):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(payload)
-    err = _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1")
-    assert "must be a JSON object" in err
-
-
-def test_empty_config_path_is_an_error(capsys):
-    assert "cannot read config ''" in _bad_input(capsys, "--config", "", "rho", "--delta", "2")
-
-
-def test_bad_config_values(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tol": "1/0"}))
-    assert "bad tolerance" in _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1")
-    cfg.write_text(json.dumps({"k_max": [1]}))
-    assert "bad cutoff" in _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1")
-    # a value that is not a string parses from its JSON text, as a flag does
-    for config, message in [
-        ({"k_max": 1.5}, "bad cutoff limit 1.5,"),
-        ({"k_max": True}, "bad cutoff limit True,"),
-        ({"tol": True}, "bad tolerance True,"),
-        ({"tol": None}, "bad tolerance None,"),
-    ]:
-        cfg.write_text(json.dumps(config))
-        assert message in _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1,1")
-    cfg.write_text(json.dumps({"tol": 0.001}))
-    from_config = run(capsys, "--config", str(cfg), "rho", "--delta", "1,1")
-    assert from_config == run(capsys, "rho", "--delta", "1,1", "--tol", "0.001")
-    assert from_config == run(capsys, "rho", "--delta", "1,1", "--tol", "1/1000")
-
-
-def test_unknown_config_key(tmp_path, capsys):
-    """A key other than tol and k_max (k-max normalizes) is an error, not
-    ignored; a known key the command does not read stays accepted."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerance": "1/10"}))
-    err = _bad_input(capsys, "--config", str(cfg), "rho", "--delta", "1,1")
-    assert err == f"error: config {str(cfg)!r} has unknown key 'tolerance' (known: tol, k_max)\n"
-    cfg.write_text(json.dumps({"k-max": 50, "tol": "1/10"}))
-    assert run(capsys, "--config", str(cfg), "stats", "--q", "10")[0] == 0
+def test_decimal_tolerance_reads_as_its_fraction(capsys):
+    decimal = run(capsys, "rho", "--delta", "1,1", "--tol", "0.001")
+    assert decimal == run(capsys, "rho", "--delta", "1,1", "--tol", "1/1000")
 
 
 @pytest.mark.parametrize("text", ["1,2", "1,2,3,4", "6,x,1", ""])
@@ -412,6 +368,12 @@ def test_small_cutoff_limit(capsys):
         (["completeness", "--k", "0"], "--k must be >= 1"),
         (["tuple-identity", "--delta", ""], "bad gap tuple ''"),
         (["interval-identity", "--delta", ""], "bad gap tuple ''"),
+        # a flag the suite does not read is an error, checked before any parsing
+        (["tuple-identity", "--interval", "garbage"], "verify tuple-identity does not read --interval"),
+        (["areas", "--q", "5"], "verify areas does not read --q"),
+        (["stabilization", "--k", "3"], "verify stabilization does not read --k"),
+        (["parity-swap", "--delta", "1"], "verify parity-swap does not read --delta"),
+        (["completeness", "--delta", "x"], "verify completeness does not read --delta"),
     ],
 )
 def test_verify_rejects_empty_and_nonpositive_settings(capsys, argv, message):

@@ -371,6 +371,17 @@ def test_identities_of_mixed_lengths_match_one_at_a_time():
         verify_tuple_identities(45, [(1,), ()])
 
 
+def test_identities_check_their_tuples_before_the_pass(monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("streamed before checking the gap tuples")
+
+    monkeypatch.setattr("oddfarey.lattice._stream_histograms", no_pass)
+    with pytest.raises(ValueError, match="windows longer than"):
+        verify_tuple_identities(3000, [(1,), (1,) * 9])
+    with pytest.raises(ValueError, match="nonempty positive"):
+        verify_tuple_identities(3000, [(1,), (0,)])
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     q=st.integers(1, 150),

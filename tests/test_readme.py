@@ -1,6 +1,10 @@
-"""README's "A 60-second tour" runs as written, against the package's public names."""
+"""README's examples run as written: the "A 60-second tour" lines against the
+package's public names, and the "Command line" lines through ``cli.main``."""
 
+import shlex
 from pathlib import Path
+
+from oddfarey import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +29,13 @@ def test_readme_tour_runs():
         value = eval(code, namespace)
         if comment.strip().startswith("True"):
             assert value is True, line
+
+
+def test_readme_commands_run(capsys):
+    text = README.read_text()
+    block = text[text.index("## Command line"):].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) > 10 and all(argv[0] == "farey" for argv in commands)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+    capsys.readouterr()
