@@ -20,7 +20,7 @@ from .farey import (
     odd_farey_count,
     odd_farey_fractions,
 )
-from .geometry import ConvexRegion, cylinder, farey_triangle, stabilized_quadrangle, unimodular_image
+from .geometry import ConvexRegion, cylinder, stabilized_quadrangle, unimodular_image
 from .lattice import (
     CountReport,
     PairParity,
@@ -56,7 +56,6 @@ __all__ = [
     "odd_farey_fractions",
     "ConvexRegion",
     "cylinder",
-    "farey_triangle",
     "stabilized_quadrangle",
     "unimodular_image",
     "CountReport",

@@ -38,15 +38,14 @@ from .paths import arrow_text, families
 
 
 def _enclosure_options(args) -> dict:
-    """The ``tol`` and ``k_max`` arguments of rho_odd that their flags set;
-    rho_odd's own defaults stand for the rest.  0.001 is the tolerance 1/1000."""
-    out = {} if args.k_max is None else {"k_max": args.k_max}
-    if args.tol is not None:
-        try:
-            out["tol"] = Fraction(args.tol)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SystemExit(f"error: bad tolerance {args.tol!r}, expected like '1/1000'") from exc
-    return out
+    """The ``tol`` argument of rho_odd when --tol sets it; rho_odd's own
+    default stands otherwise.  0.001 is the tolerance 1/1000."""
+    if args.tol is None:
+        return {}
+    try:
+        return {"tol": Fraction(args.tol)}
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SystemExit(f"error: bad tolerance {args.tol!r}, expected like '1/1000'") from exc
 
 
 def _dec(x, digits: int = 12) -> str:
@@ -445,7 +444,7 @@ _SUITES = {
 
 # The subcommands, in the order `farey -h` lists them: the handler, the help
 # text, the --format default (None: no --format option), whether rho_odd's
-# --tol and --k-max apply, and the arguments as (name, add_argument keywords).
+# --tol applies, and the arguments as (name, add_argument keywords).
 _COMMANDS = {
     "list": (
         _cmd_list, "print F(Q) or its odd-denominator subsequence", "text", False,
@@ -544,9 +543,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     for name in _COMMANDS if command is None else [command]:
         func, summary, fmt, enclosure, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        if enclosure:  # rho_odd's tol and k_max
+        if enclosure:  # rho_odd's tol
             p.add_argument("--tol")
-            p.add_argument("--k-max", type=int)
         if fmt is not None:
             p.add_argument("--format", choices=("text", "csv", "json"), default=fmt)
         for flag, options in arguments:

@@ -59,7 +59,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .geometry import (
     _TRIANGLE,
@@ -150,15 +150,14 @@ def _escape_slots(family: PathFamily) -> list[int]:
     ]
 
 
-def _decomposition(deltas: Sequence[int], cap: Optional[int] = None):
+def _decomposition(deltas: Sequence[int]):
     """A gap tuple's families, split once into what ``_tuple_regions`` lists
     and ``rho_odd`` sums: the tuple (cylinders, shells, n_slots, S).
 
       * cylinders: (ks, twice the area of C(ks), first-vertex parity) for
         each cylinder ``_cylinder_labels`` yields, a certified-finite
         family's at its own cut 4r + 1 and an open family's at S, the
-        largest cut among the open families, or at min(S, cap) when ``cap``
-        is given;
+        largest cut among the open families;
       * shells: the (first-vertex parity, step s) at which the open
         families meet an escape slot;
       * n_slots: the number of free slots of the open families.
@@ -172,11 +171,10 @@ def _decomposition(deltas: Sequence[int], cap: Optional[int] = None):
     fams = families(deltas)
     open_fams = [f for f in fams if _escape_slots(f)]
     stable = max((_escape_bound(f.arity) for f in open_fams or fams if f.free_slots), default=0)
-    head = stable if cap is None else min(stable, cap)
     cylinders = [
         (ks, area2, f.first_vertex_parity)
         for f in fams
-        for ks, area2 in _cylinder_labels(f, head if f in open_fams else _escape_bound(f.arity))
+        for ks, area2 in _cylinder_labels(f, stable if f in open_fams else _escape_bound(f.arity))
     ]
     meets: dict[tuple[str, int], list[str]] = {}
     for f in open_fams:
@@ -264,24 +262,19 @@ def family_sum_upto(family: PathFamily, k_cut: int) -> Fraction:
 # enclosures
 # ---------------------------------------------------------------------------
 
-_FIRST_CUTOFF = 125
+_FIRST_CUTOFF, _LAST_CUTOFF = 125, 8000
 
 
-def rho_odd(
-    deltas: Sequence[int],
-    tol: Fraction = Fraction(1, 10**6),
-    k_max: int = 8000,
-) -> Enclosure:
+def rho_odd(deltas: Sequence[int], tol: Fraction = Fraction(1, 10**6)) -> Enclosure:
     """Certified enclosure of the limiting frequency of a gap tuple.
 
     A tuple without open families is exact: lo = hi = the area of its
     cylinders.  Otherwise lo is the clipped partial sum at a cutoff K, read
     off ``_decomposition``'s areas as lo(K) = V - n_shells * tail_after(K)
     (module docstring), and hi(K) = lo(K) + n_slots * parity_tail_after(K),
-    one parity tail per free slot of the open families.  K starts at 125
-    and doubles until the width is at most ``tol`` or K reaches ``k_max``
-    (then ``converged`` is False); K never exceeds ``k_max``.  When k_max <
-    S the open families are clipped at K = k_max itself.
+    one parity tail per free slot of the open families.  K starts at
+    max(125, S) and doubles until the width is at most ``tol`` or K reaches
+    8000 (then ``converged`` is False).
 
     hi(K) strictly decreases in K, so the last hi is the tightest.  Each
     shell pairs two escape slots, so n_slots = 2 n_shells + e, e the open
@@ -295,20 +288,14 @@ def rho_odd(
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if k_max < 1:
-        raise ValueError(f"cutoff limit k_max must be >= 1, got {k_max}")
-    cylinders, shells, n_slots, stable = _decomposition(deltas, k_max)
+    cylinders, shells, n_slots, stable = _decomposition(deltas)
     head = sum((area2 for _, area2, _ in cylinders), Fraction(0)) / 2
     if not n_slots:
         return Enclosure(head, head, True, stable, True)
-    if k_max < stable:
-        lo, k_cut = head, k_max
-    else:
-        value = head + len(shells) * tail_after(stable)
-        k_cut = min(max(_FIRST_CUTOFF, stable), k_max)
-        while n_slots * parity_tail_after(k_cut) > tol and k_cut < k_max:
-            k_cut = min(2 * k_cut, k_max)
-        lo = value - len(shells) * tail_after(k_cut)
+    k_cut = max(_FIRST_CUTOFF, stable)
+    while n_slots * parity_tail_after(k_cut) > tol and k_cut < _LAST_CUTOFF:
+        k_cut = min(2 * k_cut, _LAST_CUTOFF)
+    lo = head + len(shells) * (tail_after(stable) - tail_after(k_cut))
     width = n_slots * parity_tail_after(k_cut)
     return Enclosure(lo, lo + width, False, k_cut, width <= tol)
 
@@ -322,8 +309,7 @@ class RhoRow(NamedTuple):
 
 def rho_table(h: int, delta_max: int, **options) -> list[RhoRow]:
     """Enclosures for every gap tuple in {1..delta_max}^h.  ``options``
-    (``tol``, ``k_max``) go to rho_odd as given; its defaults stand for the
-    rest."""
+    (``tol``) go to rho_odd as given; its default stands when not given."""
     if not (1 <= h <= 4):
         raise ValueError("table window length h must be in 1..4")
     if not (1 <= delta_max <= 20):

@@ -41,7 +41,6 @@ __all__ = [
     "cylinder_forms",
     "cylinder_constraints",
     "cylinder_area",
-    "farey_triangle",
     "refine",
     "unimodular_image",
     "stabilized_quadrangle",
@@ -359,11 +358,6 @@ def cylinder_area(ks: tuple[int, ...]) -> Fraction:
     """Exact area of cylinder(ks), memoized.  The density sums do not use it:
     they walk the cells with ``_index_cells`` (see density.py)."""
     return cylinder(ks).area()
-
-
-def farey_triangle() -> ConvexRegion:
-    """The whole phase-space triangle as a region."""
-    return cylinder(())
 
 
 def refine(region: ConvexRegion, extra: "ConvexRegion | Iterable[HalfPlane]") -> ConvexRegion:

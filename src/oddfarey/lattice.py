@@ -53,8 +53,14 @@ streaming side uses closed membership; the two differ only when lo itself
 is an odd-denominator fraction of F(Q), see ``_lo_pair``: the verifiers
 flag that case, and the counts below correct for it.)  ``_inverse_rule``
 states the rule once per column: the kept b_bar form range(ceil(a*(1 -
-hi)), ceil(a*(1 - lo))), and the walls are the integers among a*(1 - hi),
-a*(1 - lo) below a.  As b -> b_bar is an
+hi)), ceil(a*(1 - lo))).  A wall is an integer among a*(1 - hi), a*(1 -
+lo) below a that is a unit mod a (the inverse of some b), and an
+endpoint's walls lie in its own column alone: for e = n/d in lowest terms
+with 0 < e < 1, a*(1 - e) = a*(d - n)/d is an integer exactly when d | a,
+and then it shares the factor a/d with a, so it is a unit only when a = d
+(wall d - n); at e = 1 the wall 0 is a unit only when a = 1 (wall d - n
+again), and at e = 0, a*(1 - e) = a is no wall.  The two endpoints may
+share a column, as 1/3 and 2/3 share column 3.  As b -> b_bar is an
 involution on the units mod a, the kept b of a column that spans less than
 a (every column of a region inside T: column a of Q*T is (Q - a, Q]) are
 the lifts of the kept units, one b = b_bar^-1 mod a each.  ``_kept`` is the
@@ -127,7 +133,6 @@ from .geometry import (
     ConvexRegion,
     _functional,
     cylinder,
-    farey_triangle,
     refine,
     unimodular_image,
 )
@@ -264,16 +269,10 @@ def _sweep(
     return cols, _smallest_prime_factors(cols[-1][0] if cols else 1)
 
 
-def _inverse_rule(a: int, interval: UnitInterval) -> tuple[range, set[int]]:
-    """Column a's kept inverses, range(ceil(a*(1 - hi)), ceil(a*(1 - lo))), and
-    its walls: the integers among a*(1 - hi), a*(1 - lo) below a (no inverse is a)."""
-    ends, walls = [], set()
-    for end in (interval.hi, interval.lo):
-        w, r = divmod(a * (end.denominator - end.numerator), end.denominator)
-        ends.append(w + (r > 0))
-        if not r and w < a:
-            walls.add(w)
-    return range(*ends), walls
+def _inverse_rule(a: int, interval: UnitInterval) -> range:
+    """Column a's kept inverses, range(ceil(a*(1 - hi)), ceil(a*(1 - lo)))."""
+    start, stop = (-(-a * (e.denominator - e.numerator) // e.denominator) for e in (interval.hi, interval.lo))
+    return range(start, stop)
 
 
 def _units(a: int, vals: range, spf: Sequence[int]) -> list[int]:
@@ -342,21 +341,26 @@ def _count_columns(
     b_bar is a bijection on the units mod a, so its kept b are as many as
     the units among the kept inverses in [0, a): ``_coprime_count`` of
     ``bbars``, and of each wall, with no inversion.  (``window_count``
-    counts the a coprime to q in (lo*q, hi*q] on the same ground.)"""
+    counts the a coprime to q in (lo*q, hi*q] on the same ground.)  The
+    walls are read from the endpoints once: wall d - n in column d for each
+    endpoint n/d other than 0 (module docstring)."""
     count = hits = 0
+    walls: dict[int, list[range]] = {}
+    for end in () if interval is None else {interval.lo, interval.hi} - {0}:
+        d, w = end.denominator, end.denominator - end.numerator
+        walls.setdefault(d, []).append(range(w, w + 1))
     for a, bs in cols:
         if interval is None:
             count += _coprime_count(_squarefree_divisors(a, spf), bs)
             continue
-        bbars, walls = _inverse_rule(a, interval)
-        ranges = [range(w, w + 1) for w in walls]
+        bbars = _inverse_rule(a, interval)
         if len(bs) == a if bs.step == 1 else not a & 1 and bs.start & 1 and len(bs) == a >> 1:
             divs = _squarefree_divisors(a, spf)
             count += _coprime_count(divs, bbars)
-            hits += sum(_coprime_count(divs, r) for r in ranges)
+            hits += sum(_coprime_count(divs, r) for r in walls.get(a, ()))
         else:
             count += len(_kept(a, bs, bbars, spf))
-            hits += sum(len(_kept(a, bs, r, spf)) for r in ranges)
+            hits += sum(len(_kept(a, bs, r, spf)) for r in walls.get(a, ()))
     return count, hits
 
 
@@ -425,8 +429,8 @@ def decode_histogram(
     if interval is None:  # the start pairs are farey's row-block points
         keys = _block_keys(q_max, h)
     else:
-        cols, spf = _sweep(farey_triangle(), q_max, PairParity("odd", "any"))
-        starts = ((a, b) for a, bs in cols for b in _kept(a, bs, _inverse_rule(a, interval)[0], spf))
+        cols, spf = _sweep(cylinder(()), q_max, PairParity("odd", "any"))
+        starts = ((a, b) for a, bs in cols for b in _kept(a, bs, _inverse_rule(a, interval), spf))
         keys = _window_keys(q_max, h, starts)
     return _histogram(keys, q_max, h, with_steps=True)[0]
 
@@ -450,7 +454,7 @@ def boundary_window_histogram(
     interval = _restriction(q_max, h, interval)
     starts = _tail_starts(q_max, h)
     if interval is not None:
-        starts = [(q, q2) for q, q2 in starts if pow(q2, -1, q) in _inverse_rule(q, interval)[0]]
+        starts = [(q, q2) for q, q2 in starts if pow(q2, -1, q) in _inverse_rule(q, interval)]
     return _histogram(_window_keys(q_max, h, starts), q_max, h, with_steps=True)[0]
 
 

@@ -114,8 +114,8 @@ def test_criterion_07_pair_densities():
     ok = True
     detail = []
     for deltas in itertools.product((1, 2, 3), repeat=2):
-        enc = rho_odd(deltas, tol=width_cap, k_max=2000)
-        ok = ok and enc.converged and enc.width <= width_cap
+        enc = rho_odd(deltas, tol=width_cap)
+        ok = ok and enc.converged and enc.width <= width_cap and enc.cutoff <= 2000
         if min(deltas) >= 2:
             ok = ok and enc.exact and enc.lo == enc.hi
         emp = Fraction(hist[deltas], windows)
@@ -153,10 +153,10 @@ def test_criterion_09_short_intervals():
     tol = 5 * log(q) / q**0.5
     for interval in intervals:
         for deltas in ((1,), (2,), (1, 1)):
-            enc = rho_odd(deltas, tol=Fraction(1, 10**6), k_max=2000)
+            enc = rho_odd(deltas, tol=Fraction(1, 10**6))
             emp = empirical_rho(q, deltas, interval)
             dev = float(max(enc.lo - emp, emp - enc.hi, Fraction(0)))
-            ok = ok and dev <= tol
+            ok = ok and dev <= tol and enc.cutoff <= 2000
     _report(9, ok, "interval-restricted identities exact for Q <= 100; "
                    f"Q={q} interval ratios within {tol:.3f} of the limits")
 

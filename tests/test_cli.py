@@ -352,10 +352,15 @@ def test_label_errors_name_labels(capsys, argv, message):
 
 
 def test_small_cutoff_limit(capsys):
-    code, out = run(capsys, "rho", "--delta", "1,1", "--tol", "1/1000000000", "--k-max", "100")
+    """There is no cutoff flag: K stops at 8000, and a tolerance it does not
+    meet is reported unconverged with exit 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(["rho", "--delta", "1,1", "--k-max", "100"])  # no such option
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage: farey") and "--k-max" in err
+    code, out = run(capsys, "rho", "--delta", "1,1", "--tol", "1/1000000000000")
     assert code == 1
-    assert "cutoff 100," in out and "converged=False" in out
-    assert "k_max must be >= 1" in _bad_input(capsys, "rho", "--delta", "1,1", "--k-max", "0")
+    assert "cutoff 8000," in out and "converged=False" in out
 
 
 @pytest.mark.parametrize(

@@ -110,7 +110,9 @@ def test_family_sum_upto_matches_direct_areas():
 def test_one_one_enclosure_tightens_monotonically():
     """Tighter tolerances tighten (1, 1)'s enclosure; and for each open tuple
     of {1..4}^h, h <= 4, hi strictly falls and lo strictly rises along the
-    cutoffs S, 125, 250, ..., 8000, so the last hi is the tightest."""
+    cutoffs 125, 250, ..., 8000, so the last hi is the tightest.  Cutoff
+    125 * 2**i is the first whose width n_slots * parity_tail_after(K) meets
+    that width as the tolerance."""
     tols = [Fraction(1, 10**e) for e in (2, 3, 4, 5)]
     encs = [rho_odd((1, 1), tol=t) for t in tols]
     for a, b in zip(encs, encs[1:]):
@@ -120,39 +122,28 @@ def test_one_one_enclosure_tightens_monotonically():
     assert all(e.converged for e in encs)
     assert encs[-1].width <= Fraction(1, 10**5)
     for ds in OPEN_TUPLES:
-        stable = _decomposition(ds)[3]
-        cutoffs = [stable] + [125 * 2**i for i in range(7)]
-        encs = [rho_odd(ds, tol=Fraction(1, 10**12), k_max=k) for k in cutoffs]
+        n_slots = _decomposition(ds)[2]
+        cutoffs = [125 * 2**i for i in range(7)]
+        encs = [rho_odd(ds, tol=n_slots * parity_tail_after(k)) for k in cutoffs]
         assert [e.cutoff for e in encs] == cutoffs, ds
+        assert all(e.converged and not e.exact for e in encs), ds
         for a, b in zip(encs, encs[1:]):
             assert a.lo < b.lo and a.hi > b.hi, (ds, a, b)
 
 
 def test_unconverged_is_flagged():
-    enc = rho_odd((1, 1), tol=Fraction(1, 10**9), k_max=400)
+    """A tolerance that the last cutoff 8000 does not meet stops there."""
+    enc = rho_odd((1, 1), tol=Fraction(1, 10**12))
     assert not enc.converged and not enc.exact
-    assert enc.cutoff == 400
-    assert enc.lo < enc.hi
-
-
-@pytest.mark.parametrize("k_max", [1, 50, 100, 124, 125])
-def test_cutoff_never_exceeds_a_small_limit(k_max):
-    enc = rho_odd((1, 1), tol=Fraction(1, 10**9), k_max=k_max)
-    assert enc.cutoff == k_max and not enc.converged
-    assert enc.lo == sum(family_sum_upto(f, k_max) for f in families((1, 1)))
-
-
-@pytest.mark.parametrize("k_max", [0, -3])
-def test_cutoff_limit_must_be_positive(k_max):
-    with pytest.raises(ValueError, match="k_max"):
-        rho_odd((1, 1), k_max=k_max)
+    assert enc.cutoff == 8000
+    assert enc.lo < enc.hi and enc.width > Fraction(1, 10**12)
 
 
 def test_rho_table_shape():
     """Rows are rho_odd's enclosures under the table's options, so rho_odd's
     defaults stand for the options not given; (1, 1) has an open family, so
     its row depends on them."""
-    for options in ({"tol": Fraction(1, 1000)}, {}, {"k_max": 1}):
+    for options in ({"tol": Fraction(1, 1000)}, {}, {"tol": Fraction(1, 10**9)}):
         rows = rho_table(1, 6, **options)
         assert [r.deltas for r in rows] == [(k,) for k in range(1, 7)]
         for r in rows:
@@ -191,7 +182,8 @@ def test_enclosure_soundness_against_large_order():
     for h in (1, 2):
         hist, windows = cached_gap_histogram(q, h)
         for deltas in itertools.product(range(1, 7), repeat=h):
-            enc = rho_odd(deltas, tol=Fraction(1, 10**6), k_max=2000)
+            enc = rho_odd(deltas, tol=Fraction(1, 10**6))
+            assert enc.exact or enc.cutoff <= 2000, deltas
             emp = Fraction(hist[deltas], windows)
             dev = float(max(enc.lo - emp, emp - enc.hi, Fraction(0)))
             assert dev <= tol, (deltas, dev)
@@ -317,16 +309,30 @@ def test_unpaired_escape_slots_are_refused(monkeypatch):
         st.sampled_from(OPEN_TUPLES),  # the open ones, often
         st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
     ),
-    k_max=st.integers(1, 300),
+    k=st.integers(1, 300),
+    tol=st.sampled_from([Fraction(1, 100), Fraction(1, 1000), Fraction(1, 5000)]),  # cutoffs 125 and 250
 )
-def test_lo_is_the_clipped_partial_sum(deltas, k_max):
-    """lo at the cutoff k_max is the clipped sum of every family of a tuple
-    in {1..4}^h, h <= 3, or of an open tuple with h = 4; a certified finite
-    family adds nothing beyond 4 * arity + 1."""
-    enc = rho_odd(deltas, tol=Fraction(1, 10**12), k_max=k_max)
-    expected = sum(
-        family_sum_upto(f, k_max if _escape_slots(f) else max(k_max, 4 * f.arity + 1))
-        for f in families(deltas)
-    )
-    assert enc.lo == expected
-    assert enc.exact or (enc.cutoff == k_max and not enc.converged)
+def test_lo_is_the_clipped_partial_sum(deltas, k, tol):
+    """For a tuple in {1..4}^h, h <= 3, or an open tuple with h = 4, and
+    every cutoff K in [S, 300], V - n_shells * tail_after(K) from
+    ``_decomposition`` is the clipped sum of every family at K (a certified
+    finite family at its cut 4 * arity + 1 when that is larger), and
+    rho_odd's lo is that sum at its own cutoff.  The clipped sums at every K
+    come from one walk to 300, by each cylinder's largest free label; the
+    drawn K checks them against ``family_sum_upto``."""
+    cylinders, shells, _, stable = _decomposition(deltas)
+    value = sum(area2 for _, area2, _ in cylinders) / 2 + (len(shells) * tail_after(stable) if shells else 0)
+    fams = families(deltas)
+    area2_by_label = Counter()  # twice the area, by largest free label (0: kept at every K)
+    for f in fams:
+        cut = 0 if _escape_slots(f) else 4 * f.arity + 1
+        for ks, area2 in _cylinder_labels(f, max(300, cut)):
+            top = max((ks[s] for s in f.free_slots), default=0)
+            area2_by_label[top if top > cut else 0] += area2
+    clipped = [Fraction(c) / 2 for c in itertools.accumulate(area2_by_label[m] for m in range(301))]
+    assert clipped[k] == sum(family_sum_upto(f, k if _escape_slots(f) else max(k, 4 * f.arity + 1)) for f in fams)
+    for cut in range(max(stable, 1), 301):
+        assert value - len(shells) * tail_after(cut) == clipped[cut], (deltas, cut)
+    enc = rho_odd(deltas, tol)
+    assert enc.exact or enc.cutoff in (125, 250), (deltas, enc.cutoff)
+    assert enc.lo == (value if enc.exact else clipped[enc.cutoff])

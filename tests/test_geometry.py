@@ -24,7 +24,6 @@ from oddfarey.geometry import (
     cylinder,
     cylinder_area,
     cylinder_forms,
-    farey_triangle,
     halfplanes_from_polygon,
     refine,
     stabilized_quadrangle,
@@ -49,7 +48,7 @@ def F(*t):
 
 
 def test_triangle():
-    t = farey_triangle()
+    t = cylinder(())
     assert t.vertices == ((F(0), F(1)), (F(1), F(0)), (F(1), F(1)))
     assert t.area() == F(1, 2)
     assert t.contains(F(1), F(1))
@@ -375,7 +374,7 @@ def test_regions_are_canonical_by_construction(ks, j):
 
 def test_start_polygon_and_hull_are_in_normal_form():
     _assert_strictly_convex_ccw(as_points(_TRIANGLE))
-    assert _canonicalize(_TRIANGLE) == full_canonical(FRACTION_TRIANGLE) == farey_triangle().vertices
+    assert _canonicalize(_TRIANGLE) == full_canonical(FRACTION_TRIANGLE) == cylinder(()).vertices
     assert as_points(_TRIANGLE) == list(FRACTION_TRIANGLE)
     for m, i, r in [(6, 1, 1), (10, 2, 2), (17, 3, 3)]:
         quad = stabilized_quadrangle(m, i, r)

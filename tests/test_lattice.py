@@ -36,7 +36,6 @@ from oddfarey.geometry import (
     _escape_bound,
     convex_hull,
     cylinder,
-    farey_triangle,
     halfplanes_from_polygon,
     refine,
     stabilized_quadrangle,
@@ -61,7 +60,7 @@ from oddfarey.lattice import (
 )
 from oddfarey.paths import MAX_WINDOW, _fits, families
 
-T = farey_triangle()
+T = cylinder(())
 _PARITY_NAMES = ("odd", "even", "any")
 
 
@@ -492,6 +491,25 @@ def test_full_class_columns_count_the_point_oracle(q, interval):
             assert columns - set(walks) and set(walks), (q, parity)
 
 
+@seed(20033)
+@settings(max_examples=30, deadline=None)
+@given(q=st.integers(1, 300), interval=small_intervals)
+@example(q=300, interval=UnitInterval(Fraction(1, 3), Fraction(2, 3)))  # two walls in column 3
+@example(q=300, interval=UnitInterval(0, 1))  # the wall 0 of hi = 1, in column 1
+def test_walls_lie_in_their_endpoints_columns(q, interval):
+    """Every wall hit of the point oracle, a primitive point whose first
+    fraction 1 - b_bar/a is lo or hi, lies in column den(lo) or den(hi),
+    on the cylinders of the full-class test: a*(1 - n/d) is a unit mod a
+    only when a = d."""
+    ends = {interval.lo, interval.hi}
+    columns = {e.denominator for e in ends}
+    for region, parity in _FULL_CLASS:
+        for a, bs in _columns(region, q, parity):
+            for b in bs:
+                if gcd(a, b) == 1 and Fraction(a - pow(b, -1, a), a) in ends:
+                    assert a in columns, (region, parity, a, b)
+
+
 def test_interval_proportionality():
     q = 200
     half = UnitInterval(0, Fraction(1, 2))
@@ -547,7 +565,7 @@ def test_both_walks_keep_the_same_points(ks, monkeypatch):
                 if len(_squarefree_divisors(a, spf)) == 2:
                     kinds.add("prime power")
                 for interval in _RULE_INTERVALS:
-                    bbars, _ = _inverse_rule(a, interval)
+                    bbars = _inverse_rule(a, interval)
                     kept = _kept(a, bs, bbars, spf)
                     assert sorted(kept) == _by_point(a, bs, bbars), (ks, q, parity, a, interval)
                     if walked:
