@@ -55,12 +55,14 @@ point starts one window of h steps of the periodic odd subsequence.  These
 are the windows of F(Q) plus the ones that run past 1/1: those that start
 at the last h odd elements, or at all of them when there are at most h.
 ``_block_keys`` counts the windows of all the points (the lattice decoder
-takes them as they are), ``_tail_starts`` finds the start pairs of the
-windows past 1/1 by walking the recurrence back from the last pair (Q, 1)
-(the denominators of (Q - 1)/Q and 1/1), and ``gap_histogram`` takes their
-keys away.  ``_window_keys`` codes the window of each start pair; it is the
-one window coder, shared by the count's tail and the lattice decoder, whose
-boundary windows are these tail windows.
+takes them as they are, and counts the points that a wide interval keeps in
+the same row blocks, see below), ``_tail_starts`` finds the start pairs of
+the windows past 1/1 by walking the recurrence back from the last pair
+(Q, 1) (the denominators of (Q - 1)/Q and 1/1), and ``gap_histogram`` takes
+their keys away.  ``_window_keys`` codes the window of each start pair; it
+is the one window coder, shared by the count's tail and the lattice decoder
+(which codes the points that a narrow interval keeps), whose boundary
+windows are these tail windows.
 
 The points are counted row by row.  Row b holds the points (q, b) with odd
 q in (Q - b, Q] coprime to b.  Along a row every later denominator is a
@@ -89,11 +91,23 @@ inclusion-exclusion over the odd squarefree divisors of b
 lattice module counts its columns with the same two functions).
 ``gap_histogram`` counts, with no interval, the keys that ``_read_pass``
 reads off ``_gap_pass(Q, h, None)``, which stays the oracle.
+
+The same walk counts a given set of start points, listed by row in
+ascending q: the points that the lattice decoder keeps in an interval.  A
+listed start is a primitive point (q, b) of Q*T with q odd.  Row b's blocks
+tile (Q - b, Q] and fix the window key of every odd q in them, so a block's
+listed starts are exactly the listed windows with its key, which is the
+argument by which the decoder without an interval takes the keys of all the
+points.  A block (x, y] then counts the listed q in it by two bisections,
+with no divisor list and no sieve; only the rows that list a start are
+walked, each node of the walk is narrowed to the span of its listed q, and
+a node that lists none is dropped.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import isqrt
@@ -285,15 +299,36 @@ def _successor_den(q_max: int, a: int, q: int) -> int:
 
 def _pair_at(q_max: int, x, strict: bool) -> tuple[int, int]:
     """Denominators (q, q') of the first odd a/q in F(q_max) that is >= x
-    (> x if ``strict``) and of its successor, or (1, Q) if none: the first
-    element is the least ceil(x*b)/b (floor(x*b) + 1 if strict) over b <= Q,
-    at the least b, and an even q is followed by an odd one."""
+    (> x if ``strict``) and of its successor, or (1, Q) if none.
+
+    When x's denominator is at most Q, the first element of F(Q) that is
+    >= x is x itself (unless x = 0), and the first one > x is the term after
+    x (``_successor_den``; 1/Q after 0/1, and none after 1/1).  Otherwise
+    both are x's upper neighbour in F(Q), read off the continued fraction of
+    x by the two bounds that ``Fraction.limit_denominator`` computes.  An
+    even q is followed by an odd one.
+    """
     n, d = x.numerator, x.denominator
-    a, q = 1, 1
-    for b in range(2, q_max + 1):
-        c = max((n * b - (not strict)) // d + 1, 1)
-        if c * q < a * b:
-            a, q = c, b
+    if d <= q_max:
+        if n and not strict:  # x itself
+            a, q = n, d
+        elif n == d:  # nothing follows 1/1 in (0, 1]
+            a, q = 1, 1
+        else:
+            q = _successor_den(q_max, n, d)
+            a = (n * q + 1) // d
+    else:  # the convergents p1/q1 of x while q1 <= Q
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        while True:
+            c = n // d
+            q_next = q0 + c * q1
+            if q_next > q_max:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + c * p1, q_next
+            n, d = d, n - c * d
+        # p1/q1 and the next bound are neighbours in F(Q) around x; take the upper
+        k = (q_max - q0) // q1
+        a, q = (p1, q1) if p1 * x.denominator > x.numerator * q1 else (p0 + k * p1, q0 + k * q1)
     q2 = _successor_den(q_max, a, q)
     return (q, q2) if q & 1 else (q2, (q_max + q) // q2 * q2 - q)
 
@@ -440,28 +475,45 @@ def _tail_starts(q_max: int, h: int) -> list[tuple[int, int]]:
     return starts
 
 
-def _block_keys(q_max: int, h: int) -> dict[int, int]:
+def _block_keys(
+    q_max: int, h: int, rows: Optional[Sequence[list[int]]] = None
+) -> dict[int, int]:
     """Keys of the windows of the periodic odd subsequence that start at the
     primitive points (q, b) of Q*T with q odd, with their counts, by counting
     those points in row blocks.
 
     Row b holds the points (q, b) with odd q in (Q - b, Q] coprime to b; a
     block is a run of q on which every step of the window is fixed, its
-    denominators being linear in q (see the module docstring).
+    denominators being linear in q (see the module docstring).  Without
+    ``rows`` each block counts all its points by Moebius inversion.  With
+    ``rows``, a sequence indexed by b up to Q, only the start points (q, b)
+    with q in the ascending list ``rows[b]`` are counted: a block counts the
+    listed q in it, and the walk skips what lists none.
     """
     m = _key_base(q_max)
-    spf = _smallest_prime_factors(q_max)
     keys: dict[int, int] = {}
     get = keys.get
+    if rows is None:
+        spf = _smallest_prime_factors(q_max)
     for b in range(1, q_max + 1):
-        # q is coprime to 2b iff odd and coprime to the odd part of b, and
-        # (n // d + 1) // 2 odd multiples of an odd d are <= n
-        divs = _squarefree_divisors(b // (b & -b), spf)
+        if rows is None:
+            # q is coprime to 2b iff odd and coprime to the odd part of b, and
+            # (n // d + 1) // 2 odd multiples of an odd d are <= n
+            divs = _squarefree_divisors(b // (b & -b), spf)
+        else:
+            qs = rows[b]
+            if not qs:
+                continue
         # (x, y, steps left, u0, u1, v0, v1, key): the window has reached the
         # odd denominator u0 + u1*q, followed by v0 + v1*q, for q in (x, y]
         todo = [(q_max - b, q_max, h, 0, 1, b, 0, 0)]
         while todo:
             x, y, left, u0, u1, v0, v1, key = todo.pop()
+            if rows is not None:  # narrow (x, y] to its listed q, if any
+                i, j = bisect_right(qs, x), bisect_right(qs, y)
+                if i == j:
+                    continue
+                x, y = qs[i] - 1, qs[j - 1]
             left -= 1
             if (v0 + v1) & 1:  # 'OO' for every odd q
                 key = key * m + 2
@@ -481,9 +533,12 @@ def _block_keys(q_max: int, h: int) -> dict[int, int]:
                     for x3, y3, k2 in _index_runs(x2, y2, q_max + v0, v1, w0, w1):
                         todo.append((x3, y3, left, w0, w1, k2 * w0 - v0, k2 * w1 - v1, key2))
             for x, y, key in blocks:
-                count = 0
-                for d, mu in divs:
-                    count += mu * (((y // d + 1) >> 1) - ((x // d + 1) >> 1))
+                if rows is None:
+                    count = 0
+                    for d, mu in divs:
+                        count += mu * (((y // d + 1) >> 1) - ((x // d + 1) >> 1))
+                else:
+                    count = bisect_right(qs, y) - bisect_right(qs, x)
                 if count:
                     keys[key] = get(key, 0) + count
     return keys

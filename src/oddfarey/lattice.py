@@ -35,13 +35,19 @@ there is an interval.  Without an interval the windows are counted, not
 decoded one point at a time: the start points are exactly the ones that
 ``farey._block_keys`` counts in row blocks, so the decoder takes its keys
 (``farey.gap_histogram`` takes the same count less the tail windows).  With an
-interval the kept start pairs flow from ``_kept`` into
-``farey._window_keys``.  Every window key is decoded by
-``farey._histogram``, so the recurrence and the key format live only in
-farey.  ``verify_tuple_identities`` streams and decodes once per (Q,
-interval), at the longest length H of its tuples, and reads each shorter h
-off that: the pass as farey proves, the decode by ``_truncated``.  Nothing
-is cached.
+interval ``_kept`` gives the kept start pairs column by column, and the
+request (|I|*Q and h) picks one of two routes for them before the first is
+kept (``decode_histogram``).  A wide interval lists them by row and counts
+them in the same row blocks (``farey._block_keys`` given the rows): a kept
+start is a primitive point (q, b) of Q*T with q odd, row b's blocks tile
+(Q - b, Q] and fix the window key of every odd q in them, so a block's
+kept starts are exactly the kept windows with its key.  A narrow one codes
+each start on its own (``farey._window_keys``), in O(1) memory.  Every
+window key is decoded by ``farey._histogram``, so the recurrence and the
+key format live only in farey.  ``verify_tuple_identities`` streams and
+decodes once per (Q, interval), at the longest length H of its tuples, and
+reads each shorter h off that: the pass as farey proves, the decode by
+``_truncated``.  Nothing is cached.
 
 Short intervals.  A point (a, b) with gcd(a, b) = 1 has a unique inverse
 b_bar in {1, ..., a-1} with b*b_bar = 1 mod a (b_bar = 0 when a = 1, as
@@ -424,14 +430,46 @@ def decode_histogram(
     Every primitive point of Q*T with odd x decodes to exactly one window of
     the *periodic* odd subsequence; free index labels never exceed 2Q, so the
     per-family sums below are finite by construction.
+
+    With an interval of width |I| the kept starts, about |I|*Q**2 / 5 of
+    them, are counted in farey's row blocks when |I|*Q >= 12 * 3**h and
+    |I|*Q**2 <= 2**26, and coded one by one otherwise (module docstring).
+    A row holds about |I|*Q / 5 starts, and the blocks that hold them grow
+    with h faster than the coding does, so the threshold (36, 108, 324 and
+    972 for h = 1 to 4) rises with h.  Rows time over coding time, decoded
+    in-process on a 2-core x86-64 box (best of 2; each cell gave equal keys
+    both ways):
+
+        Q, |I|          |I|*Q   h = 1   h = 2   h = 3   h = 4
+        896, 1/2          448    0.51    0.50    0.76    0.88
+        3000, 1/2        1500            0.39    0.56
+        20000, 1/100      200            0.82    1.21
+        10**4, 1/100      100            0.96    2.08
+        10**5, 1/1000     100            1.02    1.48
+        10**5, 1/10**4     10    1.13    1.53    2.20    2.97
+
+    At Q = 2000 and 8000 (best of 3) the rows took 1.05-1.10, 0.94-1.22 and
+    1.06-1.13 of the coding at |I|*Q = 2**(h + 4) for h = 2 to 4, 0.80,
+    0.84-0.87 and 0.98-1.00 at twice that, and 0.51-0.52, 0.55 and 0.43 at
+    eight times; for h = 1, 0.66-0.83 at |I|*Q = 32.  The rows hold one list
+    pointer per kept start, 8.75 bytes with the lists' slack (911,956
+    starts at Q = 3000, |I| = 1/2): about 90 MB for the 10**7 starts of Q =
+    10**4, |I| = 1/2, and the cap 2**26 keeps them under 120 MB.
     """
     interval = _restriction(q_max, h, interval)
     if interval is None:  # the start pairs are farey's row-block points
-        keys = _block_keys(q_max, h)
+        return _histogram(_block_keys(q_max, h), q_max, h, with_steps=True)[0]
+    cols, spf = _sweep(cylinder(()), q_max, PairParity("odd", "any"))
+    kept = ((a, _kept(a, bs, _inverse_rule(a, interval), spf)) for a, bs in cols)
+    width = interval.hi - interval.lo
+    if width * q_max >= 12 * 3**h and width * q_max * q_max <= 1 << 26:
+        rows: list[list[int]] = [[] for _ in range(q_max + 1)]
+        for a, bs in kept:  # a increases, so every row is ascending
+            for b in bs:
+                rows[b].append(a)
+        keys = _block_keys(q_max, h, rows)
     else:
-        cols, spf = _sweep(cylinder(()), q_max, PairParity("odd", "any"))
-        starts = ((a, b) for a, bs in cols for b in _kept(a, bs, _inverse_rule(a, interval), spf))
-        keys = _window_keys(q_max, h, starts)
+        keys = _window_keys(q_max, h, ((a, b) for a, bs in kept for b in bs))
     return _histogram(keys, q_max, h, with_steps=True)[0]
 
 
@@ -594,11 +632,13 @@ def verify_tuple_identities(
     1/1.  Without an interval those windows are counted by farey's row
     blocks of lattice points, on which every step of the window is fixed,
     so the identity compares two independent algorithms: the recurrence
-    pass and the lattice count.  With an interval each point is decoded on
-    its own and kept by the half-open rule; a note is attached when the
-    closed streaming rule could differ (odd-denominator fraction exactly at
-    the lower endpoint).  One pass and one decode, at the longest tuple's
-    length, serve every tuple (see the module docstring).
+    pass and the lattice count.  With an interval each point is kept by the
+    half-open rule, and the kept points are counted in the same row blocks
+    or, in a narrow interval, decoded one at a time (``decode_histogram``);
+    a note is attached when the closed streaming rule could differ
+    (odd-denominator fraction exactly at the lower endpoint).  One pass and
+    one decode, at the longest tuple's length, serve every tuple (see the
+    module docstring).
     """
     targets = [tuple(int(d) for d in deltas) for deltas in tuples]
     ikey = _restriction(q_max, min(map(len, targets), default=0), interval)

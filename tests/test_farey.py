@@ -15,11 +15,13 @@ from conftest import (
     brute_odd_farey,
     brute_window_counts,
     brute_windows,
+    scan_pair_at,
     small_intervals,
 )
 from oddfarey.farey import (
     DEFAULT_MAX_Q,
     UnitInterval,
+    _pair_at,
     _stream_histograms,
     delta,
     farey_count,
@@ -371,6 +373,49 @@ def test_interval_pass_endpoints(q, h, ends):
     expected = brute_windows(q, h, ends, with_steps=True)
     assert dict(hist) == expected
     assert windows == sum(expected.values())
+
+
+@seed(20029)
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.integers(1, 2000),
+    den=st.integers(1, 10**6),
+    num=st.integers(0, 10**6),
+    strict=st.booleans(),
+)
+def test_pair_at_is_the_scan(q, den, num, strict):
+    """An endpoint's start or stop pair, read off its continued fraction, is
+    the one the scan over every b <= Q finds."""
+    x = Fraction(num % (den + 1), den)
+    assert _pair_at(q, x, strict) == scan_pair_at(q, x, strict), (q, x, strict)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 8, 29, 30, 2000])
+def test_pair_at_endpoints(q):
+    """0, 1, elements of F(Q) of both parities and fractions of denominator
+    Q + 1, non-strict and strict."""
+    xs = [
+        Fraction(0),
+        Fraction(1),
+        Fraction(1, min(q, 3)),  # in F(Q), odd denominator
+        Fraction(1, min(q, 2)),  # in F(Q), even denominator when Q >= 2
+        Fraction(1, q + 1),  # denominator Q + 1, below the first element
+        Fraction(q, q + 1),  # denominator Q + 1, between (Q - 1)/Q and 1/1
+        Fraction(q // 2 + 1, q + 1),
+    ]
+    for x in xs:
+        for strict in (False, True):
+            assert _pair_at(q, x, strict) == scan_pair_at(q, x, strict), (q, x, strict)
+
+
+def test_pair_at_examples():
+    """At Q = 8 (F8_ODD): 1/3 itself when non-strict, else 2/5 (after 3/8);
+    1/2 is even, so 4/7 either way; 1/1 is the last pair, (1, Q)."""
+    assert _pair_at(8, Fraction(1, 3), False) == (3, 8)
+    assert _pair_at(8, Fraction(1, 3), True) == (5, 7)
+    assert _pair_at(8, Fraction(1, 2), False) == _pair_at(8, Fraction(1, 2), True) == (7, 5)
+    assert _pair_at(8, Fraction(0), False) == (7, 6)  # 1/8 is even: 1/7, then 1/6
+    assert _pair_at(8, Fraction(1), True) == _pair_at(8, Fraction(8, 9), False) == (1, 8)
 
 
 _twelfths = st.builds(

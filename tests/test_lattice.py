@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm, log, pi
 
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import Phase, example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -20,6 +20,7 @@ from conftest import (
 from oddfarey.density import _cylinder_labels, _escape_slots
 from oddfarey.farey import (
     UnitInterval,
+    _block_keys,
     _histogram,
     _smallest_prime_factors,
     _squarefree_divisors,
@@ -657,7 +658,9 @@ def _short_interval(q, inv_length, den, num, from_lo):
 
 
 @seed(20025)
-@settings(max_examples=8, deadline=None)
+# no shrink phase: each example runs the O(Q^2) point oracle, and shrinking
+# a failure re-ran it for minutes
+@settings(max_examples=8, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(
     q=st.integers(301, 3000),
     h=st.integers(1, 3),
@@ -719,6 +722,86 @@ def test_short_interval_count_costs_its_share(monkeypatch):
             assert 0 < inverted <= length * q * q / 2 + 3 * q
             assert len(pows) > len(sieved) <= 3 * columns
             assert (len(sieved) > 0) == (length == Fraction(1, 100))
+
+
+def _rows(q, starts):
+    """Start points (a, b) in increasing a, bucketed by row b."""
+    rows = [[] for _ in range(q + 1)]
+    for a, b in starts:
+        rows[b].append(a)
+    return rows
+
+
+@seed(20029)
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 400), h=st.integers(1, 4), interval=small_intervals)
+@example(q=1, h=2, interval=UnitInterval(0, 1))
+@example(q=2, h=3, interval=UnitInterval(0, Fraction(1, 2)))
+@example(q=3, h=4, interval=UnitInterval(Fraction(1, 3), 1))
+@example(q=97, h=2, interval=UnitInterval(Fraction(1, 5), Fraction(1, 5)))  # [a, a] at an odd element
+@example(q=96, h=3, interval=UnitInterval(Fraction(1, 2), Fraction(1, 2)))  # [a, a] at an even one
+@example(q=301, h=4, interval=UnitInterval(Fraction(7, 9), 1))  # ends at 1/1
+@example(q=400, h=2, interval=UnitInterval(Fraction(3, 7), Fraction(5, 6)))  # odd-denominator lo
+def test_row_blocks_count_the_kept_starts(q, h, interval):
+    """The row blocks that hold the kept starts count the windows that the
+    coder finds start by start, whichever route the decoder takes."""
+    starts = point_starts(q, interval)[0]
+    coded = _window_keys(q, h, starts)
+    assert _block_keys(q, h, _rows(q, starts)) == coded, (q, h, interval)
+    assert decode_histogram(q, h, interval) == _histogram(coded, q, h, with_steps=True)[0]
+
+
+def test_row_blocks_count_the_small_orders():
+    """At Q <= 3 every subset of the start points, in every row, is counted
+    as the coder counts it."""
+    for q in (1, 2, 3):
+        points = point_starts(q)[0]
+        for mask in range(1 << len(points)):
+            starts = [p for i, p in enumerate(points) if mask >> i & 1]
+            for h in (1, 2, 3, 4):
+                assert _block_keys(q, h, _rows(q, starts)) == _window_keys(q, h, starts), (q, h, starts)
+
+
+def test_dense_intervals_decode_by_rows(monkeypatch):
+    """The request picks the route: an interval with (hi - lo)*Q >= 12*3**h
+    and (hi - lo)*Q**2 <= 2**26 is counted in row blocks, codes no start and
+    gives the coder's windows; a narrower one never calls the row counter;
+    a wider one than 2**26 / Q**2 codes its starts, to bound the rows' memory."""
+    import oddfarey.lattice as lattice
+
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(q, h, *args):
+            calls.append((name, args and args[0]))
+            return fn(q, h, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(lattice, "_window_keys", recording("coded", _window_keys))
+    monkeypatch.setattr(lattice, "_block_keys", recording("rows", _block_keys))
+    for q, h, interval, route in (
+        (300, 2, UnitInterval(Fraction(1, 4), Fraction(3, 4)), "rows"),  # 150 >= 108
+        (300, 3, UnitInterval(Fraction(1, 4), Fraction(3, 4)), "coded"),  # 150 < 324
+        (2000, 2, UnitInterval(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 1000)), "coded"),
+        (2000, 1, UnitInterval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 55)), "rows"),  # 36.4 >= 36
+        (2000, 1, UnitInterval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 56)), "coded"),  # 35.7 < 36
+    ):
+        calls.clear()
+        starts = point_starts(q, interval)[0]
+        expected = _histogram(_window_keys(q, h, starts), q, h, with_steps=True)[0]
+        assert decode_histogram(q, h, interval) == expected
+        names = [name for name, _ in calls]
+        if route == "rows":
+            assert names == ["rows"] and sum(map(len, calls[0][1])) == len(starts), (q, h)
+        else:
+            assert names == ["coded"], (q, h)
+    # the memory bound, read without keeping a start: 11000**2 / 2 <= 2**26 < 12000**2 / 2
+    monkeypatch.setattr(lattice, "_kept", lambda a, bs, bbars, spf: [])
+    for q, route in ((11000, "rows"), (12000, "coded")):
+        calls.clear()
+        assert decode_histogram(q, 4, UnitInterval(0, Fraction(1, 2))) == Counter()
+        assert [name for name, _ in calls] == [route], q
 
 
 def test_boundary_hits_flagged():
