@@ -84,13 +84,63 @@ to be 'OO' or 'OEO', and so is each window key.  Two rules keep the blocks
 few: the last step is not split when it is 'OO' (its code is 2 whatever its
 index), and when it is 'OEO' it is split by its gap only, not by the index
 after the even denominator.  At Q = 4003 that makes about 6,000, 42,000 and
-98,000 blocks for h = 1, 2 and 3, against about Q**2 / 4 points.  Each
+98,000 blocks for h = 1, 2 and 3 (19,000 at h = 2 with the cuts below),
+against about Q**2 / 4 points.  Each
 block counts the q coprime to 2b, i.e. odd and coprime to b, by
 inclusion-exclusion over the odd squarefree divisors of b
 (``_squarefree_divisors``, from one smallest-prime-factor sieve; the
 lattice module counts its columns with the same two functions).
 ``gap_histogram`` counts, with no interval, the keys that ``_read_pass``
 reads off ``_gap_pass(Q, h, None)``, which stays the oracle.
+
+Whole-sequence gap pairs take a shorter walk, by two lemmas.  Without them
+a row splits once for each distinct later index, and near a fraction of
+small denominator those run through many values: 14.0, 16.3 and 18.4 runs
+of the index per row at Q = 3000, 20000 and 10**5.
+
+Reversal lemma (every h).  The reflection x -> -x maps the periodic
+sequence, the union of the F(Q) + n over all integers n, onto itself; it
+keeps denominators and reverses order.  So it keeps the gap of each step,
+the determinant of the step's odd ends, and its type, since an even
+denominator between the two ends stays between them.  It therefore maps the
+windows of one period onto the windows of one period, with their codes in
+reverse order: the keys of ``_block_keys`` without rows, which are the
+windows of one period, are invariant under reversing their h codes.  Hence
+for every G, H = H[last gap <= G] + reversed(H[first gap > G]).  A first
+gap above G needs an 'OEO' first step from (q, b) with (Q + q) // b > G,
+so b is even and, as q <= Q, b <= 2Q/(G + 1).  The windows that run past
+1/1 are not symmetric (at Q = 20000 the pair (1, 2) counts 6561920 of them
+and (2, 1) 6561921), so the reversal acts on the periodic keys alone,
+before ``gap_histogram`` takes those windows away.
+
+Fan lemma (h = 2).  Let an odd s with 3s <= Q follow an even b, and let n
+follow s.  As neighbours of s, b and n lie in (Q - s, Q], so both exceed
+2s.  The gap of the step over b is the index at b read either way, here
+(Q + s) // b, and (Q + s) / b < (Q + s) / (Q - s) <= 2, so it is 1, and
+the step's code is 3.  The step from s is 'OO' (code 2) when n is odd;
+otherwise its gap (Q + s) // n is 1 in the same way (code 3).  As
+n = ((Q + b) // s)*s - b with s odd and b even, the window's key is (3, 2)
+when (Q + b) // s is odd and (3, 3) when it is even.  Conversely each even
+b in (Q - s, Q] coprime to s is followed by s, after the odd b - s, and so
+ends the first step of one window.  ``_fan_counts`` counts these windows by
+Moebius over the divisors of s, in the two runs of b on which (Q + b) // s
+is constant.
+
+So at h = 2 without rows the walk makes two cuts.  Its first 'OEO' step
+keeps the q whose odd end s = k*b - q is at least Q // 3 + 1, a single
+bound on each run of k since s falls as q grows; the fan counts the rest.
+Its last 'OEO' step keeps the gaps up to G = ``_LAST_GAP_MAX`` = 6, a
+single bound since the index never decreases along a row.  A second walk
+over the even rows b <= 2Q/(G + 1), from the q with (Q + q) // b > G on and
+with no cap, counts the windows whose first gap exceeds G, and their keys
+are reversed.  Every split of a row then has O(1) runs: after an 'OEO'
+step to s > Q/3 the index at s, (Q + b) // s, stays below 6.  The walk
+makes 7.2 runs of the index per row at every Q measured (6.6 in the first
+walk, 0.5 in the second), and ``_block_keys(Q, 2)`` takes about 60% of the
+time of one walk with no cut at Q = 4000 and 20000, and 45% at 10**5.
+Every other h, and the walk given rows, keeps the one walk with no cut: at
+h = 1 a step's index runs through at most two values along a row, and at
+h >= 3 the runs grow at the middle steps, which neither lemma reaches.
 
 The same walk counts a given set of start points, listed by row in
 ascending q: the points that the lattice decoder keeps in an interval.  A
@@ -297,16 +347,18 @@ def _successor_den(q_max: int, a: int, q: int) -> int:
     return q_max - (q_max + pow(a, -1, q)) % q
 
 
-def _pair_at(q_max: int, x, strict: bool) -> tuple[int, int]:
-    """Denominators (q, q') of the first odd a/q in F(q_max) that is >= x
-    (> x if ``strict``) and of its successor, or (1, Q) if none.
+def _pair_at(q_max: int, x, strict: bool) -> tuple[int, int, int]:
+    """(a, q, q') for the first odd a/q in F(q_max) that is >= x (> x if
+    ``strict``), q' being the denominator of its successor, or (1, 1, Q) if
+    none.
 
     When x's denominator is at most Q, the first element of F(Q) that is
     >= x is x itself (unless x = 0), and the first one > x is the term after
     x (``_successor_den``; 1/Q after 0/1, and none after 1/1).  Otherwise
     both are x's upper neighbour in F(Q), read off the continued fraction of
     x by the two bounds that ``Fraction.limit_denominator`` computes.  An
-    even q is followed by an odd one.
+    even q is followed by an odd one, whose numerator (a*q' + 1) / q the
+    determinant gives.
     """
     n, d = x.numerator, x.denominator
     if d <= q_max:
@@ -330,7 +382,9 @@ def _pair_at(q_max: int, x, strict: bool) -> tuple[int, int]:
         k = (q_max - q0) // q1
         a, q = (p1, q1) if p1 * x.denominator > x.numerator * q1 else (p0 + k * p1, q0 + k * q1)
     q2 = _successor_den(q_max, a, q)
-    return (q, q2) if q & 1 else (q2, (q_max + q) // q2 * q2 - q)
+    if q & 1:
+        return a, q, q2
+    return (a * q2 + 1) // q, q2, (q_max + q) // q2 * q2 - q
 
 
 def _gap_pass(q_max: int, h: int, interval: Optional[UnitInterval]) -> tuple[dict, list]:
@@ -345,8 +399,10 @@ def _gap_pass(q_max: int, h: int, interval: Optional[UnitInterval]) -> tuple[dic
     m = _key_base(q_max)
     head = m ** (h - 1)
     lo, hi = (0, 1) if interval is None else (interval.lo, interval.hi)
-    stop, stop2 = _pair_at(q_max, hi, strict=True)
-    q, q2 = _pair_at(q_max, lo, strict=False)
+    last, stop, stop2 = _pair_at(q_max, hi, strict=True)
+    first, q, q2 = _pair_at(q_max, lo, strict=False)
+    if first * stop > last * q:  # else the loop would run a whole period
+        raise RuntimeError(f"pass start {first}/{q} lies past its stop {last}/{stop}")
     counted: dict[int, int] = {}  # a plain dict: CPython specializes its item access
     get = counted.get
     kept: list[int] = []
@@ -389,6 +445,9 @@ def _read_pass(q_max: int, h: int, counted: dict, kept: list) -> dict[int, int]:
     return keys
 
 
+_LAST_GAP_MAX = 6  # the largest last gap of the forward walk at h = 2 (``_block_keys``)
+
+
 def _smallest_prime_factors(n: int) -> list[int]:
     """spf[k] is the least prime factor of k for 2 <= k <= n."""
     spf = list(range(n + 1))
@@ -413,17 +472,24 @@ def _squarefree_divisors(n: int, spf: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _index_runs(
-    x: int, y: int, n0: int, n1: int, d0: int, d1: int
+    x: int, y: int, n0: int, n1: int, d0: int, d1: int, top: Optional[int] = None
 ) -> list[tuple[int, int, int]]:
     """Split the q in (x, y] into runs (x', y', k) on which the index
-    k = (n0 + n1*q) // (d0 + d1*q) is constant.
+    k = (n0 + n1*q) // (d0 + d1*q) is constant, leaving out the q whose
+    index exceeds ``top`` if it is given.
 
     Along a row the index never decreases in q (see the module docstring),
     so the run of k ends at the last q below the first with index k + 1,
-    where n0 + n1*q >= (k + 1)*(d0 + d1*q) starts to hold.
+    where n0 + n1*q >= (k + 1)*(d0 + d1*q) starts to hold, and the q with
+    index above ``top`` are the ones past the end of the run of ``top``.
     """
     k = (n0 + n1 * (x + 1)) // (d0 + d1 * (x + 1))
     end = (n0 + n1 * y) // (d0 + d1 * y)
+    if top is not None and end > top:
+        if k > top:
+            return []
+        end = top
+        y = ((top + 1) * d0 - n0 - 1) // (n1 - (top + 1) * d1)
     runs = []
     for j in range(k + 1, end + 1):
         cut = (j * d0 - n0 - 1) // (n1 - j * d1)  # the index is >= j for q > cut
@@ -475,6 +541,34 @@ def _tail_starts(q_max: int, h: int) -> list[tuple[int, int]]:
     return starts
 
 
+def _fan_counts(q_max: int, spf: Sequence[int]) -> tuple[int, int]:
+    """Numbers of the windows of two steps whose first step runs over an
+    even denominator b to an odd s <= Q/3: those with key (3, 2), and those
+    with key (3, 3).
+
+    The b before such an s are the even b in (Q - s, Q] coprime to s, and
+    the key is (3, 2) exactly when (Q + b) // s is odd (the fan lemma of the
+    module docstring).  That index is 2Q // s from b = (2Q // s)*s - Q on
+    and one less below, and each of the two runs counts its even b coprime
+    to s by Moebius over the squarefree divisors d of s, which are odd, as
+    the multiples of 2d.
+    """
+    odd = even = 0
+    for s in range(1, q_max // 3 + 1, 2):
+        k = 2 * q_max // s
+        cut = k * s - q_max - 1  # (Q + b) // s is k for b > cut, k - 1 below
+        below = above = 0
+        for d, mu in _squarefree_divisors(s, spf):
+            d *= 2
+            below += mu * (cut // d - (q_max - s) // d)
+            above += mu * (q_max // d - cut // d)
+        if k & 1:
+            odd, even = odd + above, even + below
+        else:
+            odd, even = odd + below, even + above
+    return odd, even
+
+
 def _block_keys(
     q_max: int, h: int, rows: Optional[Sequence[list[int]]] = None
 ) -> dict[int, int]:
@@ -489,58 +583,97 @@ def _block_keys(
     ``rows``, a sequence indexed by b up to Q, only the start points (q, b)
     with q in the ascending list ``rows[b]`` are counted: a block counts the
     listed q in it, and the walk skips what lists none.
+
+    Without ``rows`` at h = 2 the walk makes the two cuts of the module
+    docstring, after which every split of a row has O(1) runs.  A first
+    'OEO' step stops short of the odd denominators s <= Q/3, whose windows
+    ``_fan_counts`` counts, and the last 'OEO' step stops at gap
+    G = ``_LAST_GAP_MAX``.  The windows whose last gap exceeds G are those
+    whose first gap exceeds G, reversed (the reversal lemma); they start in
+    the even rows b <= 2Q/(G + 1), at the q with (Q + q) // b > G, which a
+    second walk visits with no cap.  Runs of the index per row at h = 2:
+
+        =========================  ====  =====  =====
+        Q                          3000  20000  10**5
+        =========================  ====  =====  =====
+        one walk, no cut           14.0   16.3   18.4
+        the cuts, both walks        7.2    7.2    7.2
+        =========================  ====  =====  =====
     """
     m = _key_base(q_max)
     keys: dict[int, int] = {}
-    get = keys.get
     if rows is None:
         spf = _smallest_prime_factors(q_max)
-    for b in range(1, q_max + 1):
-        if rows is None:
-            # q is coprime to 2b iff odd and coprime to the odd part of b, and
-            # (n // d + 1) // 2 odd multiples of an odd d are <= n
-            divs = _squarefree_divisors(b // (b & -b), spf)
-        else:
-            qs = rows[b]
-            if not qs:
-                continue
-        # (x, y, steps left, u0, u1, v0, v1, key): the window has reached the
-        # odd denominator u0 + u1*q, followed by v0 + v1*q, for q in (x, y]
-        todo = [(q_max - b, q_max, h, 0, 1, b, 0, 0)]
-        while todo:
-            x, y, left, u0, u1, v0, v1, key = todo.pop()
-            if rows is not None:  # narrow (x, y] to its listed q, if any
-                i, j = bisect_right(qs, x), bisect_right(qs, y)
-                if i == j:
+    cut = rows is None and h == 2
+    least = q_max // 3 + 1 if cut else 0  # the least s a first 'OEO' step reaches
+    firsts: dict[int, int] = {}  # the second walk's keys, to be reversed
+    # (rows b, the least first gap, the largest last 'OEO' gap, the counts)
+    walks = [(range(1, q_max + 1), 0, _LAST_GAP_MAX if cut else None, keys)]
+    if cut:
+        last_b = 2 * q_max // (_LAST_GAP_MAX + 1)
+        walks.append((range(2, last_b + 1, 2), _LAST_GAP_MAX + 1, None, firsts))
+    for bs, low, top, out in walks:
+        get = out.get
+        for b in bs:
+            if rows is None:
+                # q is coprime to 2b iff odd and coprime to the odd part of b,
+                # and (n // d + 1) // 2 odd multiples of an odd d are <= n
+                divs = _squarefree_divisors(b // (b & -b), spf)
+            else:
+                qs = rows[b]
+                if not qs:
                     continue
-                x, y = qs[i] - 1, qs[j - 1]
-            left -= 1
-            if (v0 + v1) & 1:  # 'OO' for every odd q
-                key = key * m + 2
-                if left:
-                    for x2, y2, k in _index_runs(x, y, q_max + u0, u1, v0, v1):
-                        todo.append((x2, y2, left, v0, v1, k * v0 - u0, k * v1 - u1, key))
-                    continue
-                blocks = ((x, y, key),)
-            else:  # 'OEO': the gap is the index at the even denominator
-                blocks = []
-                for x2, y2, k in _index_runs(x, y, q_max + u0, u1, v0, v1):
-                    key2 = key * m + 2 * k + 1
-                    if not left:
-                        blocks.append((x2, y2, key2))
+            # the first gap (Q + q) // b is at least low for q > x
+            x = max(q_max - b, low * b - q_max - 1) if low else q_max - b
+            # (x, y, steps left, u0, u1, v0, v1, key): the window has reached
+            # the odd denominator u0 + u1*q, followed by v0 + v1*q, for q in (x, y]
+            todo = [(x, q_max, h, 0, 1, b, 0, 0)]
+            while todo:
+                x, y, left, u0, u1, v0, v1, key = todo.pop()
+                if rows is not None:  # narrow (x, y] to its listed q, if any
+                    i, j = bisect_right(qs, x), bisect_right(qs, y)
+                    if i == j:
                         continue
-                    w0, w1 = k * v0 - u0, k * v1 - u1
-                    for x3, y3, k2 in _index_runs(x2, y2, q_max + v0, v1, w0, w1):
-                        todo.append((x3, y3, left, w0, w1, k2 * w0 - v0, k2 * w1 - v1, key2))
-            for x, y, key in blocks:
-                if rows is None:
-                    count = 0
-                    for d, mu in divs:
-                        count += mu * (((y // d + 1) >> 1) - ((x // d + 1) >> 1))
-                else:
-                    count = bisect_right(qs, y) - bisect_right(qs, x)
-                if count:
-                    keys[key] = get(key, 0) + count
+                    x, y = qs[i] - 1, qs[j - 1]
+                left -= 1
+                if (v0 + v1) & 1:  # 'OO' for every odd q
+                    key = key * m + 2
+                    if left:
+                        for x2, y2, k in _index_runs(x, y, q_max + u0, u1, v0, v1):
+                            todo.append((x2, y2, left, v0, v1, k * v0 - u0, k * v1 - u1, key))
+                        continue
+                    blocks = ((x, y, key),)
+                else:  # 'OEO': the gap is the index at the even denominator
+                    blocks = []
+                    runs = _index_runs(x, y, q_max + u0, u1, v0, v1, None if left else top)
+                    for x2, y2, k in runs:
+                        key2 = key * m + 2 * k + 1
+                        if not left:
+                            blocks.append((x2, y2, key2))
+                            continue
+                        w0, w1 = k * v0 - u0, k * v1 - u1
+                        if least:  # h = 2: the first step, to w0 - q >= least
+                            y2 = min(y2, w0 - least)
+                            if y2 <= x2:
+                                continue
+                        for x3, y3, k2 in _index_runs(x2, y2, q_max + v0, v1, w0, w1):
+                            todo.append((x3, y3, left, w0, w1, k2 * w0 - v0, k2 * w1 - v1, key2))
+                for x, y, key in blocks:
+                    if rows is None:
+                        count = 0
+                        for d, mu in divs:
+                            count += mu * (((y // d + 1) >> 1) - ((x // d + 1) >> 1))
+                    else:
+                        count = bisect_right(qs, y) - bisect_right(qs, x)
+                    if count:
+                        out[key] = get(key, 0) + count
+    if cut:
+        for key, count in firsts.items():  # codes (c, c2) become (c2, c)
+            key = key % m * m + key // m
+            keys[key] = keys.get(key, 0) + count
+        for key, count in zip((3 * m + 2, 3 * m + 3), _fan_counts(q_max, spf)):
+            if count:
+                keys[key] = keys.get(key, 0) + count
     return keys
 
 

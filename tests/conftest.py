@@ -106,12 +106,12 @@ def point_starts(q_max: int, interval=None) -> tuple[list[tuple[int, int]], int]
     return kept, hits
 
 
-def scan_pair_at(q_max: int, x, strict: bool) -> tuple[int, int]:
+def scan_pair_at(q_max: int, x, strict: bool) -> tuple[int, int, int]:
     """``farey._pair_at`` by a scan of every b <= Q: the first element of
     F(Q) that is >= x (> x if ``strict``) is the least ceil(x*b)/b
     (floor(x*b) + 1 if strict, and at least 1/b) over b <= Q, at the least b;
-    1/1 when none is.  Returns the denominators of the first odd element from
-    there and of its successor."""
+    1/1 when none is.  Returns the numerator and denominator of the first odd
+    element from there and the denominator of its successor."""
     from oddfarey.farey import _successor_den
 
     n, d = x.numerator, x.denominator
@@ -121,7 +121,10 @@ def scan_pair_at(q_max: int, x, strict: bool) -> tuple[int, int]:
         if c * q < a * b:
             a, q = c, b
     q2 = _successor_den(q_max, a, q)
-    return (q, q2) if q & 1 else (q2, (q_max + q) // q2 * q2 - q)
+    if q & 1:
+        return a, q, q2
+    a2 = next(c for c in range(1, q2 + 1) if c * q - a * q2 == 1)
+    return a2, q2, (q_max + q) // q2 * q2 - q
 
 
 def _cross(o, a, b):

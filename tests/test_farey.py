@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,14 +15,22 @@ from conftest import (
     brute_odd_farey,
     brute_window_counts,
     brute_windows,
+    cached_gap_histogram,
+    point_starts,
     scan_pair_at,
     small_intervals,
 )
 from oddfarey.farey import (
     DEFAULT_MAX_Q,
     UnitInterval,
+    _block_keys,
+    _fan_counts,
+    _histogram,
+    _index_runs,
     _pair_at,
+    _smallest_prime_factors,
     _stream_histograms,
+    _window_keys,
     delta,
     farey_count,
     farey_fractions,
@@ -201,6 +209,90 @@ def test_tail_windows_are_the_boundary_windows():
     for h in (1, 2, 3, 4):
         for q in range(1, 61):
             assert boundary_window_histogram(q, h) == brute_boundary_windows(q, h), (q, h)
+
+
+def _point_windows(q, h):
+    """The windows of every primitive point (q, b) of Q*T with q odd, each
+    coded on its own: the oracle of the row-block count."""
+    return _histogram(_window_keys(q, h, point_starts(q)[0]), q, h, with_steps=True)[0]
+
+
+def test_point_windows_are_symmetric_under_reversal():
+    """x -> -x maps the periodic sequence onto itself, keeps each step's gap
+    and type and reverses their order: the windows of one period, reversed,
+    are the windows of one period."""
+    for q in range(1, 201):
+        for h in (1, 2, 3, 4):
+            hist = _point_windows(q, h)
+            flipped = Counter({(g[::-1], s[::-1]): c for (g, s), c in hist.items()})
+            assert flipped == hist, (q, h)
+
+
+def test_fan_counts_are_the_windows_through_a_small_odd_denominator():
+    """A first 'OEO' step over an even b to an odd s <= Q/3 has gap 1, and the
+    second step's key is (3, 2) or (3, 3) by the parity of (Q + b) // s."""
+    for q in range(1, 121):
+        m = 4 * q + 2
+        fan = Counter()
+        for a, b in point_starts(q)[0]:
+            if b % 2 == 0 and 3 * ((q + a) // b * b - a) <= q:
+                fan.update(_window_keys(q, 2, [(a, b)]))
+        assert set(fan) <= {3 * m + 2, 3 * m + 3}, q
+        assert _fan_counts(q, _smallest_prime_factors(q)) == (fan[3 * m + 2], fan[3 * m + 3]), q
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_gap_pairs_at_the_smallest_orders(q):
+    """Orders around the first steps of Q // 3, the largest fan denominator:
+    the cut walk, the fan and the reversed first-gap rows make up the
+    points' windows, and the count is the brute-force one."""
+    assert _block_keys(q, 2) == _window_keys(q, 2, point_starts(q)[0])
+    hist = gap_histogram(q, 2, with_steps=True)[0]
+    assert dict(hist) == brute_windows(q, 2, with_steps=True)
+
+
+@seed(20031)
+@settings(max_examples=30, deadline=None)
+@given(q=st.integers(1, 400))
+def test_gap_pair_keys_are_the_point_windows(q):
+    assert _block_keys(q, 2) == _window_keys(q, 2, point_starts(q)[0])
+
+
+def test_gap_pair_walk_makes_few_index_runs(monkeypatch):
+    """With the two cuts every split of a row has O(1) runs: 7.2 per row at
+    Q = 3000 where one walk with no cut makes 14.0."""
+    import oddfarey.farey as farey
+
+    runs = []
+
+    def counting(*args):
+        out = _index_runs(*args)
+        runs.append(len(out))
+        return out
+
+    monkeypatch.setattr(farey, "_index_runs", counting)
+    q = 3000
+    _block_keys(q, 2)
+    assert sum(runs) <= 8 * q
+
+
+def test_gap_pairs_at_order_20000():
+    """The tail windows are not symmetric: (1, 2) and (2, 1) differ by one."""
+    hist, windows = cached_gap_histogram(20000, 2)
+    assert windows == 81058755
+    pairs = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1)]
+    assert [hist[p] for p in pairs] == [35125428, 6561920, 6561921, 643266, 643266]
+
+
+def test_a_pass_that_would_start_past_its_stop_fails(monkeypatch):
+    """With the endpoints' strict and non-strict cases swapped, the pass over
+    [1/3, 1/3] would start after 1/3 and stop at it, and so walk a whole
+    period; it fails at once instead."""
+    import oddfarey.farey as farey
+
+    monkeypatch.setattr(farey, "_pair_at", lambda q, x, strict: _pair_at(q, x, not strict))
+    with pytest.raises(RuntimeError, match="past its stop"):
+        gap_histogram(30, 1, UnitInterval(Fraction(1, 3), Fraction(1, 3)))
 
 
 def test_single_gap_boundary_window_closed_form():
@@ -410,12 +502,12 @@ def test_pair_at_endpoints(q):
 
 def test_pair_at_examples():
     """At Q = 8 (F8_ODD): 1/3 itself when non-strict, else 2/5 (after 3/8);
-    1/2 is even, so 4/7 either way; 1/1 is the last pair, (1, Q)."""
-    assert _pair_at(8, Fraction(1, 3), False) == (3, 8)
-    assert _pair_at(8, Fraction(1, 3), True) == (5, 7)
-    assert _pair_at(8, Fraction(1, 2), False) == _pair_at(8, Fraction(1, 2), True) == (7, 5)
-    assert _pair_at(8, Fraction(0), False) == (7, 6)  # 1/8 is even: 1/7, then 1/6
-    assert _pair_at(8, Fraction(1), True) == _pair_at(8, Fraction(8, 9), False) == (1, 8)
+    1/2 is even, so 4/7 either way; 1/1 is the last pair, (1, 1, Q)."""
+    assert _pair_at(8, Fraction(1, 3), False) == (1, 3, 8)
+    assert _pair_at(8, Fraction(1, 3), True) == (2, 5, 7)
+    assert _pair_at(8, Fraction(1, 2), False) == _pair_at(8, Fraction(1, 2), True) == (4, 7, 5)
+    assert _pair_at(8, Fraction(0), False) == (1, 7, 6)  # 1/8 is even: 1/7, then 1/6
+    assert _pair_at(8, Fraction(1), True) == _pair_at(8, Fraction(8, 9), False) == (1, 1, 8)
 
 
 _twelfths = st.builds(
@@ -424,7 +516,9 @@ _twelfths = st.builds(
 
 
 @seed(20021)
-@settings(max_examples=25, deadline=None)
+# no shrink phase: each example streams four passes at Q <= 3000, and
+# shrinking a failure re-ran them for minutes
+@settings(max_examples=25, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(
     q=st.integers(201, 3000),
     h=st.integers(1, 3),
