@@ -13,9 +13,7 @@ from .dynamics import TrianglePoint, kappa, next_pair, orbit_kappas, prev_pair
 from .farey import (
     UnitInterval,
     delta,
-    farey_count,
     farey_fractions,
-    farey_index,
     gap_histogram,
     odd_farey_count,
     odd_farey_fractions,
@@ -30,7 +28,7 @@ from .lattice import (
     verify_parity_swap,
     verify_tuple_identities,
 )
-from .paths import PathFamily, families, instantiate
+from .paths import PathFamily, families
 
 __version__ = "0.1.0"
 
@@ -48,9 +46,7 @@ __all__ = [
     "count_delta_tuples",
     "delta",
     "empirical_rho",
-    "farey_count",
     "farey_fractions",
-    "farey_index",
     "gap_histogram",
     "odd_farey_count",
     "odd_farey_fractions",
@@ -65,6 +61,5 @@ __all__ = [
     "verify_tuple_identities",
     "PathFamily",
     "families",
-    "instantiate",
     "__version__",
 ]

@@ -169,9 +169,6 @@ __all__ = [
     "farey_fractions",
     "odd_farey_fractions",
     "delta",
-    "farey_index",
-    "totients",
-    "farey_count",
     "odd_farey_count",
     "UnitInterval",
     "gap_histogram",
@@ -207,7 +204,7 @@ def _check_order(q_max: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# element-level streaming
+# element-level streaming and counting
 # ---------------------------------------------------------------------------
 
 
@@ -243,47 +240,19 @@ def delta(g: Fraction, g2: Fraction) -> int:
     return d
 
 
-def farey_index(q_max: int, frac: Fraction, succ: Fraction) -> int:
-    """Index ``(Q + q) // q'`` of ``frac`` given its F(Q)-successor ``succ``.
-
-    Equals the gap to the next odd-denominator fraction whenever ``succ`` has
-    even denominator.
-    """
-    q, q2 = frac.denominator, succ.denominator
-    if succ.numerator * q - frac.numerator * q2 != 1 or q + q2 <= q_max:
-        raise ValueError(f"{frac} and {succ} are not consecutive in F({q_max})")
-    return (q_max + q) // q2
-
-
-# ---------------------------------------------------------------------------
-# totients
-# ---------------------------------------------------------------------------
-
-
-def totients(n: int) -> list[int]:
-    """Euler phi for 0..n by a linear-style sieve (phi[0] = 0)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, n + 1, p):
-                phi[m] -= phi[m] // p
-    phi[0] = 0
-    return phi
-
-
-def farey_count(q_max: int) -> int:
-    """#F(q_max) = sum of phi(q) for q <= q_max."""
-    _check_order(q_max)
-    return sum(totients(q_max)[1:])
-
-
 def odd_farey_count(q_max: int) -> int:
-    """Number of odd-denominator elements of F(q_max)."""
+    """Number of odd-denominator elements of F(q_max): the sum of phi(q) over
+    odd q <= q_max.  Each phi(q) is read off the sieve of
+    ``_smallest_prime_factors``: with p the least prime of q and m = q/p,
+    phi(q) = phi(m)*p when p divides m, and phi(m)*(p - 1) otherwise."""
     _check_order(q_max)
-    phi = totients(q_max)
-    return sum(phi[q] for q in range(1, q_max + 1, 2))
+    spf = _smallest_prime_factors(q_max)
+    phi = [1] * (q_max + 1)  # phi(1) = 1; even entries stay unread
+    for q in range(3, q_max + 1, 2):
+        p = spf[q]
+        m = q // p
+        phi[q] = phi[m] * (p if m % p == 0 else p - 1)
+    return sum(phi[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +291,6 @@ class UnitInterval(namedtuple("UnitInterval", "lo hi")):
     @property
     def is_full(self) -> bool:
         return self.lo == 0 and self.hi == 1
-
-    def contains(self, f: Fraction) -> bool:
-        """Closed membership lo <= f <= hi."""
-        return self.lo <= f <= self.hi
 
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi}]"

@@ -270,10 +270,6 @@ class ConvexRegion(NamedTuple):
     constraints: tuple[HalfPlane, ...]
     vertices: tuple[Point, ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def area(self) -> Fraction:
         return abs(_signed_area2([_triple(p) for p in self.vertices])) / 2
 

@@ -33,7 +33,6 @@ __all__ = [
     "LabeledPath",
     "PathFamily",
     "families",
-    "instantiate",
     "arrow_text",
     "MAX_WINDOW",
 ]
@@ -176,25 +175,6 @@ def families(deltas: Sequence[int]) -> tuple[PathFamily, ...]:
             labels.append(LabelSlot(None, "even" if source == after else "odd"))
         path = LabeledPath(tuple(vertices), tuple(labels))
         out.append(PathFamily(path, len(vertices) - 1, vertices[0]))
-    return tuple(out)
-
-
-def instantiate(family: PathFamily, free_values: Sequence[int]) -> tuple[int, ...]:
-    """Concrete cylinder labels with the free slots filled by ``free_values``."""
-    slots = family.free_slots
-    if len(free_values) != len(slots):
-        raise ValueError(f"family has {len(slots)} free slots, got {len(free_values)}")
-    out = []
-    it = iter(free_values)
-    for i in range(family.arity):
-        slot = family.path.labels[i]
-        if slot.is_free:
-            v = int(next(it))
-            if not slot.admits(v):
-                raise ValueError(f"value {v} violates the {slot.parity} parity of slot {i}")
-            out.append(v)
-        else:
-            out.append(slot.value)
     return tuple(out)
 
 

@@ -40,6 +40,48 @@ def brute_odd_farey(q_max: int) -> list[Fraction]:
     return [f for f in brute_farey(q_max) if f.denominator % 2 == 1]
 
 
+def totients(n: int) -> list[int]:
+    """Euler phi for 0..n by a sieve over every prime (phi[0] = 0), so that
+    #F(Q) = sum(phi[1:]) and its odd part is sum(phi[1::2])."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # p prime
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    phi[0] = 0
+    return phi
+
+
+def farey_index(q_max: int, frac: Fraction, succ: Fraction) -> int:
+    """Index ``(Q + q) // q'`` of ``frac`` given its F(Q)-successor ``succ``:
+    the gap to the next odd-denominator fraction whenever ``succ`` has even
+    denominator."""
+    q, q2 = frac.denominator, succ.denominator
+    if succ.numerator * q - frac.numerator * q2 != 1 or q + q2 <= q_max:
+        raise ValueError(f"{frac} and {succ} are not consecutive in F({q_max})")
+    return (q_max + q) // q2
+
+
+def instantiate(family, free_values) -> tuple[int, ...]:
+    """A family's concrete cylinder labels with its free slots filled by
+    ``free_values``, each checked against its slot's parity."""
+    slots = family.free_slots
+    if len(free_values) != len(slots):
+        raise ValueError(f"family has {len(slots)} free slots, got {len(free_values)}")
+    out = []
+    it = iter(free_values)
+    for i in range(family.arity):
+        slot = family.path.labels[i]
+        if slot.is_free:
+            v = int(next(it))
+            if not slot.admits(v):
+                raise ValueError(f"value {v} violates the {slot.parity} parity of slot {i}")
+            out.append(v)
+        else:
+            out.append(slot.value)
+    return tuple(out)
+
+
 def brute_gaps(fractions: list[Fraction]) -> list[int]:
     return [
         g2.numerator * g.denominator - g.numerator * g2.denominator

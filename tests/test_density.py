@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_gap_histogram
+from conftest import cached_gap_histogram, instantiate
 
 from oddfarey.density import (
     Enclosure,
@@ -20,7 +20,7 @@ from oddfarey.density import (
 )
 from oddfarey.density import _cylinder_labels, _decomposition, _escape_slots, _tuple_regions
 from oddfarey.geometry import _escape_bound, cylinder_area
-from oddfarey.paths import MAX_WINDOW, arrow_text, families, instantiate
+from oddfarey.paths import MAX_WINDOW, arrow_text, families
 
 SMALL_TUPLES = [
     ds for h in (1, 2, 3) for ds in itertools.product((1, 2, 3), repeat=h)

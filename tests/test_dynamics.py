@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_farey
+from conftest import brute_farey, farey_index
 from oddfarey.dynamics import TrianglePoint, kappa, next_pair, orbit_kappas, prev_pair
-from oddfarey.farey import farey_index
 
 
 def _random_triangle_point(rng, q=9973):

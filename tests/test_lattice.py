@@ -12,10 +12,12 @@ from conftest import (
     brute_boundary_windows,
     brute_windows,
     brute_farey,
+    instantiate,
     point_starts,
     small_fractions,
     small_intervals,
     swept_lattice_counts,
+    totients,
 )
 from oddfarey.density import _cylinder_labels, _escape_slots
 from oddfarey.farey import (
@@ -26,7 +28,6 @@ from oddfarey.farey import (
     _squarefree_divisors,
     _stream_histograms,
     _window_keys,
-    farey_count,
     gap_histogram,
     odd_farey_count,
 )
@@ -180,7 +181,7 @@ def test_column_counts_at_the_default_cap():
     q = 10**5  # a point sweep would take minutes; the columns are counted
     assert count_lattice(T, q, PairParity("odd", "any")).count == odd_farey_count(q)
     profile = parity_profile(T, q)
-    assert sum(profile.values()) == farey_count(q)
+    assert sum(profile.values()) == sum(totients(q)[1:])
     assert profile[("odd", "odd")] + profile[("odd", "even")] == odd_farey_count(q)
 
 
@@ -231,8 +232,6 @@ def test_family_counts_by_region_route():
                 start = 1 if par == "odd" else 2
                 ranges.append(range(start, 2 * q + 1, 2))
             for values in itertools.product(*ranges):
-                from oddfarey.paths import instantiate
-
                 ks = instantiate(fam, values)
                 total += count_lattice(cylinder(ks), q, parity).count
             assert by_orbit == total, (q, deltas, fam.path.step_types())

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import instantiate
 from oddfarey.paths import (
     _PARITIES,
     LabeledPath,
@@ -12,7 +13,6 @@ from oddfarey.paths import (
     _parity_range,
     arrow_text,
     families,
-    instantiate,
 )
 
 
