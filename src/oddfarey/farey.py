@@ -83,9 +83,9 @@ v1*q is that of v0 + v1 for every odd q, so on a block each step is fixed
 to be 'OO' or 'OEO', and so is each window key.  Two rules keep the blocks
 few: the last step is not split when it is 'OO' (its code is 2 whatever its
 index), and when it is 'OEO' it is split by its gap only, not by the index
-after the even denominator.  At Q = 4003 that makes about 6,000, 42,000 and
-98,000 blocks for h = 1, 2 and 3 (19,000 at h = 2 with the cuts below),
-against about Q**2 / 4 points.  Each
+after the even denominator.  At Q = 4003 a walk over every row makes about
+6,000, 42,000 and 98,000 blocks for h = 1, 2 and 3, against about Q**2 / 4
+points; the lemmas below bring h = 1 and 2 down to 4,000 and 12,000.  Each
 block counts the q coprime to 2b, i.e. odd and coprime to b, by
 inclusion-exclusion over the odd squarefree divisors of b
 (``_squarefree_divisors``, from one smallest-prime-factor sieve; the
@@ -93,10 +93,10 @@ lattice module counts its columns with the same two functions).
 ``gap_histogram`` counts, with no interval, the keys that ``_read_pass``
 reads off ``_gap_pass(Q, h, None)``, which stays the oracle.
 
-Whole-sequence gap pairs take a shorter walk, by two lemmas.  Without them
-a row splits once for each distinct later index, and near a fraction of
-small denominator those run through many values: 14.0, 16.3 and 18.4 runs
-of the index per row at Q = 3000, 20000 and 10**5.
+Whole-sequence windows at h <= 2 take a shorter walk, by three lemmas.
+Without them a row splits once for each distinct later index, and near a
+fraction of small denominator those run through many values: 14.0, 16.3 and
+18.4 runs of the index per row at Q = 3000, 20000 and 10**5.
 
 Reversal lemma (every h).  The reflection x -> -x maps the periodic
 sequence, the union of the F(Q) + n over all integers n, onto itself; it
@@ -126,21 +126,40 @@ ends the first step of one window.  ``_fan_counts`` counts these windows by
 Moebius over the divisors of s, in the two runs of b on which (Q + b) // s
 is constant.
 
-So at h = 2 without rows the walk makes two cuts.  Its first 'OEO' step
-keeps the q whose odd end s = k*b - q is at least Q // 3 + 1, a single
-bound on each run of k since s falls as q grows; the fan counts the rest.
-Its last 'OEO' step keeps the gaps up to G = ``_LAST_GAP_MAX`` = 6, a
-single bound since the index never decreases along a row.  A second walk
-over the even rows b <= 2Q/(G + 1), from the q with (Q + q) // b > G on and
-with no cap, counts the windows whose first gap exceeds G, and their keys
-are reversed.  Every split of a row then has O(1) runs: after an 'OEO'
-step to s > Q/3 the index at s, (Q + b) // s, stays below 6.  The walk
-makes 7.2 runs of the index per row at every Q measured (6.6 in the first
-walk, 0.5 in the second), and ``_block_keys(Q, 2)`` takes about 60% of the
-time of one walk with no cut at Q = 4000 and 20000, and 45% at 10**5.
-Every other h, and the walk given rows, keeps the one walk with no cut: at
-h = 1 a step's index runs through at most two values along a row, and at
-h >= 3 the runs grow at the middle steps, which neither lemma reaches.
+Odd-row lemma (h <= 2).  The first step from a point (q, b) is 'OO' (code
+2) exactly when the next denominator b is odd, so the odd rows hold exactly
+the windows whose first code is 2, and the even rows all the others.  Write
+H(c, c2) for the count of the windows of one period with codes (c, c2), and
+E for the number of windows that start in an even row.  For c != 2,
+H(2, c) = H(c, 2) by reversal, and (c, 2) starts in an even row.  The rows
+hold one window per point, N = ``odd_farey_count(Q)`` in all, so
+H(2, 2) = N - E - (the sum of H(c, 2) over c != 2); at h = 1 this reads
+H(2) = N - E.  So at h <= 2 without rows the walk visits the even rows
+alone and derives the windows of the odd rows.  The total N is that of a
+full period, so the walk given rows, whose listed starts have no known
+total, visits every row.  At h >= 3 the windows (2, c, 2) reverse onto
+windows of the odd rows, and the one total cannot split them among the c,
+so the walk visits every row there too.
+
+So at h = 2 without rows the walk over the even rows makes two cuts.  Its
+first 'OEO' step keeps the q whose odd end s = k*b - q is at least
+Q // 3 + 1, a single bound on each run of k since s falls as q grows; the
+fan counts the rest.  Its last 'OEO' step keeps the gaps up to
+G = ``_LAST_GAP_MAX`` = 6, a single bound since the index never decreases
+along a row.  A second walk over the even rows b <= 2Q/(G + 1), from the q
+with (Q + q) // b > G on and with no cap, counts the windows whose first
+gap exceeds G, and their keys are reversed.  It drops the keys that end in
+code 2 first: reversed, they start with it, and the odd-row lemma derives
+those.  Every split of a row then has O(1) runs: after an 'OEO' step to
+s > Q/3 the index at s, (Q + b) // s, stays below 6.  The walks make 5.0*Q
+runs of the index at every Q measured (4.5*Q in the first, 0.5*Q in the
+second), and ``_block_keys(Q, 2)`` takes about 40% of the time of one walk
+over every row with no cut at Q = 4000, 35% at 20000, and 30% at 10**5.
+At h = 1 the walk over the even rows makes no cut: a step's index runs
+through at most two values along a row.  The walk given rows, and every
+h >= 3, keeps the one walk over every row with no cut: at h >= 3 the runs
+grow at the middle steps, which neither the reversal nor the fan lemma
+reaches.
 
 The same walk counts a given set of start points, listed by row in
 ascending q: the points that the lattice decoder keeps in an interval.  A
@@ -242,17 +261,9 @@ def delta(g: Fraction, g2: Fraction) -> int:
 
 def odd_farey_count(q_max: int) -> int:
     """Number of odd-denominator elements of F(q_max): the sum of phi(q) over
-    odd q <= q_max.  Each phi(q) is read off the sieve of
-    ``_smallest_prime_factors``: with p the least prime of q and m = q/p,
-    phi(q) = phi(m)*p when p divides m, and phi(m)*(p - 1) otherwise."""
+    odd q <= q_max (``_odd_totient_sum``)."""
     _check_order(q_max)
-    spf = _smallest_prime_factors(q_max)
-    phi = [1] * (q_max + 1)  # phi(1) = 1; even entries stay unread
-    for q in range(3, q_max + 1, 2):
-        p = spf[q]
-        m = q // p
-        phi[q] = phi[m] * (p if m % p == 0 else p - 1)
-    return sum(phi[1::2])
+    return _odd_totient_sum(q_max, _smallest_prime_factors(q_max))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +435,19 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
+def _odd_totient_sum(n: int, spf: Sequence[int]) -> int:
+    """The sum of phi(q) over odd q <= n, from the sieve ``spf`` of
+    ``_smallest_prime_factors`` (which must reach n): with p the least prime
+    of q and m = q/p, phi(q) = phi(m)*p when p divides m, and phi(m)*(p - 1)
+    otherwise."""
+    phi = [1] * (n + 1)  # phi(1) = 1; even entries stay unread
+    for q in range(3, n + 1, 2):
+        p = spf[q]
+        m = q // p
+        phi[q] = phi[m] * (p if m % p == 0 else p - 1)
+    return sum(phi[1::2])
+
+
 def _squarefree_divisors(n: int, spf: Sequence[int]) -> list[tuple[int, int]]:
     """(d, mu(d)) for the squarefree divisors d of n >= 1, from the sieve
     ``spf`` of ``_smallest_prime_factors`` (which must reach n)."""
@@ -549,31 +573,37 @@ def _block_keys(
     with q in the ascending list ``rows[b]`` are counted: a block counts the
     listed q in it, and the walk skips what lists none.
 
-    Without ``rows`` at h = 2 the walk makes the two cuts of the module
-    docstring, after which every split of a row has O(1) runs.  A first
-    'OEO' step stops short of the odd denominators s <= Q/3, whose windows
-    ``_fan_counts`` counts, and the last 'OEO' step stops at gap
-    G = ``_LAST_GAP_MAX``.  The windows whose last gap exceeds G are those
-    whose first gap exceeds G, reversed (the reversal lemma); they start in
-    the even rows b <= 2Q/(G + 1), at the q with (Q + q) // b > G, which a
-    second walk visits with no cap.  Runs of the index per row at h = 2:
+    Without ``rows`` at h <= 2 the walk visits the even rows alone, and the
+    windows of the odd rows, which start 'OO', follow from the even rows'
+    keys and the total ``_odd_totient_sum`` (the odd-row lemma of the module
+    docstring).  At h = 2 it also makes the two cuts there, after which
+    every split of a row has O(1) runs.  A first 'OEO' step stops short of
+    the odd denominators s <= Q/3, whose windows ``_fan_counts`` counts, and
+    the last 'OEO' step stops at gap G = ``_LAST_GAP_MAX``.  The windows
+    whose last gap exceeds G are those whose first gap exceeds G, reversed
+    (the reversal lemma); they start in the even rows b <= 2Q/(G + 1), at
+    the q with (Q + q) // b > G, which a second walk visits with no cap.
+    Runs of the index per row of Q*T at h = 2:
 
-        =========================  ====  =====  =====
-        Q                          3000  20000  10**5
-        =========================  ====  =====  =====
-        one walk, no cut           14.0   16.3   18.4
-        the cuts, both walks        7.2    7.2    7.2
-        =========================  ====  =====  =====
+        ===========================  ====  =====  =====
+        Q                            3000  20000  10**5
+        ===========================  ====  =====  =====
+        one walk, no cut             14.0   16.3   18.4
+        the cuts, every row           7.2    7.2    7.2
+        the cuts, even rows only      5.0    5.0    5.0
+        ===========================  ====  =====  =====
     """
     m = _key_base(q_max)
     keys: dict[int, int] = {}
     if rows is None:
         spf = _smallest_prime_factors(q_max)
+    even = rows is None and h <= 2  # walk the even rows, derive the odd ones
     cut = rows is None and h == 2
     least = q_max // 3 + 1 if cut else 0  # the least s a first 'OEO' step reaches
     firsts: dict[int, int] = {}  # the second walk's keys, to be reversed
     # (rows b, the least first gap, the largest last 'OEO' gap, the counts)
-    walks = [(range(1, q_max + 1), 0, _LAST_GAP_MAX if cut else None, keys)]
+    step = 2 if even else 1
+    walks = [(range(step, q_max + 1, step), 0, _LAST_GAP_MAX if cut else None, keys)]
     if cut:
         last_b = 2 * q_max // (_LAST_GAP_MAX + 1)
         walks.append((range(2, last_b + 1, 2), _LAST_GAP_MAX + 1, None, firsts))
@@ -634,11 +664,20 @@ def _block_keys(
                         out[key] = get(key, 0) + count
     if cut:
         for key, count in firsts.items():  # codes (c, c2) become (c2, c)
-            key = key % m * m + key // m
-            keys[key] = keys.get(key, 0) + count
+            if key % m != 2:  # (2, c) starts in an odd row: derived below
+                key = key % m * m + key // m
+                keys[key] = keys.get(key, 0) + count
         for key, count in zip((3 * m + 2, 3 * m + 3), _fan_counts(q_max, spf)):
             if count:
                 keys[key] = keys.get(key, 0) + count
+    if even:  # the odd rows' windows, which start 'OO', by the odd-row lemma
+        rest = _odd_totient_sum(q_max, spf) - sum(keys.values())
+        if h == 2:  # (2, c) is (c, 2) reversed for c != 2; (2, 2) the rest
+            odd = {2 * m + key // m: count for key, count in keys.items() if key % m == 2}
+            rest -= sum(odd.values())
+            keys.update(odd)
+        if rest:
+            keys[2 * m + 2 if h == 2 else 2] = rest
     return keys
 
 

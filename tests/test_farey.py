@@ -31,6 +31,7 @@ from oddfarey.farey import (
     _index_runs,
     _pair_at,
     _smallest_prime_factors,
+    _squarefree_divisors,
     _stream_histograms,
     _window_keys,
     delta,
@@ -248,23 +249,57 @@ def test_fan_counts_are_the_windows_through_a_small_odd_denominator():
 @pytest.mark.parametrize("q", range(1, 13))
 def test_gap_pairs_at_the_smallest_orders(q):
     """Orders around the first steps of Q // 3, the largest fan denominator:
-    the cut walk, the fan and the reversed first-gap rows make up the
-    points' windows, and the count is the brute-force one."""
-    assert _block_keys(q, 2) == _window_keys(q, 2, point_starts(q)[0])
-    hist = gap_histogram(q, 2, with_steps=True)[0]
-    assert dict(hist) == brute_windows(q, 2, with_steps=True)
+    the even-row walk (cut at h = 2), the fan, the reversed first-gap rows
+    and the odd rows read off them make up the points' windows at h = 1
+    and 2, and the count is the brute-force one."""
+    starts = point_starts(q)[0]
+    for h in (1, 2):
+        assert _block_keys(q, h) == _window_keys(q, h, starts), (q, h)
+        hist = gap_histogram(q, h, with_steps=True)[0]
+        assert dict(hist) == brute_windows(q, h, with_steps=True), (q, h)
 
 
 @seed(20031)
 @settings(max_examples=30, deadline=None)
 @given(q=st.integers(1, 400))
 def test_gap_pair_keys_are_the_point_windows(q):
-    assert _block_keys(q, 2) == _window_keys(q, 2, point_starts(q)[0])
+    starts = point_starts(q)[0]
+    for h in (1, 2):
+        assert _block_keys(q, h) == _window_keys(q, h, starts), (q, h)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 7, 12, 101, 3000])
+def test_whole_sequence_walk_skips_the_odd_rows(monkeypatch, q):
+    """At h <= 2 without rows no odd row is walked: the first steps of the
+    walk, the calls of ``_index_runs`` with d1 = 0, are over the even rows
+    b = d0 alone, and at h = 1 the walk lists the divisors of Q // 2 rows."""
+    import oddfarey.farey as farey
+
+    firsts, divisor_lists = [], [0]
+
+    def recording(x, y, n0, n1, d0, d1, top=None):
+        if d1 == 0:
+            firsts.append(d0)
+        return _index_runs(x, y, n0, n1, d0, d1, top)
+
+    def counting(n, spf):
+        divisor_lists[0] += 1
+        return _squarefree_divisors(n, spf)
+
+    monkeypatch.setattr(farey, "_index_runs", recording)
+    monkeypatch.setattr(farey, "_squarefree_divisors", counting)
+    _block_keys(q, 1)
+    assert divisor_lists == [q // 2]
+    for h in (1, 2):
+        firsts.clear()
+        _block_keys(q, h)
+        assert set(firsts) == set(range(2, q + 1, 2)), (q, h)
 
 
 def test_gap_pair_walk_makes_few_index_runs(monkeypatch):
-    """With the two cuts every split of a row has O(1) runs: 7.2 per row at
-    Q = 3000 where one walk with no cut makes 14.0."""
+    """With the two cuts every split of a row has O(1) runs, and only the
+    even rows are walked: 5.0*Q runs at Q = 3000, where the cut walk over
+    every row makes 7.2*Q and one walk with no cut 14.0*Q."""
     import oddfarey.farey as farey
 
     runs = []
@@ -277,7 +312,7 @@ def test_gap_pair_walk_makes_few_index_runs(monkeypatch):
     monkeypatch.setattr(farey, "_index_runs", counting)
     q = 3000
     _block_keys(q, 2)
-    assert sum(runs) <= 8 * q
+    assert sum(runs) <= 5.5 * q
 
 
 def test_gap_pairs_at_order_20000():
@@ -308,17 +343,35 @@ def test_single_gap_boundary_window_closed_form():
         assert boundary_window_histogram(q, 1) == {((1,), (step,)): 1}, q
 
 
+def test_single_gaps_at_order_20000():
+    """The row-block count against the region list's, one gap at a time."""
+    hist, windows = cached_gap_histogram(20000, 1)
+    assert windows == 81058756
+    counts = [hist[(d,)] for d in (1, 2, 3)]
+    assert counts == [count_delta_tuples(20000, (d,)) for d in (1, 2, 3)]
+    assert counts == [54039163, 13509824, 5403866]
+
+
 def test_single_gap_count_at_the_default_cap():
-    q = 10**5  # far beyond a streaming pass in a test: no oracle, only the total
+    """Far beyond a streaming pass in a test.  The total holds by
+    construction (the odd rows' windows are what the even rows leave of
+    it), so the counts are pinned, as the walk over every row gave them."""
+    q = 10**5
     hist, windows = gap_histogram(q, 1)
-    assert sum(hist.values()) == windows == odd_farey_count(q) - 1
+    assert sum(hist.values()) == windows == odd_farey_count(q) - 1 == 2026413874
+    assert [hist[(d,)] for d in (1, 2, 3)] == [1350942575, 337735624, 135094288]
     assert min(hist.values()) > 0
 
 
 def test_gap_pair_count_at_the_default_cap():
-    q = 10**5  # a few seconds counted; a pass would take about 20 minutes
+    """A few seconds counted; a pass would take about 20 minutes.  The
+    total holds by construction, so the counts are pinned, as the walk
+    over every row gave them."""
+    q = 10**5
     hist, windows = gap_histogram(q, 2)
-    assert sum(hist.values()) == windows == odd_farey_count(q) - 2
+    assert sum(hist.values()) == windows == odd_farey_count(q) - 2 == 2026413873
+    pairs = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1)]
+    assert [hist[p] for p in pairs] == [878112684, 164043001, 164043002, 16082782, 16082782]
     assert min(hist.values()) > 0
 
 
