@@ -85,7 +85,7 @@ few: the last step is not split when it is 'OO' (its code is 2 whatever its
 index), and when it is 'OEO' it is split by its gap only, not by the index
 after the even denominator.  At Q = 4003 a walk over every row makes about
 6,000, 42,000 and 98,000 blocks for h = 1, 2 and 3, against about Q**2 / 4
-points; the lemmas below bring h = 1 and 2 down to 4,000 and 12,000.  Each
+points; the lemmas below bring them down to 4,000, 8,600 and 57,000.  Each
 block counts the q coprime to 2b, i.e. odd and coprime to b, by
 inclusion-exclusion over the odd squarefree divisors of b
 (``_squarefree_divisors``, from one smallest-prime-factor sieve; the
@@ -93,9 +93,9 @@ lattice module counts its columns with the same two functions).
 ``gap_histogram`` counts, with no interval, the keys that ``_read_pass``
 reads off ``_gap_pass(Q, h, None)``, which stays the oracle.
 
-Whole-sequence windows at h <= 2 take a shorter walk, by three lemmas.
-Without them a row splits once for each distinct later index, and near a
-fraction of small denominator those run through many values: 14.0, 16.3 and
+Whole-sequence windows take a shorter walk, by three lemmas.  Without them
+a row splits once for each distinct later index, and near a fraction of
+small denominator those run through many values: at h = 2, 14.0, 16.3 and
 18.4 runs of the index per row at Q = 3000, 20000 and 10**5.
 
 Reversal lemma (every h).  The reflection x -> -x maps the periodic
@@ -104,14 +104,36 @@ keeps denominators and reverses order.  So it keeps the gap of each step,
 the determinant of the step's odd ends, and its type, since an even
 denominator between the two ends stays between them.  It therefore maps the
 windows of one period onto the windows of one period, with their codes in
-reverse order: the keys of ``_block_keys`` without rows, which are the
-windows of one period, are invariant under reversing their h codes.  Hence
-for every G, H = H[last gap <= G] + reversed(H[first gap > G]).  A first
-gap above G needs an 'OEO' first step from (q, b) with (Q + q) // b > G,
-so b is even and, as q <= Q, b <= 2Q/(G + 1).  The windows that run past
-1/1 are not symmetric (at Q = 20000 the pair (1, 2) counts 6561920 of them
-and (2, 1) 6561921), so the reversal acts on the periodic keys alone,
-before ``gap_histogram`` takes those windows away.
+reverse order: the keys P of ``_block_keys`` without rows, which are the
+windows of one period, are invariant under reversing their h codes.  The
+windows that run past 1/1 are not symmetric (at Q = 20000 the pair (1, 2)
+counts 6561920 of them and (2, 1) 6561921), so the reversal acts on the
+periodic keys alone, before ``gap_histogram`` takes those windows away.
+
+Hence one rule at every h >= 2.  Let C be the windows whose last code is at
+most their first.  The other windows are exactly the reversals of the
+windows of C whose last code is below their first, so
+P = C + reversed(C[last < first]).  The walk counts C directly.  An 'OO'
+last step has code 2, which is never above a first code.  An 'OEO' last
+step has code 2k + 1, so it is kept when k <= (c1 - 1) // 2, c1 being the
+first code: one bound on the last step's runs of the index, since the
+index never decreases along a row.  At h = 1 nothing is cut, since the
+last code is the first.
+
+Odd-row lemma (h <= 2).  The first step from a point (q, b) is 'OO' (code
+2) exactly when the next denominator b is odd, so the odd rows hold exactly
+the windows whose first code is 2, and the even rows all the others.  At
+h <= 2 the only window of C in the odd rows is the all-'OO' one, (2) or
+(2, 2), as no code is below 2; the reversal of an even row's (c, 2) is the
+odd row's (2, c), i.e. H(2, c) = H(c, 2), where H counts the windows of one
+period with the given codes.  The rows hold one window per point,
+N = ``odd_farey_count(Q)`` in all, so (2) or (2, 2) counts what the rest
+leaves of N.  So at h <= 2 without rows the walk visits the even rows
+alone.  The total N is that of a full period, so the walk given rows, whose
+listed starts have no known total, visits every row.  At h >= 3 the
+odd rows' windows in C, such as (2, c, 2), are no reversals of the even
+rows' windows, and the one total cannot split them among the c, so the
+walk visits every row there too; the cap keeps their 'OO' last steps alone.
 
 Fan lemma (h = 2).  Let an odd s with 3s <= Q follow an even b, and let n
 follow s.  As neighbours of s, b and n lie in (Q - s, Q], so both exceed
@@ -124,42 +146,19 @@ when (Q + b) // s is odd and (3, 3) when it is even.  Conversely each even
 b in (Q - s, Q] coprime to s is followed by s, after the odd b - s, and so
 ends the first step of one window.  ``_fan_counts`` counts these windows by
 Moebius over the divisors of s, in the two runs of b on which (Q + b) // s
-is constant.
-
-Odd-row lemma (h <= 2).  The first step from a point (q, b) is 'OO' (code
-2) exactly when the next denominator b is odd, so the odd rows hold exactly
-the windows whose first code is 2, and the even rows all the others.  Write
-H(c, c2) for the count of the windows of one period with codes (c, c2), and
-E for the number of windows that start in an even row.  For c != 2,
-H(2, c) = H(c, 2) by reversal, and (c, 2) starts in an even row.  The rows
-hold one window per point, N = ``odd_farey_count(Q)`` in all, so
-H(2, 2) = N - E - (the sum of H(c, 2) over c != 2); at h = 1 this reads
-H(2) = N - E.  So at h <= 2 without rows the walk visits the even rows
-alone and derives the windows of the odd rows.  The total N is that of a
-full period, so the walk given rows, whose listed starts have no known
-total, visits every row.  At h >= 3 the windows (2, c, 2) reverse onto
-windows of the odd rows, and the one total cannot split them among the c,
-so the walk visits every row there too.
+is constant.  Both keys lie in C, so the fan's counts join the walk's
+before the reversals, and the fan cut stands under the rule.
 
 So at h = 2 without rows the walk over the even rows makes two cuts.  Its
 first 'OEO' step keeps the q whose odd end s = k*b - q is at least
 Q // 3 + 1, a single bound on each run of k since s falls as q grows; the
-fan counts the rest.  Its last 'OEO' step keeps the gaps up to
-G = ``_LAST_GAP_MAX`` = 6, a single bound since the index never decreases
-along a row.  A second walk over the even rows b <= 2Q/(G + 1), from the q
-with (Q + q) // b > G on and with no cap, counts the windows whose first
-gap exceeds G, and their keys are reversed.  It drops the keys that end in
-code 2 first: reversed, they start with it, and the odd-row lemma derives
-those.  Every split of a row then has O(1) runs: after an 'OEO' step to
-s > Q/3 the index at s, (Q + b) // s, stays below 6.  The walks make 5.0*Q
-runs of the index at every Q measured (4.5*Q in the first, 0.5*Q in the
-second), and ``_block_keys(Q, 2)`` takes about 40% of the time of one walk
-over every row with no cut at Q = 4000, 35% at 20000, and 30% at 10**5.
-At h = 1 the walk over the even rows makes no cut: a step's index runs
-through at most two values along a row.  The walk given rows, and every
-h >= 3, keeps the one walk over every row with no cut: at h >= 3 the runs
-grow at the middle steps, which neither the reversal nor the fan lemma
-reaches.
+fan counts the rest.  After an 'OEO' step to s > Q/3 the index at s,
+(Q + b) // s, stays below 6, and the last step is capped by the first
+code.  The walk makes 3.87*Q runs of the index at every Q measured, and
+``_block_keys(Q, 2)`` takes about 30% of the time of one walk over every
+row with no cut at Q = 4000, and 28% at 20000 and 10**5.  At h >= 3 the
+runs still grow at the middle steps, which neither the cap nor the fan
+reaches (``_block_keys``' table).
 
 The same walk counts a given set of start points, listed by row in
 ascending q: the points that the lattice decoder keeps in an interval.  A
@@ -421,9 +420,6 @@ def _read_pass(q_max: int, h: int, counted: dict, kept: list) -> dict[int, int]:
     return keys
 
 
-_LAST_GAP_MAX = 6  # the largest last gap of the forward walk at h = 2 (``_block_keys``)
-
-
 def _smallest_prime_factors(n: int) -> list[int]:
     """spf[k] is the least prime factor of k for 2 <= k <= n."""
     spf = list(range(n + 1))
@@ -573,109 +569,106 @@ def _block_keys(
     with q in the ascending list ``rows[b]`` are counted: a block counts the
     listed q in it, and the walk skips what lists none.
 
-    Without ``rows`` at h <= 2 the walk visits the even rows alone, and the
-    windows of the odd rows, which start 'OO', follow from the even rows'
-    keys and the total ``_odd_totient_sum`` (the odd-row lemma of the module
-    docstring).  At h = 2 it also makes the two cuts there, after which
-    every split of a row has O(1) runs.  A first 'OEO' step stops short of
-    the odd denominators s <= Q/3, whose windows ``_fan_counts`` counts, and
-    the last 'OEO' step stops at gap G = ``_LAST_GAP_MAX``.  The windows
-    whose last gap exceeds G are those whose first gap exceeds G, reversed
-    (the reversal lemma); they start in the even rows b <= 2Q/(G + 1), at
-    the q with (Q + q) // b > G, which a second walk visits with no cap.
-    Runs of the index per row of Q*T at h = 2:
+    Without ``rows`` at h >= 2 the walk counts only the windows whose last
+    code is at most their first, and each counted window whose last code is
+    below its first adds its reversal (the reversal lemma of the module
+    docstring).  At h <= 2 it visits the even rows alone, and the all-'OO'
+    window of the odd rows is what the others leave of the total
+    ``_odd_totient_sum`` (the odd-row lemma).  At h = 2 a first 'OEO' step
+    also stops short of the odd denominators s <= Q/3, whose windows
+    ``_fan_counts`` counts.  With ``rows`` the walk visits every row, with
+    no cap, fan or reversal.  Runs of the index per row of Q*T:
 
-        ===========================  ====  =====  =====
-        Q                            3000  20000  10**5
-        ===========================  ====  =====  =====
-        one walk, no cut             14.0   16.3   18.4
-        the cuts, every row           7.2    7.2    7.2
-        the cuts, even rows only      5.0    5.0    5.0
-        ===========================  ====  =====  =====
+        =================================  =  =====  =====  =====
+        walk                               h   3000  20000  10**5
+        =================================  =  =====  =====  =====
+        every row, no cut                  2  14.0   16.3   18.4
+        fan and cap, every row             2   4.87   4.87   4.87
+        fan and cap, even rows only        2   3.87   3.87   3.87
+        every row, no cut                  3  46.6   55.6
+        every row, cap                     3  36.8   43.9
+        every row, no cut                  4  104.3
+        every row, cap                     4  91.2
+        =================================  =  =====  =====  =====
     """
     m = _key_base(q_max)
     keys: dict[int, int] = {}
-    if rows is None:
+    get = keys.get
+    whole = rows is None
+    if whole:
         spf = _smallest_prime_factors(q_max)
-    even = rows is None and h <= 2  # walk the even rows, derive the odd ones
-    cut = rows is None and h == 2
-    least = q_max // 3 + 1 if cut else 0  # the least s a first 'OEO' step reaches
-    firsts: dict[int, int] = {}  # the second walk's keys, to be reversed
-    # (rows b, the least first gap, the largest last 'OEO' gap, the counts)
-    step = 2 if even else 1
-    walks = [(range(step, q_max + 1, step), 0, _LAST_GAP_MAX if cut else None, keys)]
-    if cut:
-        last_b = 2 * q_max // (_LAST_GAP_MAX + 1)
-        walks.append((range(2, last_b + 1, 2), _LAST_GAP_MAX + 1, None, firsts))
-    for bs, low, top, out in walks:
-        get = out.get
-        for b in bs:
-            if rows is None:
-                # q is coprime to 2b iff odd and coprime to the odd part of b,
-                # and (n // d + 1) // 2 odd multiples of an odd d are <= n
-                divs = _squarefree_divisors(b // (b & -b), spf)
-            else:
-                qs = rows[b]
-                if not qs:
+    least = q_max // 3 + 1 if whole and h == 2 else 0  # the least s a first 'OEO' step reaches
+    lead = m ** (h - 2) if whole and h >= 2 else 0  # at the last step key // lead is the first code
+    step = 2 if whole and h <= 2 else 1  # walk the even rows, derive the odd ones
+    for b in range(step, q_max + 1, step):
+        if whole:
+            # q is coprime to 2b iff odd and coprime to the odd part of b,
+            # and (n // d + 1) // 2 odd multiples of an odd d are <= n
+            divs = _squarefree_divisors(b // (b & -b), spf)
+        else:
+            qs = rows[b]
+            if not qs:
+                continue
+        # (x, y, steps left, u0, u1, v0, v1, key): the window has reached
+        # the odd denominator u0 + u1*q, followed by v0 + v1*q, for q in (x, y]
+        todo = [(q_max - b, q_max, h, 0, 1, b, 0, 0)]
+        while todo:
+            x, y, left, u0, u1, v0, v1, key = todo.pop()
+            if not whole:  # narrow (x, y] to its listed q, if any
+                i, j = bisect_right(qs, x), bisect_right(qs, y)
+                if i == j:
                     continue
-            # the first gap (Q + q) // b is at least low for q > x
-            x = max(q_max - b, low * b - q_max - 1) if low else q_max - b
-            # (x, y, steps left, u0, u1, v0, v1, key): the window has reached
-            # the odd denominator u0 + u1*q, followed by v0 + v1*q, for q in (x, y]
-            todo = [(x, q_max, h, 0, 1, b, 0, 0)]
-            while todo:
-                x, y, left, u0, u1, v0, v1, key = todo.pop()
-                if rows is not None:  # narrow (x, y] to its listed q, if any
-                    i, j = bisect_right(qs, x), bisect_right(qs, y)
-                    if i == j:
+                x, y = qs[i] - 1, qs[j - 1]
+            left -= 1
+            if (v0 + v1) & 1:  # 'OO' for every odd q
+                key = key * m + 2
+                if left:
+                    for x2, y2, k in _index_runs(x, y, q_max + u0, u1, v0, v1):
+                        todo.append((x2, y2, left, v0, v1, k * v0 - u0, k * v1 - u1, key))
+                    continue
+                blocks = ((x, y, key),)
+            else:  # 'OEO': the gap is the index at the even denominator
+                blocks = []
+                # a last code 2k + 1 is at most the first code c1 iff k <= (c1 - 1) // 2
+                top = (key // lead - 1) >> 1 if lead and not left else None
+                for x2, y2, k in _index_runs(x, y, q_max + u0, u1, v0, v1, top):
+                    key2 = key * m + 2 * k + 1
+                    if not left:
+                        blocks.append((x2, y2, key2))
                         continue
-                    x, y = qs[i] - 1, qs[j - 1]
-                left -= 1
-                if (v0 + v1) & 1:  # 'OO' for every odd q
-                    key = key * m + 2
-                    if left:
-                        for x2, y2, k in _index_runs(x, y, q_max + u0, u1, v0, v1):
-                            todo.append((x2, y2, left, v0, v1, k * v0 - u0, k * v1 - u1, key))
-                        continue
-                    blocks = ((x, y, key),)
-                else:  # 'OEO': the gap is the index at the even denominator
-                    blocks = []
-                    runs = _index_runs(x, y, q_max + u0, u1, v0, v1, None if left else top)
-                    for x2, y2, k in runs:
-                        key2 = key * m + 2 * k + 1
-                        if not left:
-                            blocks.append((x2, y2, key2))
+                    w0, w1 = k * v0 - u0, k * v1 - u1
+                    if least:  # h = 2: the first step, to w0 - q >= least
+                        y2 = min(y2, w0 - least)
+                        if y2 <= x2:
                             continue
-                        w0, w1 = k * v0 - u0, k * v1 - u1
-                        if least:  # h = 2: the first step, to w0 - q >= least
-                            y2 = min(y2, w0 - least)
-                            if y2 <= x2:
-                                continue
-                        for x3, y3, k2 in _index_runs(x2, y2, q_max + v0, v1, w0, w1):
-                            todo.append((x3, y3, left, w0, w1, k2 * w0 - v0, k2 * w1 - v1, key2))
-                for x, y, key in blocks:
-                    if rows is None:
-                        count = 0
-                        for d, mu in divs:
-                            count += mu * (((y // d + 1) >> 1) - ((x // d + 1) >> 1))
-                    else:
-                        count = bisect_right(qs, y) - bisect_right(qs, x)
-                    if count:
-                        out[key] = get(key, 0) + count
-    if cut:
-        for key, count in firsts.items():  # codes (c, c2) become (c2, c)
-            if key % m != 2:  # (2, c) starts in an odd row: derived below
-                key = key % m * m + key // m
-                keys[key] = keys.get(key, 0) + count
+                    for x3, y3, k2 in _index_runs(x2, y2, q_max + v0, v1, w0, w1):
+                        todo.append((x3, y3, left, w0, w1, k2 * w0 - v0, k2 * w1 - v1, key2))
+            for x, y, key in blocks:
+                if whole:
+                    count = 0
+                    for d, mu in divs:
+                        count += mu * (((y // d + 1) >> 1) - ((x // d + 1) >> 1))
+                else:
+                    count = bisect_right(qs, y) - bisect_right(qs, x)
+                if count:
+                    keys[key] = get(key, 0) + count
+    if not whole:
+        return keys
+    if least:
         for key, count in zip((3 * m + 2, 3 * m + 3), _fan_counts(q_max, spf)):
             if count:
-                keys[key] = keys.get(key, 0) + count
-    if even:  # the odd rows' windows, which start 'OO', by the odd-row lemma
+                keys[key] = get(key, 0) + count
+    # the windows whose last code is above their first, by the reversal lemma
+    first = m ** (h - 1)
+    for key, count in list(keys.items()):
+        if key % m < key // first:  # never at h = 1, where the last code is the first
+            flipped = 0
+            for _ in range(h):
+                key, code = divmod(key, m)
+                flipped = flipped * m + code
+            keys[flipped] = get(flipped, 0) + count
+    if h <= 2:  # the all-'OO' window of the odd rows is what the rest leaves
         rest = _odd_totient_sum(q_max, spf) - sum(keys.values())
-        if h == 2:  # (2, c) is (c, 2) reversed for c != 2; (2, 2) the rest
-            odd = {2 * m + key // m: count for key, count in keys.items() if key % m == 2}
-            rest -= sum(odd.values())
-            keys.update(odd)
         if rest:
             keys[2 * m + 2 if h == 2 else 2] = rest
     return keys

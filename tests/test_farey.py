@@ -249,11 +249,11 @@ def test_fan_counts_are_the_windows_through_a_small_odd_denominator():
 @pytest.mark.parametrize("q", range(1, 13))
 def test_gap_pairs_at_the_smallest_orders(q):
     """Orders around the first steps of Q // 3, the largest fan denominator:
-    the even-row walk (cut at h = 2), the fan, the reversed first-gap rows
-    and the odd rows read off them make up the points' windows at h = 1
-    and 2, and the count is the brute-force one."""
+    the capped walk (over the even rows at h <= 2), the fan at h = 2, the
+    reversals and the all-'OO' rest make up the points' windows at h <= 4,
+    and the count is the brute-force one."""
     starts = point_starts(q)[0]
-    for h in (1, 2):
+    for h in (1, 2, 3, 4):
         assert _block_keys(q, h) == _window_keys(q, h, starts), (q, h)
         hist = gap_histogram(q, h, with_steps=True)[0]
         assert dict(hist) == brute_windows(q, h, with_steps=True), (q, h)
@@ -264,7 +264,7 @@ def test_gap_pairs_at_the_smallest_orders(q):
 @given(q=st.integers(1, 400))
 def test_gap_pair_keys_are_the_point_windows(q):
     starts = point_starts(q)[0]
-    for h in (1, 2):
+    for h in (1, 2, 3, 4):
         assert _block_keys(q, h) == _window_keys(q, h, starts), (q, h)
 
 
@@ -296,10 +296,8 @@ def test_whole_sequence_walk_skips_the_odd_rows(monkeypatch, q):
         assert set(firsts) == set(range(2, q + 1, 2)), (q, h)
 
 
-def test_gap_pair_walk_makes_few_index_runs(monkeypatch):
-    """With the two cuts every split of a row has O(1) runs, and only the
-    even rows are walked: 5.0*Q runs at Q = 3000, where the cut walk over
-    every row makes 7.2*Q and one walk with no cut 14.0*Q."""
+def _index_runs_made(monkeypatch, q, h):
+    """The number of runs of the index that ``_block_keys(q, h)`` makes."""
     import oddfarey.farey as farey
 
     runs = []
@@ -310,9 +308,22 @@ def test_gap_pair_walk_makes_few_index_runs(monkeypatch):
         return out
 
     monkeypatch.setattr(farey, "_index_runs", counting)
-    q = 3000
-    _block_keys(q, 2)
-    assert sum(runs) <= 5.5 * q
+    _block_keys(q, h)
+    return sum(runs)
+
+
+def test_gap_pair_walk_makes_few_index_runs(monkeypatch):
+    """With the fan cut and the last code capped by the first, every split
+    of a row has O(1) runs, and only the even rows are walked: 3.87*Q runs
+    at Q = 3000, where a last gap capped at 6 and a second walk made 5.0*Q,
+    the same cuts over every row 7.2*Q and one walk with no cut 14.0*Q."""
+    assert _index_runs_made(monkeypatch, 3000, 2) <= 4.2 * 3000
+
+
+def test_gap_triple_walk_makes_fewer_index_runs_with_the_cap(monkeypatch):
+    """At h = 3 the cap on the last code takes the walk over every row from
+    46.6*Q runs to 36.8*Q at Q = 3000."""
+    assert _index_runs_made(monkeypatch, 3000, 3) <= 40 * 3000
 
 
 def test_gap_pairs_at_order_20000():

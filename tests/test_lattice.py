@@ -761,6 +761,16 @@ def test_row_blocks_count_the_small_orders():
                 assert _block_keys(q, h, _rows(q, starts)) == _window_keys(q, h, starts), (q, h, starts)
 
 
+def test_row_blocks_of_every_start_are_the_whole_sequence_count():
+    """Listing every start point takes the rows route, which walks every row
+    with no cap, no fan and no reversal, and still counts what the
+    whole-sequence walk counts."""
+    for q in range(1, 151):
+        rows = _rows(q, point_starts(q)[0])
+        for h in (1, 2, 3, 4):
+            assert _block_keys(q, h, rows) == _block_keys(q, h), (q, h)
+
+
 def test_dense_intervals_decode_by_rows(monkeypatch):
     """The request picks the route: an interval with (hi - lo)*Q >= 12*3**h
     and (hi - lo)*Q**2 <= 2**26 is counted in row blocks, codes no start and
