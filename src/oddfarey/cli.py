@@ -45,7 +45,7 @@ def _enclosure_options(args) -> dict:
     try:
         return {"tol": Fraction(args.tol)}
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"error: bad tolerance {args.tol!r}, expected like '1/1000'") from exc
+        raise ValueError(f"bad tolerance {args.tol!r}, expected like '1/1000'") from exc
 
 
 def _dec(x, digits: int = 12) -> str:
@@ -60,9 +60,9 @@ def _positive_ints(text: str, name: str, like: str) -> tuple[int, ...]:
     try:
         out = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise SystemExit(f"error: bad {name} {text!r}, expected like {like!r}") from exc
+        raise ValueError(f"bad {name} {text!r}, expected like {like!r}") from exc
     if not out or any(d < 1 for d in out):
-        raise SystemExit(f"error: {name} entries must be positive, got {text!r}")
+        raise ValueError(f"{name} entries must be positive, got {text!r}")
     return out
 
 
@@ -80,34 +80,31 @@ def _parse_interval(text: Optional[str]) -> Optional[UnitInterval]:
     try:
         return UnitInterval.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"error: bad interval {text!r}: {exc}") from exc
+        raise ValueError(f"bad interval {text!r}: {exc}") from exc
 
 
 def _parse_parity(text: str) -> PairParity:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
-        raise SystemExit(f"error: parity must look like 'odd,even', got {text!r}")
-    try:
-        return PairParity(parts[0], parts[1])
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+        raise ValueError(f"parity must look like 'odd,even', got {text!r}")
+    return PairParity(parts[0], parts[1])
 
 
 def _parse_point(text: str) -> TrianglePoint:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
-        raise SystemExit(f"error: point must look like '3/4,1/2', got {text!r}")
+        raise ValueError(f"point must look like '3/4,1/2', got {text!r}")
     try:
         return TrianglePoint(Fraction(parts[0]), Fraction(parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"error: bad point {text!r}: {exc}") from exc
+        raise ValueError(f"bad point {text!r}: {exc}") from exc
 
 
 def _parse_quadrangle(text: str) -> tuple[int, int, int]:
     try:
         m, i, r = (int(p) for p in text.split(","))
     except ValueError as exc:
-        raise SystemExit(f"error: quadrangle must look like 'm,i,r', got {text!r}") from exc
+        raise ValueError(f"quadrangle must look like 'm,i,r', got {text!r}") from exc
     return m, i, r
 
 
@@ -161,7 +158,7 @@ def _cmd_list(args) -> int:
 
 def _cmd_stats(args) -> int:
     if args.delta_max < 0:
-        raise SystemExit(f"error: --delta-max must be >= 0, got {args.delta_max}")
+        raise ValueError(f"--delta-max must be >= 0, got {args.delta_max}")
     hist, windows = gap_histogram(args.q, args.h, interval=_parse_interval(args.interval))
     rows = [
         {
@@ -257,7 +254,7 @@ def _cmd_region(args) -> int:
     if args.quadrangle is None:
         region = cylinder(_parse_ks(args.ks or ""))
     elif args.ks is not None:
-        raise SystemExit("error: --ks cannot be used with --quadrangle: give one region")
+        raise ValueError("--ks cannot be used with --quadrangle: give one region")
     else:
         region = stabilized_quadrangle(*_parse_quadrangle(args.quadrangle))
     payload = region.to_json_dict()
@@ -312,8 +309,8 @@ def _cmd_lattice(args) -> int:
     parity = _parse_parity(args.parity)
     interval = _parse_interval(args.interval)
     if interval is not None and args.all_points:
-        raise SystemExit(
-            "error: --all-points cannot be used with --interval: "
+        raise ValueError(
+            "--all-points cannot be used with --interval: "
             "the inverse rule is defined only for primitive points"
         )
     rep = count_lattice(region, args.q, parity, primitive=not args.all_points, interval=interval)
@@ -321,7 +318,7 @@ def _cmd_lattice(args) -> int:
         "ks": args.ks,
         "q": args.q,
         "parity": str(parity),
-        "primitive": rep.primitive,
+        "primitive": not args.all_points,
         "interval": str(interval) if interval else "",
         "count": rep.count,
         "boundary_hits": rep.boundary_hits,
@@ -353,11 +350,11 @@ def _cmd_short_interval(args) -> int:
 def _cmd_verify(args) -> int:
     for flag in _SUITES["all"]:
         if getattr(args, flag) is not None and flag not in _SUITES[args.suite]:
-            raise SystemExit(f"error: verify {args.suite} does not read --{flag}")
+            raise ValueError(f"verify {args.suite} does not read --{flag}")
     for flag in ("q", "k"):
         value = getattr(args, flag)
         if value is not None and value < 1:
-            raise SystemExit(f"error: --{flag} must be >= 1, got {value}")
+            raise ValueError(f"--{flag} must be >= 1, got {value}")
     given = None if args.delta is None else [_parse_deltas(args.delta)]
     failures = 0
 
@@ -576,13 +573,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        # bad input: the parsing helpers exit with an "error: ..." message;
-        # exit with argparse's status for bad usage
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            raise SystemExit(2) from None
-        raise
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ def _escape_slots(family: PathFamily) -> list[int]:
     nonempty.  A label m >= 4r + 2 at slot s forces 1 next to s and 2 at
     every other position (module docstring), so s is kept when the family's
     fixed labels and the other free slots' parities admit that pattern."""
-    labels = family.path.labels
+    labels = family.labels
     return [
         s
         for s in family.free_slots
@@ -179,7 +179,7 @@ def _decomposition(deltas: Sequence[int]):
     meets: dict[tuple[str, int], list[str]] = {}
     for f in open_fams:
         for s in _escape_slots(f):
-            meets.setdefault((f.first_vertex_parity, s), []).append(f.path.labels[s].parity)
+            meets.setdefault((f.first_vertex_parity, s), []).append(f.labels[s].parity)
     if any(sorted(parities) != ["even", "odd"] for parities in meets.values()):
         raise ValueError(f"gap tuple {tuple(deltas)}: escape slots that do not pair by parity")
     return cylinders, list(meets), sum(len(f.free_slots) for f in open_fams), stable
@@ -240,7 +240,7 @@ def _cylinder_labels(family: PathFamily, k_cut: int) -> Iterator[tuple[tuple[int
     is null is not extended."""
     ranges = [
         _parity_range(lab.parity, 1, k_cut) if lab.is_free else range(lab.value, lab.value + 1)
-        for lab in family.path.labels[: family.arity]
+        for lab in family.labels[: family.arity]
     ]
 
     def walk(ks: tuple[int, ...], points, area2: Fraction):

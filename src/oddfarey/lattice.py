@@ -126,11 +126,11 @@ from .farey import (
     _block_keys,
     _check_order,
     _histogram,
+    _pair_at,
     _restriction,
     _smallest_prime_factors,
     _squarefree_divisors,
     _stream_histograms,
-    _successor_den,
     _tail_starts,
     _window_keys,
     odd_farey_count,
@@ -182,14 +182,10 @@ class PairParity(namedtuple("PairParity", "x y", defaults=("any", "any"))):
 
 
 class CountReport(NamedTuple):
-    """Result of one lattice count, with the filters that produced it."""
+    """Result of one lattice count: the points kept, and those of them on an
+    interval wall."""
 
     count: int
-    region: ConvexRegion
-    order: int
-    parity: PairParity
-    primitive: bool
-    interval: Optional[UnitInterval] = None
     boundary_hits: int = 0
 
 
@@ -394,7 +390,7 @@ def count_lattice(
     else:
         _check_order(q_max)
         count, hits = sum(len(bs) for _, bs in _columns(region, q_max, parity)), 0
-    return CountReport(count, region, q_max, parity, primitive, interval, hits)
+    return CountReport(count, hits)
 
 
 def parity_profile(region: ConvexRegion, q_max: int) -> dict[tuple[str, str], int]:
@@ -499,13 +495,12 @@ def boundary_window_histogram(
 def _lo_pair(q_max: int, interval: Optional[UnitInterval]) -> Optional[tuple[int, int]]:
     """The start pair (q, q') of lo when lo is an odd-denominator element of
     F(q_max), else None: the one start that the closed rule keeps and the
-    half-open rule drops (see ``UnitInterval``)."""
+    half-open rule drops (see ``UnitInterval``).  It is the pair of the
+    first odd element >= lo when that element is lo itself."""
     if interval is None:
         return None
-    lo, q = interval.lo, interval.lo.denominator
-    if lo == 0 or not q & 1 or q > q_max:
-        return None
-    return q, _successor_den(q_max, lo.numerator, q)
+    a, q, q2 = _pair_at(q_max, interval.lo, strict=False)
+    return (q, q2) if Fraction(a, q) == interval.lo else None
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +600,25 @@ class FamilyCheck(NamedTuple):
 
 
 class VerifyResult(NamedTuple):
-    """Machine-readable outcome of one identity check."""
+    """Machine-readable outcome of one identity check: its family checks,
+    whose totals are its two sides."""
 
-    ok: bool
-    lhs: int
-    rhs: int
-    families: tuple[FamilyCheck, ...] = ()
+    families: tuple[FamilyCheck, ...]
     notes: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        """Whether every family check holds; mismatches of two families
+        can cancel in the totals."""
+        return all(fc.ok for fc in self.families)
+
+    @property
+    def lhs(self) -> int:
+        return sum(fc.stream for fc in self.families)
+
+    @property
+    def rhs(self) -> int:
+        return sum(fc.lattice - fc.boundary for fc in self.families)
 
     def first_mismatch(self) -> Optional[FamilyCheck]:
         for fc in self.families:
@@ -660,15 +667,11 @@ def verify_tuple_identities(
         bound = boundary_window_histogram(q_max, h, ikey)
         checks = []
         for fam in target_fams:
-            sig = fam.path.step_types()
-            key = (target, sig)
+            key = (target, fam.steps)
             checks.append(
-                FamilyCheck(sig, arrow_text(fam), stream_hist[key], dec[key], bound[key])
+                FamilyCheck(fam.steps, arrow_text(fam), stream_hist[key], dec[key], bound[key])
             )
-        lhs = sum(fc.stream for fc in checks)
-        rhs = sum(fc.lattice - fc.boundary for fc in checks)
-        ok = all(fc.ok for fc in checks)
-        results.append(VerifyResult(ok, lhs, rhs, tuple(checks), notes))
+        results.append(VerifyResult(tuple(checks), notes))
     return results
 
 
@@ -703,7 +706,5 @@ def verify_parity_swap(
                 0,
             )
         )
-    lhs = sum(fc.stream for fc in checks)
-    rhs = sum(fc.lattice for fc in checks)
-    return VerifyResult(all(fc.ok for fc in checks), lhs, rhs, tuple(checks))
+    return VerifyResult(tuple(checks))
 

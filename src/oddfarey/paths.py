@@ -17,6 +17,10 @@ dummy: it is summed out and carries no constraint.)  Each family contributes
 the lattice/area weight of the cylinder on its first |w| - 1 labels, counted
 with x odd and y matching the parity of the walk's first vertex.
 
+A family (``PathFamily``) is stored as its steps, 'OO' or 'OEO' per hop,
+and its labels, one per edge; its vertices, its arity |w| - 1 and its first
+vertex are read off them.
+
 This module owns two rules that the others read: which integers a parity
 admits (``_fits``, and ``_parity_range`` for the ones in [lo, hi]) and what
 a gap tuple is (``_gap_tuple``: nonempty, positive).
@@ -26,11 +30,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = [
     "LabelSlot",
-    "LabeledPath",
     "PathFamily",
     "families",
     "arrow_text",
@@ -86,56 +89,42 @@ class LabelSlot(namedtuple("LabelSlot", "value parity", defaults=(None, "any")))
         return {"odd": "k(odd)", "even": "k(even)", "any": "k"}[self.parity]
 
 
-class LabeledPath(namedtuple("LabeledPath", "vertices labels")):
-    """Vertex kinds after the root (each 'O' or 'E') and one label per edge."""
+class PathFamily(namedtuple("PathFamily", "steps labels")):
+    """A walk: its hops between odd vertices ('OO' or 'OEO', in order) and
+    one label per edge; its cylinder labels are the first |w| - 1."""
 
     __slots__ = ()
 
-    def __new__(cls, vertices: tuple[str, ...], labels: tuple[LabelSlot, ...]):
-        if len(vertices) != len(labels):
+    def __new__(cls, steps: tuple[str, ...], labels: tuple[LabelSlot, ...]):
+        steps, labels = tuple(steps), tuple(labels)
+        if not steps or any(step not in ("OO", "OEO") for step in steps):
+            raise ValueError(f"steps must be a nonempty tuple of 'OO' and 'OEO', got {steps}")
+        if len(labels) != sum(len(step) - 1 for step in steps):
             raise ValueError("need exactly one label per edge")
-        if any(v not in ("O", "E") for v in vertices):
-            raise ValueError("vertex kinds must be 'O' or 'E'")
-        if not vertices or vertices[-1] != "O":
-            raise ValueError("walks end at an odd vertex")
-        return super().__new__(cls, vertices, labels)
+        return super().__new__(cls, steps, labels)
 
     @property
-    def size(self) -> int:
-        """Number of edges |w|."""
-        return len(self.labels)
-
-    def step_types(self) -> tuple[str, ...]:
-        """'OO'/'OEO' per hop between consecutive odd vertices."""
-        out = []
-        i = 0
-        while i < len(self.vertices):
-            if self.vertices[i] == "E":
-                out.append("OEO")
-                i += 2
-            else:
-                out.append("OO")
-                i += 1
-        return tuple(out)
-
-
-class PathFamily(NamedTuple):
-    """A walk shape whose cylinder labels are the first |w| - 1 edge labels."""
-
-    path: LabeledPath
-    arity: int
-    first_vertex: str
+    def vertices(self) -> tuple[str, ...]:
+        """Vertex kinds after the root, each 'O' or 'E'; the last is 'O'."""
+        return tuple("".join(step[1:] for step in self.steps))
 
     @property
-    def free_slots(self) -> tuple[int, ...]:
-        """Indices (into the cylinder label tuple) of the free labels."""
-        return tuple(
-            i for i in range(self.arity) if self.path.labels[i].is_free
-        )
+    def arity(self) -> int:
+        """Number of cylinder labels, |w| - 1."""
+        return len(self.labels) - 1
+
+    @property
+    def first_vertex(self) -> str:
+        return self.steps[0][1]
 
     @property
     def first_vertex_parity(self) -> str:
         return "odd" if self.first_vertex == "O" else "even"
+
+    @property
+    def free_slots(self) -> tuple[int, ...]:
+        """Indices (into the cylinder label tuple) of the free labels."""
+        return tuple(i for i in range(self.arity) if self.labels[i].is_free)
 
 
 def families(deltas: Sequence[int]) -> tuple[PathFamily, ...]:
@@ -149,39 +138,27 @@ def families(deltas: Sequence[int]) -> tuple[PathFamily, ...]:
     if len(ds) > MAX_WINDOW:
         raise ValueError(f"windows longer than {MAX_WINDOW} are not supported")
 
-    choices_per_hop = [("OO", "OEO") if d == 1 else ("OEO",) for d in ds]
     out = []
-    for choice in product(*choices_per_hop):
-        vertices: list[str] = []
-        fixed: list[Optional[int]] = []  # fixed label value per edge, else None
-        for j, hop in enumerate(choice):
-            if hop == "OEO":
-                vertices += ["E", "O"]
-                fixed += [ds[j], None]
-            else:
-                vertices += ["O"]
-                fixed += [None]
+    for steps in product(*(("OO", "OEO") if d == 1 else ("OEO",) for d in ds)):
+        vertices = "".join(step[1:] for step in steps)
+        pinned = iter([d for d, step in zip(ds, steps) if step == "OEO"])  # the O->E labels
         labels: list[LabelSlot] = []
-        last = len(vertices) - 1
-        for e in range(len(vertices)):
-            if fixed[e] is not None:
-                labels.append(LabelSlot(fixed[e]))
-                continue
-            if e == last:
+        for e, v in enumerate(vertices):
+            if v == "E":
+                labels.append(LabelSlot(next(pinned)))
+            elif e == len(vertices) - 1:
                 labels.append(LabelSlot())  # dummy: summed out, unconstrained
-                continue
-            source = vertices[e - 1] if e > 0 else "O"
-            after = vertices[e + 1]
-            labels.append(LabelSlot(None, "even" if source == after else "odd"))
-        path = LabeledPath(tuple(vertices), tuple(labels))
-        out.append(PathFamily(path, len(vertices) - 1, vertices[0]))
+            else:
+                source = vertices[e - 1] if e > 0 else "O"
+                labels.append(LabelSlot(None, "even" if source == vertices[e + 1] else "odd"))
+        out.append(PathFamily(steps, tuple(labels)))
     return tuple(out)
 
 
 def arrow_text(family: PathFamily) -> str:
     """Human-readable arrow notation, e.g. ``O --2-- E --k2(even)-- O --...``."""
     parts = ["O"]
-    for v, lab in zip(family.path.vertices, family.path.labels):
+    for v, lab in zip(family.vertices, family.labels):
         parts.append(f"--{lab}--")
         parts.append(v)
     return " ".join(parts)

@@ -71,7 +71,7 @@ def instantiate(family, free_values) -> tuple[int, ...]:
     out = []
     it = iter(free_values)
     for i in range(family.arity):
-        slot = family.path.labels[i]
+        slot = family.labels[i]
         if slot.is_free:
             v = int(next(it))
             if not slot.admits(v):

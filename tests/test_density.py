@@ -36,7 +36,7 @@ OPEN_FAMILIES = [f for ds in OPEN_TUPLES for f in families(ds) if _escape_slots(
 
 def _brute_family_sum(family, k_cut):
     """The direct sum: one clipped cylinder per label tuple."""
-    labels = family.path.labels
+    labels = family.labels
     ranges = [
         [v for v in range(1, k_cut + 1) if labels[s].admits(v)] for s in family.free_slots
     ]
@@ -82,7 +82,7 @@ def test_pair_exactness_flags():
 
 
 def test_certified_finiteness_analysis():
-    fams = {f.path.step_types(): f for f in families((1, 1))}
+    fams = {f.steps: f for f in families((1, 1))}
     assert _escape_slots(fams[("OO", "OO")])  # sum over even k
     assert _escape_slots(fams[("OO", "OEO")])  # C(k odd, 1)
     assert _escape_slots(fams[("OEO", "OEO")])  # C(1, k even, 1)
@@ -101,7 +101,7 @@ def test_pair_two_two_value():
 
 def test_family_sum_upto_matches_direct_areas():
     fam = next(
-        f for f in families((1, 2)) if f.path.step_types() == ("OO", "OEO")
+        f for f in families((1, 2)) if f.steps == ("OO", "OEO")
     )
     direct = sum(cylinder_area((k, 2)) for k in range(1, 20, 2))
     assert family_sum_upto(fam, 19) == direct
@@ -232,7 +232,7 @@ def test_open_families_of_small_tuples():
 def test_stable_shells_are_gap_densities(fam):
     """Beyond 4r + 1 the clipped shell at m is gap_density(m) once per
     escape slot whose parity admits m."""
-    escapes = [fam.path.labels[s].parity for s in _escape_slots(fam)]
+    escapes = [fam.labels[s].parity for s in _escape_slots(fam)]
     start = 4 * fam.arity + 2
     for m in range(start, start + 30):
         shell = family_sum_upto(fam, m) - family_sum_upto(fam, m - 1)
@@ -246,7 +246,7 @@ def test_open_slots_pair_up():
     with open families."""
     for h in range(1, MAX_WINDOW + 1):
         for ds in itertools.product((1, 2), repeat=h):
-            escapes = [f.path.labels[s].parity for f in families(ds) for s in _escape_slots(f)]
+            escapes = [f.labels[s].parity for f in families(ds) for s in _escape_slots(f)]
             assert escapes.count("odd") == escapes.count("even"), ds
 
 
@@ -262,7 +262,7 @@ def test_region_lists_pair_their_shells_and_sum_to_rho():
         for ds in itertools.product((1, 2), repeat=h):
             fams = families(ds)
             meets = Counter(
-                (f.first_vertex, s, f.path.labels[s].parity) for f in fams for s in _escape_slots(f)
+                (f.first_vertex, s, f.labels[s].parity) for f in fams for s in _escape_slots(f)
             )
             if not meets:
                 continue

@@ -44,10 +44,13 @@ from oddfarey.geometry import (
     unimodular_image,
 )
 from oddfarey.lattice import (
+    FamilyCheck,
     PairParity,
+    VerifyResult,
     _columns,
     _inverse_rule,
     _kept,
+    _lo_pair,
     _truncated,
     _units,
     boundary_window_histogram,
@@ -222,19 +225,19 @@ def test_family_counts_by_region_route():
     """Orbit-decoded family counts equal sums of region-based counts."""
     for q, deltas in [(8, (1,)), (8, (2,)), (30, (1,)), (30, (3,)), (30, (1, 2))]:
         for fam in families(deltas):
-            by_orbit = decode_histogram(q, len(deltas))[(deltas, fam.path.step_types())]
+            by_orbit = decode_histogram(q, len(deltas))[(deltas, fam.steps)]
             parity = PairParity("odd", fam.first_vertex_parity)
             total = 0
             free = fam.free_slots
             ranges = []
             for s in free:
-                par = fam.path.labels[s].parity
+                par = fam.labels[s].parity
                 start = 1 if par == "odd" else 2
                 ranges.append(range(start, 2 * q + 1, 2))
             for values in itertools.product(*ranges):
                 ks = instantiate(fam, values)
                 total += count_lattice(cylinder(ks), q, parity).count
-            assert by_orbit == total, (q, deltas, fam.path.step_types())
+            assert by_orbit == total, (q, deltas, fam.steps)
 
 
 def test_boundary_windows_order_8():
@@ -256,6 +259,34 @@ def test_tuple_identity_examples():
     res = verify_tuple_identities(100, [(2, 3)])[0]
     assert res.ok
     assert res.first_mismatch() is None
+
+
+def test_cancelling_mismatches_fail_the_identity():
+    """A result holds when every family check holds: two mismatches that
+    cancel in the totals (lhs = Σ stream, rhs = Σ lattice − boundary) still
+    fail it, and the first of them is reported."""
+    first = FamilyCheck(("OO",), "O --k-- O", 3, 2, 0)
+    second = FamilyCheck(("OEO",), "O --2-- E --k-- O", 2, 4, 1)
+    res = VerifyResult((first, second))
+    assert res.lhs == res.rhs == 5
+    assert not res.ok
+    assert res.first_mismatch() is first
+
+
+def test_lo_pair_is_the_scan():
+    """``_lo_pair`` gives lo's start pair (q, q'), q' the denominator of the
+    element after lo in F(Q) (Q after 1/1), exactly when lo is an
+    odd-denominator element of F(Q), against a scan of F(Q) in (0, 1]; lo
+    runs over every n/d with 0 <= n <= d <= 2Q, so 0, 1, even d and d > Q
+    all occur."""
+    for q in range(1, 41):
+        elements = sorted({Fraction(a, b) for b in range(1, q + 1) for a in range(1, b + 1)})
+        after = elements[1:] + [Fraction(q + 1, q)]
+        pairs = {f: (f.denominator, g.denominator) for f, g in zip(elements, after) if f.denominator & 1}
+        for d in range(1, 2 * q + 1):
+            for n in range(d + 1):
+                lo = Fraction(n, d)
+                assert _lo_pair(q, UnitInterval(lo, 1)) == pairs.get(lo), (q, lo)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 21, 30])
@@ -928,7 +959,7 @@ def test_label_ranges_reach_the_escape_bound():
                 assert _escape_bound(fam.arity) == 4 * fam.arity + 1
             ranges = [
                 [v for v in range(1, 4 * fam.arity + 2) if lab.admits(v)] if lab.is_free else [lab.value]
-                for lab in fam.path.labels[: fam.arity]
+                for lab in fam.labels[: fam.arity]
             ]
             brute = {ks for ks in itertools.product(*ranges) if cylinder(ks).area() > 0}
             walked = [ks for ks, _ in _cylinder_labels(fam, _escape_bound(fam.arity))]
@@ -1002,13 +1033,12 @@ def test_parity_soundness_replay():
                 fam = next(
                     f
                     for f in families(tuple(gaps))
-                    if f.path.step_types() == tuple(steps)
+                    if f.steps == tuple(steps)
                 )
-                size = fam.path.size
                 labels = orbit_kappas(
-                    TrianglePoint(Fraction(a, q), Fraction(b, q)), size
+                    TrianglePoint(Fraction(a, q), Fraction(b, q)), len(fam.labels)
                 )
-                for slot, value in zip(fam.path.labels, labels):
+                for slot, value in zip(fam.labels, labels):
                     assert slot.admits(value), (q, a, b, gaps, steps, labels)
 
 
@@ -1081,7 +1111,7 @@ def _assert_sweeps_match_the_grid(region, q, intervals):
         prim = [p for p in primitive if _matches(parity, *p)]
         assert count_lattice(region, q, parity, primitive=False).count == len(pts)
         rep = count_lattice(region, q, parity)
-        assert (rep.count, rep.interval, rep.boundary_hits) == (len(prim), None, 0)
+        assert (rep.count, rep.boundary_hits) == (len(prim), 0)
         firsts = [first_fraction(a, b) for a, b in prim]
         for interval in intervals:
             rep = count_lattice(region, q, parity, interval=interval)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from conftest import instantiate
 from oddfarey.paths import (
     _PARITIES,
-    LabeledPath,
     LabelSlot,
+    PathFamily,
     _fits,
     _parity_range,
     arrow_text,
@@ -20,7 +20,7 @@ def _shape(family):
     """(cylinder label pattern, first vertex) with free slots as parity names."""
     pattern = tuple(
         slot.value if slot.value is not None else slot.parity
-        for slot in family.path.labels[: family.arity]
+        for slot in family.labels[: family.arity]
     )
     return pattern, family.first_vertex
 
@@ -30,7 +30,7 @@ def test_single_gap_at_least_two():
     assert len(fams) == 1
     assert _shape(fams[0]) == ((3,), "E")
     assert fams[0].arity == 1
-    assert fams[0].path.vertices == ("E", "O")
+    assert fams[0].vertices == ("E", "O")
 
 
 def test_single_gap_one():
@@ -70,9 +70,9 @@ def test_family_count_is_two_to_the_ones(h):
 def _oe_pinned(family, deltas) -> bool:
     """Whether the O->E labels of the family are, in order, the gaps of its
     O->E->O hops."""
-    vertices, labels = family.path.vertices, family.path.labels
+    vertices, labels = family.vertices, family.labels
     oe = [lab.value for v, lab in zip(vertices, labels) if v == "E"]
-    steps = family.path.step_types()
+    steps = family.steps
     return oe == [d for d, step in zip(deltas, steps) if step == "OEO"]
 
 
@@ -82,8 +82,8 @@ def test_oe_pinning_and_parities(h):
     the parity table."""
     for deltas in itertools.product((1, 2), repeat=h):
         for fam in families(deltas):
-            vertices = fam.path.vertices
-            labels = fam.path.labels
+            vertices = fam.vertices
+            labels = fam.labels
             assert _oe_pinned(fam, deltas)
             # parity table: even iff source kind equals the kind after target
             for e in range(len(labels) - 1):
@@ -96,12 +96,44 @@ def test_oe_pinning_and_parities(h):
             assert labels[-1].parity == "any" and labels[-1].is_free
 
 
+def _walked_steps(vertices) -> tuple[str, ...]:
+    """'OO'/'OEO' per hop, read off the vertex kinds after the root: an E
+    and the O after it are one hop."""
+    out = []
+    i = 0
+    while i < len(vertices):
+        if vertices[i] == "E":
+            out.append("OEO")
+            i += 2
+        else:
+            out.append("OO")
+            i += 1
+    return tuple(out)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_steps_are_the_walked_steps(h):
+    """Each family's steps are the hops that its vertex walk gives, and its
+    arity, first vertex and free slots are read off the same walk."""
+    for deltas in itertools.product((1, 2, 3), repeat=h):
+        for fam in families(deltas):
+            vertices = fam.vertices
+            assert fam.steps == _walked_steps(vertices), (deltas, fam)
+            assert vertices[-1] == "O"
+            assert fam.arity == len(vertices) - 1
+            assert fam.first_vertex == vertices[0]
+            assert fam.first_vertex_parity == ("odd" if vertices[0] == "O" else "even")
+            assert fam.free_slots == tuple(
+                i for i in range(len(vertices) - 1) if fam.labels[i].value is None
+            )
+
+
 def test_reference_walk_in_window_five():
     # O -k1- E -k2- O -k3- O -k4- E -k5- O -k6- O -k7- E -k8- O
     deltas = (21, 1, 23, 1, 25)
     vertices = ("E", "O", "O", "E", "O", "O", "E", "O")
-    (fam,) = [f for f in families(deltas) if f.path.vertices == vertices]
-    assert [fam.path.labels[e].value for e in (0, 3, 6)] == [21, 23, 25]
+    (fam,) = [f for f in families(deltas) if f.vertices == vertices]
+    assert [fam.labels[e].value for e in (0, 3, 6)] == [21, 23, 25]
     assert _oe_pinned(fam, deltas)
 
 
@@ -135,7 +167,7 @@ def test_validation():
     with pytest.raises(ValueError):
         LabelSlot(None, "weird")
     with pytest.raises(ValueError):
-        LabeledPath(("O", "E"), (LabelSlot(1), LabelSlot(1)))  # must end at O
+        PathFamily(("OEO",), (LabelSlot(1),))  # one label per edge
 
 
 _BRUTE_PARITY = {"odd": lambda n: n % 2 == 1, "even": lambda n: n % 2 == 0, "any": lambda n: True}

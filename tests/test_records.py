@@ -22,14 +22,12 @@ from oddfarey.dynamics import TrianglePoint
 from oddfarey.farey import UnitInterval
 from oddfarey.geometry import ConvexRegion, HalfPlane, LinearForm
 from oddfarey.lattice import CountReport, FamilyCheck, PairParity, VerifyResult
-from oddfarey.paths import LabeledPath, LabelSlot, PathFamily
+from oddfarey.paths import LabelSlot, PathFamily
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 F = Fraction
-EMPTY = ConvexRegion((), ())
 FORM = LinearForm(1, 2)
-PATH = LabeledPath(("E", "O"), (LabelSlot(3), LabelSlot()))
 
 # (class, positional arguments, the repr of the record they build)
 RECORDS = [
@@ -37,16 +35,13 @@ RECORDS = [
      "RhoRow(deltas=(1,), enclosure=Enclosure(lo=Fraction(1, 6), hi=Fraction(1, 6),"
      " exact=True, cutoff=5, converged=True))"),
     (ConvexRegion, ((), ()), "ConvexRegion(constraints=(), vertices=())"),
-    (CountReport, (3, EMPTY, 10, PairParity(), True),
-     "CountReport(count=3, region=ConvexRegion(constraints=(), vertices=()), order=10,"
-     " parity=PairParity(x='any', y='any'), primitive=True, interval=None, boundary_hits=0)"),
+    (CountReport, (3,), "CountReport(count=3, boundary_hits=0)"),
     (FamilyCheck, (("OO",), "O --k-- O", 3, 4, 1),
      "FamilyCheck(signature=('OO',), text='O --k-- O', stream=3, lattice=4, boundary=1)"),
-    (VerifyResult, (True, 3, 3),
-     "VerifyResult(ok=True, lhs=3, rhs=3, families=(), notes=())"),
-    (PathFamily, (PATH, 1, "E"),
-     "PathFamily(path=LabeledPath(vertices=('E', 'O'), labels=(LabelSlot(value=3,"
-     " parity='any'), LabelSlot(value=None, parity='any'))), arity=1, first_vertex='E')"),
+    (VerifyResult, ((),), "VerifyResult(families=(), notes=())"),
+    (PathFamily, (("OEO",), (LabelSlot(3), LabelSlot())),
+     "PathFamily(steps=('OEO',), labels=(LabelSlot(value=3, parity='any'),"
+     " LabelSlot(value=None, parity='any')))"),
     (Enclosure, (F(1, 3), F(1, 2), False, 125, True),
      "Enclosure(lo=Fraction(1, 3), hi=Fraction(1, 2), exact=False, cutoff=125, converged=True)"),
     (TrianglePoint, (1, F(1, 2)), "TrianglePoint(x=Fraction(1, 1), y=Fraction(1, 2))"),
@@ -56,9 +51,6 @@ RECORDS = [
      "HalfPlane(form=LinearForm(cx=1, cy=2, c0=0), sense='<=', bound=Fraction(1, 1))"),
     (PairParity, ("odd",), "PairParity(x='odd', y='any')"),
     (LabelSlot, (2,), "LabelSlot(value=2, parity='any')"),
-    (LabeledPath, (("E", "O"), (LabelSlot(3), LabelSlot())),
-     "LabeledPath(vertices=('E', 'O'), labels=(LabelSlot(value=3, parity='any'),"
-     " LabelSlot(value=None, parity='any')))"),
 ]
 
 _IDS = [cls.__name__ for cls, _, _ in RECORDS]
@@ -73,7 +65,7 @@ def test_every_record_is_listed():
         if isinstance(obj, type) and obj.__module__ == mod.__name__
     }
     assert defined == {cls for cls, _, _ in RECORDS}
-    assert len(RECORDS) == 14
+    assert len(RECORDS) == 13
 
 
 @pytest.mark.parametrize("cls, args, text", RECORDS, ids=_IDS)
@@ -113,10 +105,10 @@ def test_defaults():
     assert LabelSlot() == LabelSlot(value=None, parity="any")
     assert LabelSlot(parity="odd").value is None
     assert LinearForm(cx=1, cy=0).c0 == 0
-    rep = CountReport(3, EMPTY, 10, PairParity(), True)
-    assert (rep.interval, rep.boundary_hits) == (None, 0)
-    res = VerifyResult(ok=True, lhs=3, rhs=3)
-    assert (res.families, res.notes) == ((), ())
+    assert CountReport(3).boundary_hits == 0
+    res = VerifyResult(families=())
+    assert res.notes == ()
+    assert (res.ok, res.lhs, res.rhs) == (True, 0, 0)
 
 
 def test_coercions():
@@ -134,9 +126,10 @@ def test_coercions():
         lambda: PairParity("weird"),
         lambda: LabelSlot(0),
         lambda: LabelSlot(None, "weird"),
-        lambda: LabeledPath(("O",), ()),
-        lambda: LabeledPath(("X",), (LabelSlot(),)),
-        lambda: LabeledPath(("E",), (LabelSlot(),)),
+        lambda: PathFamily((), ()),
+        lambda: PathFamily(("OE",), (LabelSlot(),)),
+        lambda: PathFamily(("OEO",), (LabelSlot(3),)),
+        lambda: PathFamily(("OO", "OEO"), (LabelSlot(), LabelSlot(3))),
         lambda: LinearForm(0, 0),
         lambda: HalfPlane(FORM, "==", 1),
         lambda: Enclosure(F(1, 2), F(1, 3), False, 1, False),
